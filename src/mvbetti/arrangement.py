@@ -227,6 +227,15 @@ def decone(arr: Arrangement, infinity_index: int) -> Arrangement:
     return Arrangement(n, tuple(out), AFFINE)
 
 
+def _affine_chart(arr: Arrangement, infinity_index: int | None) -> Arrangement:
+    """Projective input deconed (by default at its last hyperplane); affine input as is."""
+    if arr.kind == PROJECTIVE:
+        return decone(arr, arr.r - 1 if infinity_index is None else infinity_index)
+    if infinity_index is not None:
+        raise ValidationError("infinity index only applies to projective input")
+    return arr
+
+
 def essentialize(arr: Arrangement) -> EssentialReduction:
     """Split off the trivial affine factor of an affine arrangement.
 

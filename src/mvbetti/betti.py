@@ -23,14 +23,14 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .arrangement import PROJECTIVE, Arrangement, decone, essentialize
+from .arrangement import Arrangement, _affine_chart, essentialize
 from .errors import ConsistencyError, ValidationError
 from .flats import (
     DEFAULT_CAP,
     FlatCounts,
+    _general_position,
     build_intersection_poset,
     count_flats,
-    is_general_position,
     mobius_betti,
     whitney_betti,
 )
@@ -222,18 +222,10 @@ def compute_betti(
     its flats feeds the two spectral pages, degeneration is checked, and the
     graded limit is shifted back to the original ambient dimension.  With
     `oracles` the Moebius and inclusion-exclusion Betti numbers are computed
-    as well and compared.  When the arrangement is in general position the
+    as well and compared.  When the count table shows general position the
     binomial formula b_k = C(r, k) is verified against the result.
     """
-    kind = arr.kind
-    if kind == PROJECTIVE:
-        if infinity_index is None:
-            infinity_index = arr.r - 1
-        affine = decone(arr, infinity_index)
-    else:
-        if infinity_index is not None:
-            raise ValidationError("infinity index only applies to projective input")
-        affine = arr
+    affine = _affine_chart(arr, infinity_index)
     n, r = affine.ambient_dim, affine.r
 
     if r == 0:
@@ -253,7 +245,7 @@ def compute_betti(
             raise ConsistencyError("second page does not degenerate")
         graded = kunneth_shift(graded_from_second_page(e2), shift)
         betti = tuple(graded.get(k - n, 0) for k in range(n + 1))
-        general = is_general_position(affine, cap)
+        general = _general_position(counts, n)
         if general:
             expected = tuple(comb(r, k) for k in range(n + 1))
             if betti != expected:
@@ -280,7 +272,7 @@ def compute_betti(
         poincare.pop()
 
     return BettiReport(
-        kind=kind,
+        kind=arr.kind,
         n=n,
         r=r,
         betti=betti,

@@ -14,7 +14,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .arrangement import PROJECTIVE, Hyperplane, decone, parse_arrangement
+from .arrangement import PROJECTIVE, Hyperplane, _affine_chart, parse_arrangement
 from .betti import BettiReport, compute_betti
 from .errors import CapExceededError, ConsistencyError, ParseError, ValidationError
 from .flats import DEFAULT_CAP, build_intersection_poset, mobius_betti, whitney_betti
@@ -177,9 +177,7 @@ def _run_arrangement(config: RunConfig, out) -> int:
 
     if config.subcommand in ("poset", "oracle"):
         # These inspect the affine picture directly, so decone here.
-        if arr.kind == PROJECTIVE:
-            infinity = config.infinity_index
-            arr = decone(arr, arr.r - 1 if infinity is None else infinity)
+        arr = _affine_chart(arr, config.infinity_index)
 
     if config.subcommand == "poset":
         poset = build_intersection_poset(arr, config.enumeration_cap)

@@ -7,8 +7,9 @@ identical.  On top of flats this module builds
 
 * the count table feeding the spectral-sequence pipeline: how many subsets
   of each size cut out a flat of each dimension, with empty intersections
-  tallied separately,
-* the intersection poset with its Moebius function, and
+  tallied separately; general position is read off this table,
+* the intersection poset with its Moebius function, ordered by hyperplane
+  masks, and
 * two independent combinatorial Betti oracles (Moebius-sum and signed
   inclusion-exclusion over subsets) used to cross-check the pipeline.
 """
@@ -16,7 +17,6 @@ identical.  On top of flats this module builds
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 from .arrangement import AFFINE, Arrangement
@@ -155,51 +155,44 @@ class IntersectionPoset:
         return self.flats[0].dimension
 
 
-def _flat_contains(outer: Flat, inner: Flat) -> bool:
-    """outer >= inner as sets; both flats must be nonempty."""
-    stacked = vstack([inner.system, outer.system])
-    return stacked.rank() == inner.system.rows
-
-
 def build_intersection_poset(arr: Arrangement, cap: int = DEFAULT_CAP) -> IntersectionPoset:
-    """Close {ambient} and the hyperplanes under nonempty pairwise intersection."""
+    """Close {ambient} under intersection with hyperplanes, one codimension at a time.
+
+    Each flat X is keyed by the bitmask H_X of the hyperplanes containing it:
+    Y contains X iff H_Y is a subset of H_X.  X is extended only by the i not
+    in H_X, and the i that give the same child are the bits it adds to H_X.
+    """
     _require_affine(arr)
     r, n = arr.r, arr.ambient_dim
     if r > cap:
         raise CapExceededError(r, cap)
     rows = [h.equation_row() for h in arr.hyperplanes]
     ambient = ambient_flat(n)
-    found = {ambient.system: ambient}
-    frontier = []
-    for row in rows:
-        f = _extend(ambient, row)
-        if f.system not in found:
-            found[f.system] = f
-            frontier.append(f)
+    found = {ambient.system: (ambient, 0)}
+    frontier = [ambient]
     while frontier:
-        fresh = []
+        children = {}
         for f in frontier:
-            for row in rows:
-                g = _extend(f, row)
-                if not g.is_empty and g.system not in found:
-                    found[g.system] = g
-                    fresh.append(g)
-        frontier = fresh
-    flats = sorted(found.values(), key=lambda f: (n - f.dimension, f.system.entries))
-    below = []
-    for i, f in enumerate(flats):
-        below.append(
-            tuple(j for j, g in enumerate(flats) if j != i and _flat_contains(g, f))
-        )
+            mask = found[f.system][1]
+            for i in range(r):
+                if mask >> i & 1:
+                    continue
+                g = _extend(f, rows[i])
+                if not g.is_empty:
+                    # H_g is H_f plus every i whose hyperplane cuts f in g; no parent adds more.
+                    children.setdefault(g.system, [g, mask])[1] |= 1 << i
+        found.update((system, tuple(child)) for system, child in children.items())
+        frontier = [g for g, _ in children.values()]
+    order = sorted(found.values(), key=lambda fk: (n - fk[0].dimension, fk[0].system.entries))
+    flats, keys = zip(*order)
+    # Sorted by codimension, so the flats containing flats[i] come before it.
+    below = tuple(
+        tuple(j for j in range(i) if keys[j] & key == keys[j]) for i, key in enumerate(keys)
+    )
     mobius = []
     for i in range(len(flats)):
         mobius.append(1 if not below[i] else -sum(mobius[j] for j in below[i]))
-    return IntersectionPoset(
-        tuple(flats),
-        tuple(n - f.dimension for f in flats),
-        tuple(mobius),
-        tuple(below),
-    )
+    return IntersectionPoset(flats, tuple(n - f.dimension for f in flats), tuple(mobius), below)
 
 
 def mobius_betti(poset: IntersectionPoset) -> tuple:
@@ -247,19 +240,20 @@ def whitney_betti(arr: Arrangement, cap: int = DEFAULT_CAP) -> tuple:
     return tuple(acc[k] if k % 2 == 0 else -acc[k] for k in range(n + 1))
 
 
-def is_general_position(arr: Arrangement, cap: int = DEFAULT_CAP) -> bool:
-    """Every k-subset (k <= n) meets in codimension k; every (n+1)-subset is empty."""
-    _require_affine(arr)
-    r, n = arr.r, arr.ambient_dim
-    if r > cap:
-        raise CapExceededError(r, cap)
+def _general_position(counts: FlatCounts, n: int) -> bool:
+    """Every k-subset (k <= n) meets in codimension k; every (n+1)-subset is empty.
+
+    Read off a count table, which may come from the essential part (ambient
+    dimension counts.n) of an arrangement in affine n-space.
+    """
+    r = counts.r
     for k in range(1, min(r, n) + 1):
-        for subset in combinations(range(r), k):
-            flat = flat_of_subset(arr, subset)
-            if flat.is_empty or n - flat.dimension != k:
-                return False
-    if r > n:
-        for subset in combinations(range(r), n + 1):
-            if not flat_of_subset(arr, subset).is_empty:
-                return False
-    return True
+        # size k, dimension counts.n - k
+        if counts.counts.get((1 - k, 2 * k - counts.n - 1), 0) != comb(r, k):
+            return False
+    return r <= n or counts.empty.get(n + 1, 0) == comb(r, n + 1)
+
+
+def is_general_position(arr: Arrangement, cap: int = DEFAULT_CAP) -> bool:
+    """General position in the arrangement's own ambient space, read off `count_flats`."""
+    return _general_position(count_flats(arr, cap), arr.ambient_dim)

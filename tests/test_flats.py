@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from mvbetti import (
     CapExceededError,
     build_intersection_poset,
+    compute_betti,
     count_flats,
     essentialize,
     flat_of_subset,
     is_general_position,
     mobius_betti,
     parse_arrangement,
+    vstack,
     whitney_betti,
 )
 from mvbetti.generate import random_affine_arrangement
@@ -131,6 +133,16 @@ def test_general_position():
     assert not is_general_position(essentialize(parse_arrangement(BRAID_A3)).essential)
     # three generic lines in the plane
     assert is_general_position(parse_arrangement("affine 2\n1 0 0\n0 1 0\n1 1 1\n"))
+    # Non-essential input is judged in its own ambient dimension: the three
+    # planes x=0, y=0, x+y=1 never meet in 3-space, although their
+    # essential part, three generic lines, is in general position.
+    planes = parse_arrangement("affine 3\n1 0 0 0\n0 1 0 0\n1 1 0 1\n")
+    pair = parse_arrangement("affine 3\n1 0 0 0\n0 1 0 0\n")
+    assert is_general_position(essentialize(planes).essential)
+    assert not is_general_position(planes)
+    assert is_general_position(pair)
+    assert compute_betti(planes).general_position is False
+    assert compute_betti(pair).general_position is True
 
 
 @given(st.integers(0, 10_000))
@@ -153,6 +165,11 @@ def test_oracles_agree_and_mobius_signs(seed):
     poset = build_intersection_poset(arr)
     for mu, codim in zip(poset.mobius, poset.codim):
         assert mu * (-1) ** codim > 0
+    # containment by hyperplane masks agrees with elimination
+    for i, x in enumerate(poset.flats):
+        for j, y in enumerate(poset.flats):
+            contains = vstack([x.system, y.system]).rank() == x.system.rows
+            assert (j in poset.strictly_below[i]) == (j != i and contains)
     betti = mobius_betti(poset)
     assert betti == whitney_betti(arr)
     assert betti[0] == 1
