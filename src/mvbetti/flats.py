@@ -1,9 +1,13 @@
 """Intersections of hyperplane subsets, the intersection poset, and oracles.
 
 A flat is the intersection of a subset of the hyperplanes, stored as the
-reduced row echelon form of its augmented linear system with zero rows
-stripped, so two flats are equal exactly when their canonical systems are
-identical.  On top of flats this module builds
+primitive integer echelon rows of its augmented linear system: the rows of
+the reduced row echelon form with zero rows stripped, each scaled to coprime
+integers with a positive pivot.  That form is unique, so two flats are equal
+exactly when their rows are identical.  Flats are built one hyperplane at a
+time by exact fraction-free integer elimination from the canonical integer
+hyperplanes; no rational arithmetic runs while subsets are walked.  On top
+of flats this module builds
 
 * the count table feeding the spectral-sequence pipeline: how many subsets
   of each size cut out a flat of each dimension, with empty intersections
@@ -16,12 +20,13 @@ identical.  On top of flats this module builds
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import comb
+from dataclasses import dataclass, field
+from fractions import Fraction
+from math import comb, gcd
 
 from .arrangement import AFFINE, Arrangement
 from .errors import CapExceededError, ValidationError
-from .linalg import QMatrix, vstack
+from .linalg import QMatrix
 
 DEFAULT_CAP = 24
 
@@ -30,35 +35,89 @@ DEFAULT_CAP = 24
 class Flat:
     """An affine subspace cut out by hyperplanes, in canonical form.
 
-    `system` is the stripped rref of the augmented equations; `dimension` is
-    None exactly when the system is inconsistent (empty flat).
+    `rows` are the primitive integer echelon rows of the augmented equations
+    [a_1 ... a_n | c]: the stripped reduced row echelon form, each row scaled
+    to coprime integers with a positive pivot, in pivot order.  `pivots` are
+    their pivot columns, derived from `rows` and left out of equality.
+    `dimension` is None exactly when the constant column n is a pivot (empty
+    flat).  `system` gives the same equations as an exact rational rref.
     """
 
-    system: QMatrix
+    rows: tuple
     dimension: int | None
+    pivots: tuple = field(compare=False)
 
     @property
     def is_empty(self) -> bool:
         return self.dimension is None
 
-    @staticmethod
-    def from_equations(mat: QMatrix) -> "Flat":
-        """Canonical flat of the system [A | c] with n = mat.cols - 1 variables."""
-        n = mat.cols - 1
-        reduced, rank, pivots = mat.rref()
-        system = reduced.rows_slice(0, rank)
-        if n in pivots:
-            return Flat(system, None)
-        return Flat(system, n - rank)
+    def _rref_entries(self) -> tuple:
+        """Row-major entries of the exact rref: each row divided by its pivot."""
+        return tuple(
+            Fraction(x, p) if x % p else x // p
+            for row, j in zip(self.rows, self.pivots)
+            for p in (row[j],)
+            for x in row
+        )
+
+    @property
+    def system(self) -> QMatrix:
+        """The stripped reduced row echelon form [A | c] over the rationals."""
+        cols = len(self.rows[0]) if self.rows else self.dimension + 1
+        return QMatrix(len(self.rows), cols, self._rref_entries())
 
 
 def ambient_flat(n: int) -> Flat:
-    return Flat(QMatrix(0, n + 1, []), n)
+    return Flat((), n, ())
 
 
-def _extend(flat: Flat, equation_row: list) -> Flat:
-    stacked = vstack([flat.system, QMatrix(1, flat.system.cols, equation_row)])
-    return Flat.from_equations(stacked)
+def _extend(flat: Flat, row) -> Flat:
+    """Intersect `flat` with the hyperplane of the integer row [a_1 ... a_n | c].
+
+    The row is reduced against each pivot row by integer cross-multiplication
+    and divided by its gcd.  If it reduces to zero the hyperplane contains the
+    flat, which is returned as is; otherwise it becomes a pivot row (a pivot in
+    the constant column makes the intersection empty) and its pivot column is
+    cleared from the other rows, which keeps the canonical form.
+    """
+    v = row
+    for other, j in zip(flat.rows, flat.pivots):
+        x = v[j]
+        if x:
+            a = other[j]
+            v = [a * vi - x * oi for vi, oi in zip(v, other)]
+    for q, x in enumerate(v):
+        if x:
+            break
+    else:
+        return flat
+    v = _primitive(v, -1 if x < 0 else 1)
+    b = v[q]
+    rows = []
+    at = 0
+    for other, j in zip(flat.rows, flat.pivots):
+        # Only rows pivoting left of q can be nonzero in column q.
+        if j < q:
+            at += 1
+            y = other[q]
+            if y:
+                other = _primitive([b * oi - y * vi for oi, vi in zip(other, v)], 1)
+        rows.append(other)
+    rows.insert(at, v)
+    pivots = flat.pivots[:at] + (q,) + flat.pivots[at:]
+    empty = flat.is_empty or q == len(v) - 1
+    return Flat(tuple(rows), None if empty else flat.dimension - 1, pivots)
+
+
+def _primitive(v, sign) -> tuple:
+    """v divided by sign * gcd(v)."""
+    g = sign * gcd(*v)
+    return tuple(v) if g == 1 else tuple([x // g for x in v])
+
+
+def _integer_rows(arr: Arrangement) -> list:
+    # Arrangement keeps every hyperplane canonical: coprime integer coefficients.
+    return [tuple(x.numerator for x in h.equation_row()) for h in arr.hyperplanes]
 
 
 def _require_affine(arr: Arrangement):
@@ -69,15 +128,13 @@ def _require_affine(arr: Arrangement):
 def flat_of_subset(arr: Arrangement, subset) -> Flat:
     """Flat of the intersection of the selected hyperplanes (empty subset: ambient space)."""
     _require_affine(arr)
-    n = arr.ambient_dim
-    rows = []
+    rows = _integer_rows(arr)
+    flat = ambient_flat(arr.ambient_dim)
     for i in subset:
         if not 0 <= i < arr.r:
             raise ValidationError(f"hyperplane index {i} out of range for r={arr.r}")
-        rows.append(arr.hyperplanes[i].equation_row())
-    if not rows:
-        return ambient_flat(n)
-    return Flat.from_equations(QMatrix(len(rows), n + 1, [x for row in rows for x in row]))
+        flat = _extend(flat, rows[i])
+    return flat
 
 
 @dataclass(frozen=True)
@@ -101,27 +158,28 @@ def count_flats(arr: Arrangement, cap: int = DEFAULT_CAP) -> FlatCounts:
 
     Enumeration is depth-first in lexicographic order, extending each subset
     by larger indices only and reusing the flat of the prefix; distinct
-    prefixes reaching the same flat share work through memoization.  Once a
-    prefix has empty intersection all of its extensions are counted directly
-    as empty.
+    prefixes reaching the same flat share work through a memo keyed by the
+    flat's integer rows.  Once a prefix has empty intersection all of its
+    extensions are counted directly as empty.
     """
     _require_affine(arr)
     r, n = arr.r, arr.ambient_dim
     if r > cap:
         raise CapExceededError(r, cap)
-    rows = [h.equation_row() for h in arr.hyperplanes]
+    rows = _integer_rows(arr)
     counts: dict = {}
     empty: dict = {}
     memo: dict = {}
 
     def visit(flat, start, size):
+        succ = memo.get(flat.rows)
+        if succ is None:
+            succ = memo[flat.rows] = [None] * r
+        sz = size + 1
         for i in range(start, r):
-            key = (flat.system, i)
-            nxt = memo.get(key)
+            nxt = succ[i]
             if nxt is None:
-                nxt = _extend(flat, rows[i])
-                memo[key] = nxt
-            sz = size + 1
+                nxt = succ[i] = _extend(flat, rows[i])
             if nxt.is_empty:
                 empty[sz] = empty.get(sz, 0) + 1
                 remaining = r - 1 - i
@@ -166,24 +224,24 @@ def build_intersection_poset(arr: Arrangement, cap: int = DEFAULT_CAP) -> Inters
     r, n = arr.r, arr.ambient_dim
     if r > cap:
         raise CapExceededError(r, cap)
-    rows = [h.equation_row() for h in arr.hyperplanes]
+    rows = _integer_rows(arr)
     ambient = ambient_flat(n)
-    found = {ambient.system: (ambient, 0)}
+    found = {ambient.rows: (ambient, 0)}
     frontier = [ambient]
     while frontier:
         children = {}
         for f in frontier:
-            mask = found[f.system][1]
+            mask = found[f.rows][1]
             for i in range(r):
                 if mask >> i & 1:
                     continue
                 g = _extend(f, rows[i])
                 if not g.is_empty:
                     # H_g is H_f plus every i whose hyperplane cuts f in g; no parent adds more.
-                    children.setdefault(g.system, [g, mask])[1] |= 1 << i
-        found.update((system, tuple(child)) for system, child in children.items())
+                    children.setdefault(g.rows, [g, mask])[1] |= 1 << i
+        found.update((key, tuple(child)) for key, child in children.items())
         frontier = [g for g, _ in children.values()]
-    order = sorted(found.values(), key=lambda fk: (n - fk[0].dimension, fk[0].system.entries))
+    order = sorted(found.values(), key=lambda fk: (n - fk[0].dimension, fk[0]._rref_entries()))
     flats, keys = zip(*order)
     # Sorted by codimension, so the flats containing flats[i] come before it.
     below = tuple(
@@ -219,18 +277,19 @@ def whitney_betti(arr: Arrangement, cap: int = DEFAULT_CAP) -> tuple:
     r, n = arr.r, arr.ambient_dim
     if r > cap:
         raise CapExceededError(r, cap)
-    rows = [h.equation_row() for h in arr.hyperplanes]
+    rows = _integer_rows(arr)
     acc = [0] * (n + 1)
     acc[0] = 1
     memo: dict = {}
 
     def visit(flat, start, sign):
+        succ = memo.get(flat.rows)
+        if succ is None:
+            succ = memo[flat.rows] = [None] * r
         for i in range(start, r):
-            key = (flat.system, i)
-            nxt = memo.get(key)
+            nxt = succ[i]
             if nxt is None:
-                nxt = _extend(flat, rows[i])
-                memo[key] = nxt
+                nxt = succ[i] = _extend(flat, rows[i])
             if nxt.is_empty:
                 continue
             acc[n - nxt.dimension] -= sign

@@ -1,6 +1,8 @@
 """Command-line interface: outputs, exit codes, JSON determinism."""
 
 import json
+from math import comb
+from random import Random
 
 import pytest
 
@@ -168,3 +170,34 @@ def test_no_oracle_flag(boolean3_file, capsys):
     assert main(["betti", boolean3_file, "--no-oracle"]) == 0
     out = capsys.readouterr().out
     assert "oracle" not in out
+
+
+def huge(rng):
+    return rng.choice((-1, 1)) * rng.randrange(10**50, 10**51)
+
+
+def test_huge_coefficients_general_position(tmp_path, capsys):
+    rng = Random(50)
+    n, r = 3, 6
+    lines = [" ".join(str(huge(rng)) for _ in range(n + 1)) for _ in range(r)]
+    path = write(tmp_path, "huge.arr", f"affine {n}\n" + "\n".join(lines) + "\n")
+    assert main(["betti", path, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["agreement"] is True
+    assert doc["betti"] == [comb(r, k) for k in range(n + 1)]
+
+
+def test_huge_coefficients_parallel_pair(tmp_path, capsys):
+    rng = Random(51)
+    a, b = huge(rng), huge(rng)
+    text = (
+        f"affine 2\n{a} {b} {huge(rng)}\n{a} {b} {huge(rng)}\n"
+        f"{huge(rng)} {huge(rng)} {huge(rng)}\n"
+    )
+    path = write(tmp_path, "parallel.arr", text)
+    assert main(["betti", path, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["agreement"] is True
+    assert doc["betti"] == [1, 3, 2]
+    # two of the three pairs meet in a point; the parallel pair is empty
+    assert [-1, 1, 2] in doc["e1"]

@@ -1,6 +1,6 @@
 """Flats, subset counts, the intersection poset and the two oracles."""
 
-from math import comb
+from math import comb, gcd, lcm
 from random import Random
 
 import pytest
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mvbetti import (
     CapExceededError,
+    QMatrix,
     build_intersection_poset,
     compute_betti,
     count_flats,
@@ -20,6 +21,7 @@ from mvbetti import (
     vstack,
     whitney_betti,
 )
+from mvbetti.flats import _extend, ambient_flat
 from mvbetti.generate import random_affine_arrangement
 
 from helpers import BRAID_A3, PARALLEL_A2, boolean_arrangement_text
@@ -183,3 +185,44 @@ def test_oracles_agree_and_mobius_signs(seed):
             if not flat.is_empty:
                 seen.add(flat)
     assert len(seen) == len(poset.flats)
+
+
+@st.composite
+def augmented_systems(draw):
+    """Integer systems [A | c] with repeated, dependent and inconsistent rows."""
+    n = draw(st.integers(1, 4))
+    entry = st.integers(-6, 6)
+    rows = draw(st.lists(st.lists(entry, min_size=n + 1, max_size=n + 1), max_size=4))
+    extra = []
+    for kind in draw(st.lists(st.sampled_from(["repeat", "combination", "shifted"]), max_size=4)):
+        if not rows:
+            break
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        s, t = draw(entry), draw(entry)
+        row = list(a) if kind == "repeat" else [s * x + t * y for x, y in zip(a, b)]
+        if kind == "shifted":
+            # s*a + t*b with another constant contradicts rows a and b
+            row[-1] += draw(st.integers(1, 3))
+        extra.append(row)
+    return n, draw(st.permutations(rows + extra))
+
+
+@given(augmented_systems())
+@settings(max_examples=300, deadline=None)
+def test_integer_elimination_matches_rational_rref(system):
+    n, rows = system
+    reduced, rank, pivots = QMatrix(len(rows), n + 1, [x for row in rows for x in row]).rref()
+    expected = []
+    for i in range(rank):
+        row = reduced.row(i)
+        ints = [int(x * lcm(*(y.denominator for y in row))) for x in row]
+        expected.append(tuple(x // gcd(*ints) for x in ints))
+    for order in (rows, rows[::-1]):
+        flat = ambient_flat(n)
+        for row in order:
+            flat = _extend(flat, tuple(row))
+        assert flat.rows == tuple(expected)
+        assert flat.pivots == pivots
+        assert flat.is_empty == (n in pivots)
+        assert flat.dimension == (None if n in pivots else n - rank)
+        assert flat.system == reduced.rows_slice(0, rank)
