@@ -52,7 +52,6 @@ from .spectral import (
     Complex,
     DoubleComplex,
     PageTable,
-    TotalComplex,
     cohomology_dims,
     pages,
     parse_double_complex,

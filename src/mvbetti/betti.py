@@ -1,14 +1,16 @@
 """De Rham Betti numbers of arrangement complements via Mayer-Vietoris.
 
 The relative Mayer-Vietoris spectral sequence of the localization along the
-union of the hyperplanes has a first page determined entirely by counting:
-the direct image to a point of the localization along a single flat of
-dimension d inside affine n-space is one-dimensional in degrees -n and
-n-2d-1 (just -n for an empty intersection), so the (p, q) entry of the first
-page is a subset count.  Each fixed-q row of that page is exact except at
-its last position, which makes the second page computable by alternating
-sums; the sequence degenerates there for position-parity reasons and the
-graded limit reads off the Betti numbers.
+union of the hyperplanes has as first page the sum, over nonempty subsets I
+of hyperplanes, of the direct-image cohomology of the localization along the
+flat of I, placed in column p = 1 - |I|.  That cohomology is one-dimensional
+in degrees -n and n-2d-1 for a flat of dimension d in affine n-space (just
+-n for an empty intersection), so the first page is a fold of
+`localized_flat_cohomology` over the subset count table of `count_flats`.
+Each fixed-q row of that page is exact except at its last position, which
+makes the second page computable by alternating sums; the sequence
+degenerates there for position-parity reasons and the graded limit reads
+off the Betti numbers.
 
 Grading convention: the direct image to a point concentrates global de Rham
 cohomology in degrees -n..0; the topological Betti number b_k is the
@@ -78,19 +80,22 @@ class MVPage:
 
 
 def first_page(counts: FlatCounts) -> MVPage:
-    """First page: binomial(r, 1-p) along q = -n, subset counts elsewhere.
+    """First page: the sum over nonempty subsets I of the localized cohomology of flat(I).
 
-    Every subset contributes its degree -n piece whether or not the
-    intersection is empty, hence the full binomial row; the remaining rows
-    are exactly the nonempty-flat counts.
+    A subset of size s sits in column p = 1 - s and adds
+    `localized_flat_cohomology(n, dim flat(I))` to that column, an empty
+    intersection counting with dimension None.  Every subset adds its
+    degree -n piece, so the q = -n row is binomial(r, 1-p) exactly when the
+    table accounts for every subset.
     """
     n, r = counts.n, counts.r
     if r < 1:
         raise ValidationError("spectral sequence needs at least one hyperplane")
-    dims = {(p, -n): comb(r, 1 - p) for p in range(-(r - 1), 1)}
-    for (p, q), c in counts.counts.items():
-        if c:
-            dims[(p, q)] = c
+    buckets = [*counts.counts.items(), *(((s, None), c) for s, c in counts.empty.items())]
+    dims = {}
+    for (size, flat_dim), c in buckets:
+        for q, d in localized_flat_cohomology(n, flat_dim).items():
+            dims[(1 - size, q)] = dims.get((1 - size, q), 0) + c * d
     return MVPage(dims, 1, n, r)
 
 

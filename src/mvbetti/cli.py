@@ -239,15 +239,9 @@ def _run_arrangement(config: RunConfig, out) -> int:
 
 
 def _flat_equations(flat, n) -> list:
-    eqs = []
-    for i in range(flat.system.rows):
-        row = flat.system.row(i)
-        normal, constant = row[:n], row[n]
-        if all(x == 0 for x in normal):
-            eqs.append(f"0 = {constant}")
-        else:
-            eqs.append(str(Hyperplane(tuple(normal), constant)))
-    return eqs
+    # The poset holds only nonempty flats, so every row has a nonzero normal.
+    system = flat.system
+    return [str(Hyperplane(row[:n], row[n])) for row in map(system.row, range(system.rows))]
 
 
 def _run_ss(config: RunConfig, out) -> int:

@@ -9,9 +9,10 @@ time by exact fraction-free integer elimination from the canonical integer
 hyperplanes; no rational arithmetic runs while subsets are walked.  On top
 of flats this module builds
 
-* the count table feeding the spectral-sequence pipeline: how many subsets
-  of each size cut out a flat of each dimension, with empty intersections
-  tallied separately; general position is read off this table,
+* the count table: how many subsets of each size cut out a flat of each
+  dimension, with empty intersections tallied separately.  It carries no
+  spectral grading (`betti.first_page` places each bucket), and general
+  position is read off it,
 * the intersection poset with its Moebius function, ordered by hyperplane
   masks, and
 * two independent combinatorial Betti oracles (Moebius-sum and signed
@@ -139,12 +140,12 @@ def flat_of_subset(arr: Arrangement, subset) -> Flat:
 
 @dataclass(frozen=True)
 class FlatCounts:
-    """Counts of hyperplane subsets bucketed by spectral position.
+    """Hyperplane subsets counted by size and by the dimension of their flat.
 
-    counts[(p, q)] is the number of nonempty subsets I with |I| = 1-p whose
-    flat has dimension (n-q-1)/2; empty[s] counts the size-s subsets with
-    empty intersection.  For every size s the buckets plus empty[s] add up to
-    binomial(r, s).
+    counts[(s, d)] is the number of size-s subsets whose flat has dimension d;
+    empty[s] counts the size-s subsets with empty intersection.  For every
+    size s the buckets plus empty[s] add up to binomial(r, s).  The table is
+    purely combinatorial; it holds no spectral position.
     """
 
     counts: dict
@@ -186,8 +187,8 @@ def count_flats(arr: Arrangement, cap: int = DEFAULT_CAP) -> FlatCounts:
                 for k in range(1, remaining + 1):
                     empty[sz + k] = empty.get(sz + k, 0) + comb(remaining, k)
             else:
-                pq = (1 - sz, n - 2 * nxt.dimension - 1)
-                counts[pq] = counts.get(pq, 0) + 1
+                key = (sz, nxt.dimension)
+                counts[key] = counts.get(key, 0) + 1
                 visit(nxt, i + 1, sz)
 
     visit(ambient_flat(n), 0, 0)
@@ -307,8 +308,7 @@ def _general_position(counts: FlatCounts, n: int) -> bool:
     """
     r = counts.r
     for k in range(1, min(r, n) + 1):
-        # size k, dimension counts.n - k
-        if counts.counts.get((1 - k, 2 * k - counts.n - 1), 0) != comb(r, k):
+        if counts.counts.get((k, counts.n - k), 0) != comb(r, k):
             return False
     return r <= n or counts.empty.get(n + 1, 0) == comb(r, n + 1)
 

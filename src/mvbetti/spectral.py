@@ -69,14 +69,6 @@ class Complex:
             return QMatrix.zeros(self.dim(p + 1), self.dim(p))
         return m
 
-    def cohomology_dims(self) -> dict:
-        out = {}
-        for p in self.dims:
-            h = self.dim(p) - self.d(p).rank() - self.d(p - 1).rank()
-            if h:
-                out[p] = h
-        return out
-
 
 @dataclass(frozen=True)
 class DoubleComplex:
@@ -148,18 +140,6 @@ class DoubleComplex:
         return min(ps), max(ps), min(qs), max(qs)
 
 
-@dataclass(frozen=True)
-class TotalComplex:
-    dims: dict
-    diff: dict
-
-    def d(self, n: int) -> QMatrix:
-        m = self.diff.get(n)
-        if m is None:
-            return QMatrix.zeros(self.dims.get(n + 1, 0), self.dims.get(n, 0))
-        return m
-
-
 class _Layout:
     """Coordinates of each total degree: cells sorted by first index."""
 
@@ -225,28 +205,22 @@ class _Layout:
         return m.rows_slice(off, off + self.dc.dims[cell])
 
 
-def total_complex(dc: DoubleComplex) -> TotalComplex:
+def total_complex(dc: DoubleComplex) -> Complex:
     """Tot^n = sum of C^{p,q} with p+q = n, differential d_horiz + d_vert."""
     layout = _Layout(dc)
-    dims = {n: d for n, d in layout.total.items() if d}
     diff = {}
-    for n in dims:
+    for n in layout.total:
         d = layout.d(n)
         if not d.is_zero():
             diff[n] = d
-    for n in dims:
-        nxt = diff.get(n + 1)
-        cur = diff.get(n)
-        if nxt is not None and cur is not None and not (nxt @ cur).is_zero():
-            raise ValidationError(f"total differential does not square to zero at degree {n}")
-    return TotalComplex(dims, diff)
+    return Complex(layout.total, diff)
 
 
-def cohomology_dims(tc: TotalComplex) -> dict:
-    """dim H^n = dim Tot^n - rank d^n - rank d^{n-1}, nonzero entries only."""
+def cohomology_dims(c: Complex) -> dict:
+    """dim H^n = dim C^n - rank d^n - rank d^{n-1}, nonzero entries only."""
     out = {}
-    for n, d in tc.dims.items():
-        h = d - tc.d(n).rank() - tc.d(n - 1).rank()
+    for n, d in c.dims.items():
+        h = d - c.d(n).rank() - c.d(n - 1).rank()
         if h:
             out[n] = h
     return out

@@ -1,5 +1,6 @@
 """The Mayer-Vietoris pipeline: pages, degeneration, Betti readout."""
 
+from itertools import combinations
 from math import comb
 from random import Random
 
@@ -16,6 +17,7 @@ from mvbetti import (
     degeneration_check,
     essentialize,
     first_page,
+    flat_of_subset,
     graded_from_second_page,
     kunneth_shift,
     last_cohomology_dim,
@@ -76,6 +78,23 @@ def test_first_page_rejects_empty():
 
     with pytest.raises(ValidationError):
         first_page(FlatCounts({}, {}, 2, 0))
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_first_page_is_sum_of_localized_cohomology(seed):
+    # E1 straight from its definition: every nonempty subset I adds the
+    # localized cohomology of its flat to column 1 - |I|.
+    rng = Random(seed)
+    n = rng.randint(1, 4)
+    arr = random_affine_arrangement(rng, n, rng.randint(1, 6))
+    expected = {}
+    for size in range(1, arr.r + 1):
+        for subset in combinations(range(arr.r), size):
+            flat = flat_of_subset(arr, subset)
+            for q, d in localized_flat_cohomology(n, flat.dimension).items():
+                expected[(1 - size, q)] = expected.get((1 - size, q), 0) + d
+    assert first_page(count_flats(arr)).dims == expected
 
 
 def test_last_cohomology_examples():

@@ -72,19 +72,19 @@ def test_flat_index_range(boolean2):
 
 def test_counts_boolean(boolean2):
     table = count_flats(boolean2)
-    assert table.counts == {(0, -1): 2, (-1, 1): 1}
+    assert table.counts == {(1, 1): 2, (2, 0): 1}
     assert table.empty == {}
 
 
 def test_counts_braid_essential(braid_essential):
     table = count_flats(braid_essential)
-    assert table.counts == {(0, -1): 3, (-1, 1): 3, (-2, 1): 1}
+    assert table.counts == {(1, 1): 3, (2, 0): 3, (3, 0): 1}
     assert table.empty == {}
 
 
 def test_counts_parallel(parallel):
     table = count_flats(parallel)
-    assert table.counts == {(0, -1): 2}
+    assert table.counts == {(1, 1): 2}
     assert table.empty == {2: 1}
 
 
@@ -155,7 +155,7 @@ def test_subset_count_conservation(seed):
     table = count_flats(arr)
     r = arr.r
     for size in range(1, r + 1):
-        bucketed = sum(c for (p, _), c in table.counts.items() if 1 - p == size)
+        bucketed = sum(c for (s, _), c in table.counts.items() if s == size)
         assert bucketed + table.empty.get(size, 0) == comb(r, size)
 
 

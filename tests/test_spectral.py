@@ -149,7 +149,7 @@ def test_random_tensor_complexes_full_suite(seed):
     width, height = box[1] - box[0] + 1, box[3] - box[2] + 1
     r_max = max(2, max(width, height) + 1)
     h = cohomology_dims(total_complex(dc))
-    assert h == kunneth_product(a.cohomology_dims(), b.cohomology_dims())
+    assert h == kunneth_product(cohomology_dims(a), cohomology_dims(b))
     for filtration, oracle in ((HORIZONTAL, row_cohomology), (VERTICAL, column_cohomology)):
         pt = pages(dc, filtration, r_max)
         assert pt.page(0) == dict(dc.dims)
