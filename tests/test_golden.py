@@ -44,6 +44,12 @@ EXTRA_INPUTS = {
         "dims\n0 0 1\n1 0 1\n0 1 1\n1 1 1\n"
         "dh 0 0\n1\ndh 0 1\n1\ndv 0 0\n1\ndv 1 0\n-1\n"
     ),
+    # a staircase whose vertical filtration has a nonzero d2:
+    # E2 = {(0,1): 1, (2,0): 1}, E3 empty
+    "staircase_d2.dc": (
+        "dims\n0 1 1\n1 1 1\n1 0 1\n2 0 1\n"
+        "dh 0 1\n1\ndv 1 0\n1\ndh 1 0\n1\n"
+    ),
 }
 
 EXTRA_CASES = (
@@ -61,6 +67,8 @@ EXTRA_CASES = (
     ("boolean_a_3.arr", ("poset", "--cap", "2")),
     ("readme_square.dc", ("ss",)),
     ("readme_square.dc", ("ss", "--json")),
+    ("staircase_d2.dc", ("ss", "--verbose")),
+    ("staircase_d2.dc", ("ss", "--json")),
 )
 
 
