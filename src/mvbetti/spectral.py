@@ -2,14 +2,21 @@
 
 The two usual filtrations of the total complex both converge to its
 cohomology for bounded (single-quadrant-translatable) support.  Page
-dimensions are computed exactly from the filtered total complex: with
-decreasing filtration F on T = Tot and
+dimensions are computed exactly from ranks of blocks of the total
+differential.  With decreasing filtration F on T = Tot, let
 
-    Z_r^{p,q} = {x in F^p T^{p+q} : d_T x in F^{p+r} T^{p+q+1}},
+    rho(n, a, b) = rank(F^a T^n --d--> T^{n+1} / F^b T^{n+1}).
 
-dim E_r^{p,q} = dim(Z_r^{p,q} + F^{p+1}) - dim(d Z_{r-1}^{p-r+1,q+r-2} + F^{p+1}),
-every space realized as an explicit subspace of the total-degree coordinate
-space.  Only dimensions are exposed, not bases or induced differentials.
+Then, with n = p + q,
+
+    dim E_r^{p,q} = dim C^{p,q} - rho(n, p, p+r) + rho(n, p+1, p+r)
+                    - rho(n-1, p-r+1, p+1) + rho(n-1, p-r+1, p).
+
+The first two ranks give dim Z_r^p mod F^{p+1}, since Z_r^a = {x in F^a :
+d x in F^{a+r}} is the kernel of the map ranked by rho(n, a, a+r).  The
+last two give dim B_r^p mod F^{p+1}: the image of Z_{r-1}^{p-r+1} mod
+F^{p+1} is the image of F^{p-r+1} mod F^{p+1} meeting F^p.  Only dimensions
+are exposed, not bases or induced differentials.
 
 Conventions: `vertical` filters by column (first index); its first page is
 the columnwise cohomology H^q(C^{p,*}).  `horizontal` filters by row; its
@@ -145,13 +152,11 @@ class _Layout:
 
     def __init__(self, dc: DoubleComplex):
         self.dc = dc
-        self.cells = {}
         self.offsets = {}
         self.total = {}
         degrees = sorted({p + q for p, q in dc.dims})
         for n in degrees:
             cells = sorted((p, q) for (p, q) in dc.dims if p + q == n)
-            self.cells[n] = cells
             off = {}
             pos = 0
             for cell in cells:
@@ -172,8 +177,7 @@ class _Layout:
         rows, cols = self.dim(n + 1), self.dim(n)
         out = [0] * (rows * cols)
         tgt_off = self.offsets.get(n + 1, {})
-        for (p, q) in self.cells.get(n, ()):
-            src = self.offsets[n][(p, q)]
+        for (p, q), src in self.offsets.get(n, {}).items():
             for block, cell in ((self.dc.dh(p, q), (p + 1, q)), (self.dc.dv(p, q), (p, q + 1))):
                 if cell not in tgt_off or block.is_zero():
                     continue
@@ -185,24 +189,10 @@ class _Layout:
         self._d_cache[n] = mat
         return mat
 
-    def filtration_dim(self, n: int, a: int) -> int:
-        """Dimension of F^a Tot^n = sum of cells with first index >= a."""
-        return sum(self.dc.dims[c] for c in self.cells.get(n, ()) if c[0] >= a)
-
-    def filtration_basis(self, n: int, a: int) -> QMatrix:
-        """Unit-column embedding of F^a Tot^n (cells are contiguous, sorted by p)."""
-        dim_n = self.dim(n)
-        f = self.filtration_dim(n, a)
-        out = [0] * (dim_n * f)
-        start = dim_n - f
-        for k in range(f):
-            out[(start + k) * f + k] = 1
-        return QMatrix(dim_n, f, out)
-
-    def project(self, m: QMatrix, n: int, cell) -> QMatrix:
-        """Rows of m corresponding to one cell of total degree n."""
-        off = self.offsets[n][cell]
-        return m.rows_slice(off, off + self.dc.dims[cell])
+    def start(self, n: int, a: int) -> int:
+        """Offset of F^a Tot^n, whose cells (first index >= a) come last."""
+        offsets = self.offsets.get(n, {})
+        return next((off for (p, _), off in offsets.items() if p >= a), self.dim(n))
 
 
 def total_complex(dc: DoubleComplex) -> Complex:
@@ -246,54 +236,34 @@ class PageTable:
         return self.page(min(self.stable_at, self.r_max))
 
 
-class _ZChains:
-    """Lazily extended chains Z(n, a, s) = {x in F^a Tot^n : d x in F^{a+s}}.
-
-    Each chain entry is a spanning matrix (total-degree coordinates x chain
-    dimension); step s+1 intersects with the kernel of the composite
-    `project onto column a+s` o d.
-    """
-
-    def __init__(self, layout: _Layout):
-        self.layout = layout
-        self.chains = {}
-
-    def z(self, n: int, a: int, s: int) -> QMatrix:
-        key = (n, a)
-        chain = self.chains.get(key)
-        if chain is None:
-            chain = [self.layout.filtration_basis(n, a)]
-            self.chains[key] = chain
-        while len(chain) <= s:
-            cur = chain[-1]
-            t = a + len(chain) - 1
-            cell = (t, n + 1 - t)
-            if cur.cols == 0 or self.layout.dc.dim(*cell) == 0:
-                chain.append(cur)
-                continue
-            image = self.layout.project(self.layout.d(n) @ cur, n + 1, cell)
-            chain.append(cur @ image.kernel_basis())
-        return chain[s]
-
-
 def _column_pages(dc: DoubleComplex, r_max: int) -> dict:
-    """Pages of the column (first-index) filtration, keyed (r, p, q)."""
+    """Pages of the column (first-index) filtration, keyed (r, p, q).
+
+    Each page entry is the signed sum of four ranks of the module docstring.
+    rho(n, a, b) is the rank of the corner block of d(n) with columns in
+    F^a (a suffix, cells being sorted by first index) and rows outside F^b
+    (a prefix), memoized by those offsets; it is zero for b <= a because d
+    preserves the filtration.
+    """
     layout = _Layout(dc)
-    chains = _ZChains(layout)
+    ranks = {}
+
+    def rho(n: int, a: int, b: int) -> int:
+        if b <= a:
+            return 0
+        key = (n, layout.start(n, a), layout.start(n + 1, b))
+        if key not in ranks:
+            d = layout.d(n)
+            ranks[key] = d.rows_slice(0, key[2]).cols_slice(key[1], d.cols).rank()
+        return ranks[key]
+
     pages = {}
-    for (p, q) in dc.dims:
+    for (p, q), dim_pq in dc.dims.items():
         n = p + q
         for r in range(r_max + 1):
-            # Z_{-1}^{a,*} = F^a since the filtration is stable under d.
-            numerator = chains.z(n, p, r)
-            nu = layout.project(numerator, n, (p, q)).rank()
-            delta = 0
-            if layout.dim(n - 1):
-                prev = chains.z(n - 1, p - r + 1, max(r - 1, 0))
-                if prev.cols:
-                    boundary = layout.project(layout.d(n - 1) @ prev, n, (p, q))
-                    delta = boundary.rank()
-            dim = nu - delta
+            cycles = dim_pq - rho(n, p, p + r) + rho(n, p + 1, p + r)
+            boundaries = rho(n - 1, p - r + 1, p + 1) - rho(n - 1, p - r + 1, p)
+            dim = cycles - boundaries
             if dim:
                 pages[(r, p, q)] = dim
     return pages
@@ -384,6 +354,8 @@ def parse_double_complex(text: str) -> DoubleComplex:
             raise ParseError(f"bad integer in {line!r}", line=lineno) from None
         if d < 0:
             raise ParseError("dimension must be nonnegative", line=lineno)
+        if (p, q) in dims:
+            raise ParseError(f"duplicate dims entry for ({p},{q})", line=lineno)
         dims[(p, q)] = d
         idx += 1
     d_horiz = {}

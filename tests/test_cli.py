@@ -152,6 +152,9 @@ def test_ss_subcommand(tmp_path, capsys):
 def test_ss_parse_error(tmp_path, capsys):
     path = write(tmp_path, "bad.dc", "dims\n0 0 1\n1 0 1\ndh 0 0\n")
     assert main(["ss", path]) == 1
+    path = write(tmp_path, "dup.dc", "dims\n0 0 1\n0 0 2\n")
+    assert main(["ss", path]) == 1
+    assert "line 3: duplicate dims entry" in capsys.readouterr().err
 
 
 def test_poset_on_projective_decones(tmp_path, capsys):
