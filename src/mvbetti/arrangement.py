@@ -24,6 +24,11 @@ from .linalg import QMatrix
 AFFINE = "affine"
 PROJECTIVE = "projective"
 
+# Largest ambient dimension `parse_arrangement` accepts.  Essentializing
+# builds an n x n change of coordinates and every Betti vector has n + 1
+# entries, so a header far beyond any real input would exhaust memory.
+MAX_DIMENSION = 1000
+
 
 @dataclass(frozen=True)
 class Hyperplane:
@@ -146,7 +151,7 @@ def parse_arrangement(text: str) -> Arrangement:
     non-comment line lists one hyperplane as whitespace-separated rationals
     (`p/q` or integers): n+1 fields a_1 ... a_n c for affine input, n+1
     homogeneous fields for projective input.  `#` starts a comment, blank
-    lines are ignored.
+    lines are ignored.  n must lie between 1 and `MAX_DIMENSION`.
     """
     kind = None
     dim = 0
@@ -167,6 +172,10 @@ def parse_arrangement(text: str) -> Arrangement:
                 raise ParseError(f"bad dimension {fields[1]!r}", line=lineno, column=2) from None
             if dim < 1:
                 raise ParseError("dimension must be positive", line=lineno, column=2)
+            if dim > MAX_DIMENSION:
+                raise ParseError(
+                    f"dimension {dim} exceeds the limit {MAX_DIMENSION}", line=lineno, column=2
+                )
             continue
         if len(fields) != dim + 1:
             raise ParseError(

@@ -123,7 +123,8 @@ def second_page(page1: MVPage) -> MVPage:
     """Second page: each row collapses to its last cohomology.
 
     The q = -n row always leaves a single 1 at p = 0; every other nonempty
-    row leaves its alternating sum at its greatest occupied position.
+    row leaves its alternating sum at its greatest occupied position.  A
+    negative sum is raised as a `ConsistencyError` naming the row q.
     """
     if page1.page != 1:
         raise ValidationError("second_page consumes a first page")
@@ -132,7 +133,10 @@ def second_page(page1: MVPage) -> MVPage:
     for q in sorted({q for _, q in page1.dims}):
         row = page1.row(q)
         p_lo, p_hi = min(row), max(row)
-        value = last_cohomology_dim([row.get(p, 0) for p in range(p_lo, p_hi + 1)])
+        try:
+            value = last_cohomology_dim([row.get(p, 0) for p in range(p_lo, p_hi + 1)])
+        except ConsistencyError as exc:
+            raise ConsistencyError(f"row q={q}: {exc}") from None
         if q == -n:
             dims[(0, q)] = value
         elif value:

@@ -10,9 +10,12 @@ hyperplanes; no rational arithmetic runs while subsets are walked.  On top
 of flats this module builds
 
 * the count table: how many subsets of each size cut out a flat of each
-  dimension, with empty intersections tallied separately.  It carries no
-  spectral grading (`betti.first_page` places each bucket), and general
-  position is read off it,
+  dimension, with empty intersections tallied separately.  Subsets are
+  walked down to lines only: restricted to a line the hyperplanes either
+  contain it, miss it, or cut it in points, so everything below a line is
+  counted by binomials.  The table carries no spectral grading
+  (`betti.first_page` places each bucket), and general position is read
+  off it,
 * the intersection poset with its Moebius function, ordered by hyperplane
   masks, and
 * two independent combinatorial Betti oracles (Moebius-sum and signed
@@ -23,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
+from operator import mul
 
 from .arrangement import AFFINE, Arrangement
 from .errors import CapExceededError, ValidationError
@@ -154,6 +158,43 @@ class FlatCounts:
     r: int
 
 
+def _line_basis(line: Flat, n: int) -> tuple:
+    """Integer kernel basis (u, v) of a line's augmented system.
+
+    u is the line's direction (constant coordinate 0) and v an affine part
+    (constant coordinate nonzero); both are integer multiples of the
+    solutions with the free coordinate or the constant set to 1.
+    """
+    f = next(j for j in range(n) if j not in line.pivots)
+    scale = lcm(*(row[j] for row, j in zip(line.rows, line.pivots)))
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
+    u[f] = v[n] = scale
+    for row, j in zip(line.rows, line.pivots):
+        u[j] = -row[f] * (scale // row[j])
+        v[j] = -row[n] * (scale // row[j])
+    return u, v
+
+
+def _meet(row, u, v) -> tuple:
+    """Where the hyperplane `row` meets the line with kernel basis (u, v).
+
+    With a = row.u and b = row.v: (0, 0) means the hyperplane contains the
+    line, a = 0 alone that it is parallel to it, and otherwise it meets the
+    line in one point.  The pair is returned as (b, a) divided by gcd(a, b)
+    with a > 0 (b > 0 when a = 0), so two hyperplanes meet the line in the
+    same point exactly when their pairs are equal.
+    """
+    a = sum(map(mul, row, u))
+    b = sum(map(mul, row, v))
+    g = gcd(a, b)
+    if not g:
+        return (0, 0)
+    if a < 0 or (a == 0 and b < 0):
+        g = -g
+    return (b // g, a // g)
+
+
 def count_flats(arr: Arrangement, cap: int = DEFAULT_CAP) -> FlatCounts:
     """Enumerate all nonempty hyperplane subsets and bucket their flats.
 
@@ -162,6 +203,15 @@ def count_flats(arr: Arrangement, cap: int = DEFAULT_CAP) -> FlatCounts:
     prefixes reaching the same flat share work through a memo keyed by the
     flat's integer rows.  Once a prefix has empty intersection all of its
     extensions are counted directly as empty.
+
+    Below a line the walk is replaced by binomials, so no flat of dimension 0
+    is ever built.  Of the S = r - start hyperplanes that may still be added,
+    z contain the line, the parallel ones miss it, and the rest fall into
+    classes of c_P hyperplanes meeting it in the same point P (`_meet`,
+    computed once per line and hyperplane).  Adding k of them gives the line
+    itself C(z, k) times, a point sum_P [C(z + c_P, k) - C(z, k)] times, and
+    the empty set in the other C(S, k) cases.  When the ambient space is a
+    line (n = 1) the whole table comes from the root.
     """
     _require_affine(arr)
     r, n = arr.r, arr.ambient_dim
@@ -171,8 +221,40 @@ def count_flats(arr: Arrangement, cap: int = DEFAULT_CAP) -> FlatCounts:
     counts: dict = {}
     empty: dict = {}
     memo: dict = {}
+    line_keys: dict = {}
+
+    def close_line(flat, start, size):
+        entry = line_keys.get(flat.rows)
+        if entry is None:
+            entry = line_keys[flat.rows] = (*_line_basis(flat, n), [None] * r)
+        u, v, keys = entry
+        z = 0
+        points: dict = {}
+        for i in range(start, r):
+            key = keys[i]
+            if key is None:
+                key = keys[i] = _meet(rows[i], u, v)
+            if key[1]:
+                points[key] = points.get(key, 0) + 1
+            elif not key[0]:
+                z += 1
+        s = r - start
+        for k in range(1, s + 1):
+            on_line = comb(z, k)
+            on_point = sum(comb(z + c, k) for c in points.values()) - len(points) * on_line
+            sz = size + k
+            if on_line:
+                counts[(sz, 1)] = counts.get((sz, 1), 0) + on_line
+            if on_point:
+                counts[(sz, 0)] = counts.get((sz, 0), 0) + on_point
+            missed = comb(s, k) - on_line - on_point
+            if missed:
+                empty[sz] = empty.get(sz, 0) + missed
 
     def visit(flat, start, size):
+        if flat.dimension == 1:
+            close_line(flat, start, size)
+            return
         succ = memo.get(flat.rows)
         if succ is None:
             succ = memo[flat.rows] = [None] * r

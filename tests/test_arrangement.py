@@ -17,7 +17,7 @@ from mvbetti import (
     essentialize,
     parse_arrangement,
 )
-from mvbetti.arrangement import AFFINE, PROJECTIVE
+from mvbetti.arrangement import AFFINE, MAX_DIMENSION, PROJECTIVE
 
 from helpers import BRAID_A3, boolean_arrangement_text
 
@@ -53,6 +53,11 @@ def test_parse_reports_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_arrangement("affine 2\n# fine\n1 0 0\nbad 0 0\n")
     assert err.value.line == 4
+    for header in ("affine 99999999999", f"projective {MAX_DIMENSION + 1}"):
+        with pytest.raises(ParseError, match="exceeds the limit") as err:
+            parse_arrangement(header + "\n")
+        assert err.value.line == 1
+    assert parse_arrangement(f"affine {MAX_DIMENSION}\n").ambient_dim == MAX_DIMENSION
 
 
 def test_parse_comments_blanks_fractions():

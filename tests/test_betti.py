@@ -114,6 +114,13 @@ def test_last_cohomology_negative_raises():
         last_cohomology_dim([1, 0])
 
 
+def test_second_page_names_negative_row():
+    # row q=0 reads 3, 1 at p = -1, 0: alternating sum -(3 - 1) < 0
+    page = MVPage({(0, -2): 1, (-1, 0): 3, (0, 0): 1}, 1, 2, 2)
+    with pytest.raises(ConsistencyError, match=r"row q=0: alternating sum of row \(3, 1\)"):
+        second_page(page)
+
+
 def test_second_page_examples():
     assert second_page(_first_page_of(boolean_arrangement_text(2))).dims == {
         (0, -2): 1,

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, JSON determinism."""
 
 import json
+from itertools import combinations
 from math import comb
 from random import Random
 
@@ -60,6 +61,12 @@ def test_zero_normal_exit_code(tmp_path, capsys):
     path = write(tmp_path, "bad.arr", "affine 2\n1 0 0\n0 0 5\n")
     assert main(["betti", path]) == 1
     assert "line 3" in capsys.readouterr().err
+
+
+def test_huge_dimension_exit_code(tmp_path, capsys):
+    path = write(tmp_path, "huge.arr", "affine 99999999999\n")
+    assert main(["betti", path]) == 1
+    assert "line 1" in capsys.readouterr().err
 
 
 def test_duplicate_exit_code(tmp_path):
@@ -204,3 +211,19 @@ def test_huge_coefficients_parallel_pair(tmp_path, capsys):
     assert doc["betti"] == [1, 3, 2]
     # two of the three pairs meet in a point; the parallel pair is empty
     assert [-1, 1, 2] in doc["e1"]
+
+
+def test_braid_closed_form(tmp_path, capsys):
+    # Braid arrangement on 7 coordinates (r=21): Poincare polynomial
+    # prod_{j<7} (1 + j t) (Arnold 1969; Orlik-Terao ch. 2).
+    m = 7
+    rows = [
+        " ".join("1" if k == i else "-1" if k == j else "0" for k in range(m)) + " 0"
+        for i, j in combinations(range(m), 2)
+    ]
+    path = write(tmp_path, "braid7.arr", f"affine {m}\n" + "\n".join(rows) + "\n")
+    assert main(["betti", path, "--no-oracle", "--cap", "64", "--json"]) == 0
+    poly = [1]
+    for j in range(1, m):
+        poly = [a + j * b for a, b in zip(poly + [0], [0] + poly)]
+    assert json.loads(capsys.readouterr().out)["betti"] == poly + [0]

@@ -1,5 +1,6 @@
 """Flats, subset counts, the intersection poset and the two oracles."""
 
+from itertools import combinations
 from math import comb, gcd, lcm
 from random import Random
 
@@ -8,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvbetti import (
+    AFFINE,
+    Arrangement,
     CapExceededError,
+    Hyperplane,
     QMatrix,
     build_intersection_poset,
     compute_betti,
@@ -177,14 +181,64 @@ def test_oracles_agree_and_mobius_signs(seed):
     assert betti[0] == 1
     # distinct flats reachable as intersections = poset size
     seen = set()
-    from itertools import combinations
-
     for size in range(0, arr.r + 1):
         for subset in combinations(range(arr.r), size):
             flat = flat_of_subset(arr, subset)
             if not flat.is_empty:
                 seen.add(flat)
     assert len(seen) == len(poset.flats)
+
+
+def _degenerate_arrangement(rng: Random, kind: str) -> Arrangement:
+    """Up to 8 hyperplanes that meet their lines in shared points or not at all.
+
+    "mixed": small coefficients with many parallel and central hyperplanes.
+    "points": points on the line (n = 1), where the ambient space is a line.
+    "parallel": one normal direction in n = 2..4, so the essential part is a line.
+    "pencil": normals in {-1, 0, 1}^n, most hyperplanes through one point p,
+    so lines through p lie on several hyperplanes and meet others at p.
+    """
+    r = rng.randint(1, 8)
+    if kind == "mixed":
+        n = rng.randint(1, 4)
+        return random_affine_arrangement(
+            rng, n, r, parallel=rng.uniform(0.5, 0.9), central=rng.uniform(0.5, 0.9), bound=1
+        )
+    n = 1 if kind == "points" else rng.randint(2, 4)
+    p = [rng.randint(-2, 2) for _ in range(n)]
+    direction = [rng.randint(-2, 2) or 1 for _ in range(n)]
+    found: dict = {}
+    while len(found) < r:
+        if kind == "parallel":
+            normal = [rng.choice([1, -2, 3]) * x for x in direction]
+        elif kind == "points":
+            normal = [rng.randint(1, 3)]
+        else:
+            normal = [rng.randint(-1, 1) for _ in range(n)]
+            if not any(normal):
+                continue
+        through_p = sum(a * x for a, x in zip(normal, p))
+        constant = through_p if rng.random() < 0.6 else rng.randint(-9, 9)
+        found.setdefault(Hyperplane.canonical(normal, constant))
+    return Arrangement(n, tuple(found), AFFINE)
+
+
+@given(st.integers(0, 10_000), st.sampled_from(["mixed", "points", "parallel", "pencil"]))
+@settings(max_examples=200, deadline=None)
+def test_count_flats_matches_every_subset(seed, kind):
+    arr = _degenerate_arrangement(Random(seed), kind)
+    counts: dict = {}
+    empty: dict = {}
+    for size in range(1, arr.r + 1):
+        for subset in combinations(range(arr.r), size):
+            flat = flat_of_subset(arr, subset)
+            if flat.is_empty:
+                empty[size] = empty.get(size, 0) + 1
+            else:
+                counts[(size, flat.dimension)] = counts.get((size, flat.dimension), 0) + 1
+    table = count_flats(arr)
+    assert table.counts == counts
+    assert table.empty == empty
 
 
 @st.composite
