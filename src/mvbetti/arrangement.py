@@ -24,9 +24,11 @@ from .linalg import QMatrix
 AFFINE = "affine"
 PROJECTIVE = "projective"
 
-# Largest ambient dimension `parse_arrangement` accepts.  Essentializing
-# builds an n x n change of coordinates and every Betti vector has n + 1
-# entries, so a header far beyond any real input would exhaust memory.
+# Largest ambient dimension `parse_arrangement` accepts, and the largest total
+# dimension `spectral.parse_double_complex` accepts.  Every Betti vector has
+# n + 1 entries (with no hyperplanes that vector is the whole answer), and a
+# double complex is held as dense rational matrices, so input far beyond any
+# real case would exhaust memory instead of failing fast.
 MAX_DIMENSION = 1000
 
 
@@ -125,23 +127,21 @@ class Arrangement:
             raise ValidationError("rank is defined for affine arrangements; decone first")
         return self.normal_matrix().rank()
 
-    def is_essential(self) -> bool:
-        return self.rank() == self.ambient_dim
-
 
 @dataclass(frozen=True)
 class EssentialReduction:
-    """Essential arrangement of rank s plus the data relating it to the input.
+    """Essential arrangement of rank s and the dimension it drops.
 
-    The complement of the input arrangement is the product of the essential
-    complement with an affine space of dimension `shift`; the invertible
-    matrix `change_of_coordinates` has the common kernel of all normals in its
-    last `shift` columns.
+    With N the r x n normal matrix and J a set of s columns spanning its
+    column space, N = N_J T for an s x n matrix T of rank s.  The surjection
+    x -> Tx has fibres parallel to ker N, and the input hyperplane N_i x = c_i
+    is the preimage of the essential hyperplane (N_J)_i y = c_i, so the input
+    complement is the essential complement times an affine space of dimension
+    `shift` = n - s.
     """
 
     essential: Arrangement
     shift: int
-    change_of_coordinates: QMatrix
 
 
 def parse_arrangement(text: str) -> Arrangement:
@@ -248,39 +248,23 @@ def _affine_chart(arr: Arrangement, infinity_index: int | None) -> Arrangement:
 def essentialize(arr: Arrangement) -> EssentialReduction:
     """Split off the trivial affine factor of an affine arrangement.
 
-    Builds an invertible change of coordinates P whose last n-s columns span
-    the common kernel of the normals (s = rank); the essential arrangement has
-    normals N@P truncated to their first s coordinates, with unchanged
-    constants.  Already-essential arrangements return the identity reduction.
+    One rref of the normal matrix N gives its rank s and pivot columns J.
+    Those columns are a basis of the column space of N, so every hyperplane
+    restricted to them (and re-canonicalized) defines the essential
+    arrangement in affine s-space; see `EssentialReduction`.  A restricted
+    normal is never zero, since N_i = (N_J)_i T, and two restricted
+    hyperplanes coincide only if the inputs did.  An essential arrangement
+    keeps every column and is returned as it is.
     """
     if arr.kind != AFFINE:
         raise ValidationError("essentialize applies to affine arrangements")
-    n = arr.ambient_dim
-    normals = arr.normal_matrix()
-    kernel = normals.kernel_basis()
-    shift = kernel.cols
-    if shift == 0:
-        return EssentialReduction(arr, 0, QMatrix.identity(n))
-    s = n - shift
+    _, s, pivots = arr.normal_matrix().rref()
     if s == 0:
         raise ValidationError("cannot essentialize an arrangement with no hyperplanes (rank 0)")
-    # Unit directions at the non-pivot columns of the kernel's row space
-    # complete the kernel columns to a basis of the ambient space.
-    _, _, pivots = kernel.transpose().rref()
-    pivot_set = set(pivots)
-    unit_cols = [j for j in range(n) if j not in pivot_set]
-    change = QMatrix(
-        n,
-        n,
-        [
-            (1 if i == unit_cols[k] else 0) if k < s else kernel.at(i, k - s)
-            for i in range(n)
-            for k in range(n)
-        ],
-    )
+    if s == arr.ambient_dim:
+        return EssentialReduction(arr, 0)
     hyperplanes = tuple(
-        Hyperplane.canonical([h.normal[j] for j in unit_cols], h.constant)
+        Hyperplane.canonical([h.normal[j] for j in pivots], h.constant)
         for h in arr.hyperplanes
     )
-    essential = Arrangement(s, hyperplanes, AFFINE)
-    return EssentialReduction(essential, shift, change)
+    return EssentialReduction(Arrangement(s, hyperplanes, AFFINE), arr.ambient_dim - s)

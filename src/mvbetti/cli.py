@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .arrangement import PROJECTIVE, Hyperplane, _affine_chart, parse_arrangement
 from .betti import BettiReport, compute_betti
@@ -27,17 +26,6 @@ from .spectral import (
     total_complex,
     verify_convergence,
 )
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    input_path: str
-    infinity_index: int | None = None
-    enumeration_cap: int = DEFAULT_CAP
-    output: str = "text"
-    verbose: bool = False
-    run_oracles: bool = True
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,21 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--verbose", action="store_true")
     return parser
-
-
-def _config(args) -> RunConfig:
-    cap = getattr(args, "cap", DEFAULT_CAP)
-    if cap < 1:
-        raise ValidationError("enumeration cap must be at least 1")
-    return RunConfig(
-        subcommand=args.subcommand,
-        input_path=args.input,
-        infinity_index=getattr(args, "infinity", None),
-        enumeration_cap=cap,
-        output="json" if args.json else "text",
-        verbose=args.verbose,
-        run_oracles=not getattr(args, "no_oracle", False),
-    )
 
 
 def _page_entries(page) -> list:
@@ -141,47 +114,47 @@ def _poincare_str(coeffs) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def _print_report(config: RunConfig, report: BettiReport, out):
-    if config.output == "json":
-        print(json.dumps(_report_json(report), sort_keys=True), file=out)
+def _print_report(args, report: BettiReport):
+    if args.json:
+        print(json.dumps(_report_json(report), sort_keys=True))
         return
-    if config.subcommand in ("betti", "check"):
-        print("betti: " + " ".join(str(b) for b in report.betti), file=out)
-        print("poincare: " + _poincare_str(report.poincare), file=out)
-        if config.verbose:
-            print(f"kind: {report.kind}", file=out)
-            print(f"n: {report.n}  r: {report.r}", file=out)
-            print(f"essential rank: {report.essential_rank}  shift: {report.shift}", file=out)
-            print(f"general position: {'yes' if report.general_position else 'no'}", file=out)
+    if args.subcommand in ("betti", "check"):
+        print("betti: " + " ".join(str(b) for b in report.betti))
+        print("poincare: " + _poincare_str(report.poincare))
+        if args.verbose:
+            print(f"kind: {report.kind}")
+            print(f"n: {report.n}  r: {report.r}")
+            print(f"essential rank: {report.essential_rank}  shift: {report.shift}")
+            print(f"general position: {'yes' if report.general_position else 'no'}")
             grading = " ".join(f"H^{i}={d}" for i, d in sorted(report.graded.items()))
-            print(f"direct-image grading: {grading}", file=out)
+            print(f"direct-image grading: {grading}")
         if report.agreement is not None:
-            print(f"oracle agreement: {'yes' if report.agreement else 'NO'}", file=out)
-            if config.verbose or not report.agreement:
-                print("  mobius:  " + " ".join(str(b) for b in report.oracle_betti), file=out)
-                print("  whitney: " + " ".join(str(b) for b in report.oracle_whitney), file=out)
-    elif config.subcommand in ("e1", "e2"):
-        page = report.e1 if config.subcommand == "e1" else report.e2
+            print(f"oracle agreement: {'yes' if report.agreement else 'NO'}")
+            if args.verbose or not report.agreement:
+                print("  mobius:  " + " ".join(str(b) for b in report.oracle_betti))
+                print("  whitney: " + " ".join(str(b) for b in report.oracle_whitney))
+    elif args.subcommand in ("e1", "e2"):
+        page = report.e1 if args.subcommand == "e1" else report.e2
         if page is None:
-            print("(no hyperplanes: no spectral sequence)", file=out)
+            print("(no hyperplanes: no spectral sequence)")
         else:
-            print(f"page {page.page} (n={page.n}, r={page.r}):", file=out)
-            print(_format_page(page.dims), file=out)
+            print(f"page {page.page} (n={page.n}, r={page.r}):")
+            print(_format_page(page.dims))
 
 
-def _run_arrangement(config: RunConfig, out) -> int:
-    with open(config.input_path, encoding="utf-8") as fh:
+def _run_arrangement(args) -> int:
+    with open(args.input, encoding="utf-8") as fh:
         arr = parse_arrangement(fh.read())
-    if config.infinity_index is not None and arr.kind != PROJECTIVE:
+    if args.infinity is not None and arr.kind != PROJECTIVE:
         raise ValidationError("--infinity is only valid for projective input")
 
-    if config.subcommand in ("poset", "oracle"):
+    if args.subcommand in ("poset", "oracle"):
         # These inspect the affine picture directly, so decone here.
-        arr = _affine_chart(arr, config.infinity_index)
+        arr = _affine_chart(arr, args.infinity)
 
-    if config.subcommand == "poset":
-        poset = build_intersection_poset(arr, config.enumeration_cap)
-        if config.output == "json":
+    if args.subcommand == "poset":
+        poset = build_intersection_poset(arr, args.cap)
+        if args.json:
             flats = [
                 {
                     "dim": f.dimension,
@@ -192,22 +165,20 @@ def _run_arrangement(config: RunConfig, out) -> int:
                 for i, f in enumerate(poset.flats)
             ]
             doc = {"kind": arr.kind, "n": arr.ambient_dim, "r": arr.r, "flats": flats}
-            print(json.dumps(doc, sort_keys=True), file=out)
+            print(json.dumps(doc, sort_keys=True))
         else:
-            print(f"{len(poset.flats)} flats:", file=out)
+            print(f"{len(poset.flats)} flats:")
             for i, f in enumerate(poset.flats):
                 eqs = "; ".join(_flat_equations(f, arr.ambient_dim)) or "(ambient space)"
-                print(
-                    f"  dim={f.dimension} codim={poset.codim[i]} mu={poset.mobius[i]:+d}  {eqs}",
-                    file=out,
-                )
+                mu = poset.mobius[i]
+                print(f"  dim={f.dimension} codim={poset.codim[i]} mu={mu:+d}  {eqs}")
         return 0
 
-    if config.subcommand == "oracle":
-        mobius = mobius_betti(build_intersection_poset(arr, config.enumeration_cap))
-        whitney = whitney_betti(arr, config.enumeration_cap)
+    if args.subcommand == "oracle":
+        mobius = mobius_betti(build_intersection_poset(arr, args.cap))
+        whitney = whitney_betti(arr, args.cap)
         agree = mobius == whitney
-        if config.output == "json":
+        if args.json:
             doc = {
                 "kind": arr.kind,
                 "n": arr.ambient_dim,
@@ -215,19 +186,19 @@ def _run_arrangement(config: RunConfig, out) -> int:
                 "oracle": {"mobius": list(mobius), "whitney": list(whitney)},
                 "agreement": agree,
             }
-            print(json.dumps(doc, sort_keys=True), file=out)
+            print(json.dumps(doc, sort_keys=True))
         else:
-            print("mobius:  " + " ".join(str(b) for b in mobius), file=out)
-            print("whitney: " + " ".join(str(b) for b in whitney), file=out)
+            print("mobius:  " + " ".join(str(b) for b in mobius))
+            print("whitney: " + " ".join(str(b) for b in whitney))
         return 0 if agree else 3
 
     report = compute_betti(
         arr,
-        infinity_index=config.infinity_index,
-        cap=config.enumeration_cap,
-        oracles=config.run_oracles or config.subcommand == "check",
+        infinity_index=args.infinity,
+        cap=args.cap,
+        oracles=not args.no_oracle or args.subcommand == "check",
     )
-    _print_report(config, report, out)
+    _print_report(args, report)
     if report.agreement is False:
         print(
             f"inconsistency: pipeline {report.betti} disagrees with oracles "
@@ -244,8 +215,8 @@ def _flat_equations(flat, n) -> list:
     return [str(Hyperplane(row[:n], row[n])) for row in map(system.row, range(system.rows))]
 
 
-def _run_ss(config: RunConfig, out) -> int:
-    with open(config.input_path, encoding="utf-8") as fh:
+def _run_ss(args) -> int:
+    with open(args.input, encoding="utf-8") as fh:
         dc = parse_double_complex(fh.read())
     tc = total_complex(dc)
     h = cohomology_dims(tc)
@@ -258,7 +229,7 @@ def _run_ss(config: RunConfig, out) -> int:
         ok = verify_convergence(pt, h)
         converged = converged and ok
         results[filtration] = (pt, ok)
-    if config.output == "json":
+    if args.json:
         doc = {
             "total_cohomology": {str(k): v for k, v in sorted(h.items())},
             "r_max": r_max,
@@ -275,21 +246,21 @@ def _run_ss(config: RunConfig, out) -> int:
             },
             "converges": converged,
         }
-        print(json.dumps(doc, sort_keys=True), file=out)
+        print(json.dumps(doc, sort_keys=True))
     else:
         htext = " ".join(f"H^{k}={v}" for k, v in sorted(h.items())) or "0"
-        print(f"total cohomology: {htext}", file=out)
+        print(f"total cohomology: {htext}")
         for name, (pt, ok) in results.items():
             stable = pt.stable_at if pt.stable_at <= r_max else f">{r_max}"
             print(f"filtration {name}: stable at r={stable}, "
-                  f"converges: {'yes' if ok else 'NO'}", file=out)
-            shown = (1, 2) if not config.verbose else tuple(range(r_max + 1))
+                  f"converges: {'yes' if ok else 'NO'}")
+            shown = (1, 2) if not args.verbose else tuple(range(r_max + 1))
             for r in shown:
-                print(f"  E_{r}:", file=out)
-                print(_indent(_format_page(pt.page(r)), 2), file=out)
+                print(f"  E_{r}:")
+                print(_indent(_format_page(pt.page(r)), 2))
             limit = pt.limit()
-            print("  E_inf:", file=out)
-            print(_indent(_format_page(limit), 2), file=out)
+            print("  E_inf:")
+            print(_indent(_format_page(limit), 2))
     return 0 if converged else 3
 
 
@@ -298,12 +269,14 @@ def _indent(text: str, by: int) -> str:
     return "\n".join(pad + line for line in text.splitlines())
 
 
-def run(config: RunConfig, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
     try:
-        if config.subcommand == "ss":
-            return _run_ss(config, out)
-        return _run_arrangement(config, out)
+        if args.subcommand == "ss":
+            return _run_ss(args)
+        if args.cap < 1:
+            raise ValidationError("enumeration cap must be at least 1")
+        return _run_arrangement(args)
     except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -313,16 +286,6 @@ def run(config: RunConfig, out=None) -> int:
     except ConsistencyError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 3
-
-
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    try:
-        config = _config(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return run(config)
 
 
 def entry():

@@ -1,20 +1,15 @@
 """Exact dense linear algebra over the rationals.
 
-Scalars are `fractions.Fraction`, so every rank, kernel and solution in this
-package is exact; there is no floating point anywhere.  Matrices are
-immutable and degenerate shapes (0xk, kx0) are legal, behaving as rank-0
-maps.  Pivot selection in `rref` is deterministic: leftmost nonzero column,
+Scalars are `fractions.Fraction`, so every rank and kernel in this package is
+exact; there is no floating point anywhere.  Matrices are immutable and
+degenerate shapes (0xk, kx0) are legal, behaving as rank-0 maps.  Pivot selection in `rref` is deterministic: leftmost nonzero column,
 topmost candidate row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-# The scalar field: gcd-reduced, positive denominator, arbitrary precision.
-Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -119,15 +114,6 @@ class QMatrix:
                             out[io + j] += x * y
         return QMatrix(n, p, out)
 
-    def matvec(self, v: Sequence) -> tuple:
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        v = [_frac(x) for x in v]
-        return tuple(
-            sum((self.at(i, j) * v[j] for j in range(self.cols) if v[j]), ZERO)
-            for i in range(self.rows)
-        )
-
     def rows_slice(self, i0: int, i1: int) -> "QMatrix":
         return QMatrix(i1 - i0, self.cols, self.entries[i0 * self.cols : i1 * self.cols])
 
@@ -190,27 +176,6 @@ class QMatrix:
         )
 
 
-def hstack(mats: Sequence[QMatrix]) -> QMatrix:
-    rows = mats[0].rows
-    if any(m.rows != rows for m in mats):
-        raise ValueError("row count mismatch in hstack")
-    out = []
-    for i in range(rows):
-        for m in mats:
-            out.extend(m.row(i))
-    return QMatrix(rows, sum(m.cols for m in mats), out)
-
-
-def vstack(mats: Sequence[QMatrix]) -> QMatrix:
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise ValueError("column count mismatch in vstack")
-    out = []
-    for m in mats:
-        out.extend(m.entries)
-    return QMatrix(sum(m.rows for m in mats), cols, out)
-
-
 def kron(a: QMatrix, b: QMatrix) -> QMatrix:
     """Kronecker product; basis vector e_i (x) f_k maps to index i*b.rows + k."""
     rows, cols = a.rows * b.rows, a.cols * b.cols
@@ -227,28 +192,3 @@ def kron(a: QMatrix, b: QMatrix) -> QMatrix:
                     if y:
                         out[base + l] = x * y
     return QMatrix(rows, cols, out)
-
-
-@dataclass(frozen=True)
-class LinearSolution:
-    """One particular solution of m @ x = b together with a kernel basis.
-
-    The full solution set is particular + column span of kernel.
-    """
-
-    particular: tuple
-    kernel: QMatrix
-
-
-def solve(m: QMatrix, b: Sequence) -> LinearSolution | None:
-    """Solve m @ x = b exactly; None when the system is inconsistent."""
-    if len(b) != m.rows:
-        raise ValueError(f"rhs has length {len(b)}, matrix has {m.rows} rows")
-    aug = hstack([m, QMatrix(m.rows, 1, list(b))])
-    reduced, rank, pivots = aug.rref()
-    if m.cols in pivots:
-        return None
-    x = [ZERO] * m.cols
-    for i, p in enumerate(pivots):
-        x[p] = reduced.at(i, m.cols)
-    return LinearSolution(tuple(x), m.kernel_basis())

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arrangement import MAX_DIMENSION
 from .errors import ParseError, ValidationError
 from .linalg import QMatrix, kron
 
@@ -330,7 +331,8 @@ def parse_double_complex(text: str) -> DoubleComplex:
     A `dims` header is followed by `p q dim` triples; each `dh p q` or
     `dv p q` line is followed by the dense rational matrix of that block,
     one row per line (target dimension rows of source dimension entries).
-    Omitted differentials are zero.  `#` starts a comment.
+    Omitted differentials are zero.  `#` starts a comment.  The dimensions
+    may add up to at most `MAX_DIMENSION`.
     """
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -340,6 +342,7 @@ def parse_double_complex(text: str) -> DoubleComplex:
     if not lines or lines[0][1] != "dims":
         raise ParseError("expected `dims` header", line=lines[0][0] if lines else 1)
     dims = {}
+    total = 0
     idx = 1
     while idx < len(lines):
         lineno, line = lines[idx]
@@ -356,6 +359,11 @@ def parse_double_complex(text: str) -> DoubleComplex:
             raise ParseError("dimension must be nonnegative", line=lineno)
         if (p, q) in dims:
             raise ParseError(f"duplicate dims entry for ({p},{q})", line=lineno)
+        total += d
+        if total > MAX_DIMENSION:
+            raise ParseError(
+                f"total dimension {total} exceeds the limit {MAX_DIMENSION}", line=lineno
+            )
         dims[(p, q)] = d
         idx += 1
     d_horiz = {}

@@ -11,24 +11,23 @@ from math import comb
 from random import Random
 
 from mvbetti import (
+    HORIZONTAL,
+    VERTICAL,
+    cohomology_dims,
     compute_betti,
-    degeneration_check,
-    last_cohomology_dim,
     pages,
     parse_arrangement,
-    punctured_space_cohomology,
     tensor_double_complex,
     total_complex,
-    cohomology_dims,
     verify_convergence,
 )
+from mvbetti.betti import degeneration_check, last_cohomology_dim, punctured_space_cohomology
 from mvbetti.generate import (
     random_affine_arrangement,
     random_complex,
     random_general_position_arrangement,
     random_projective_arrangement,
 )
-from mvbetti.spectral import HORIZONTAL, VERTICAL
 
 from helpers import (
     BRAID_A3,

@@ -10,22 +10,24 @@ from hypothesis import strategies as st
 
 from mvbetti import (
     ConsistencyError,
-    MVPage,
     ValidationError,
     compute_betti,
     count_flats,
+    parse_arrangement,
+)
+from mvbetti.arrangement import essentialize
+from mvbetti.betti import (
+    MVPage,
     degeneration_check,
-    essentialize,
     first_page,
-    flat_of_subset,
     graded_from_second_page,
     kunneth_shift,
     last_cohomology_dim,
     localized_flat_cohomology,
-    parse_arrangement,
     punctured_space_cohomology,
     second_page,
 )
+from mvbetti.flats import flat_of_subset
 from mvbetti.generate import (
     random_affine_arrangement,
     random_projective_arrangement,

@@ -6,6 +6,8 @@ from math import comb
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mvbetti.cli import main
 
@@ -67,6 +69,18 @@ def test_huge_dimension_exit_code(tmp_path, capsys):
     path = write(tmp_path, "huge.arr", "affine 99999999999\n")
     assert main(["betti", path]) == 1
     assert "line 1" in capsys.readouterr().err
+
+
+def test_nonessential_at_the_dimension_limit(tmp_path, capsys):
+    # x1 = 0 and x2 = 3 in affine 1000-space: the complement is (C minus a
+    # point)^2 times C^998, so the Poincare polynomial is (1 + t)^2.
+    zeros = ["0"] * 998
+    lines = ["affine 1000", " ".join(["1", "0", *zeros, "0"]), " ".join(["0", "1", *zeros, "3"])]
+    path = write(tmp_path, "wide.arr", "\n".join(lines) + "\n")
+    assert main(["betti", path, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["betti"][:3] == [1, 2, 1] and sum(doc["betti"]) == 4
+    assert doc["agreement"] is True
 
 
 def test_duplicate_exit_code(tmp_path):
@@ -162,6 +176,9 @@ def test_ss_parse_error(tmp_path, capsys):
     path = write(tmp_path, "dup.dc", "dims\n0 0 1\n0 0 2\n")
     assert main(["ss", path]) == 1
     assert "line 3: duplicate dims entry" in capsys.readouterr().err
+    path = write(tmp_path, "huge.dc", "dims\n0 0 100000\n1 0 100000\n")
+    assert main(["ss", path]) == 1
+    assert "line 2" in capsys.readouterr().err
 
 
 def test_poset_on_projective_decones(tmp_path, capsys):
@@ -227,3 +244,56 @@ def test_braid_closed_form(tmp_path, capsys):
     for j in range(1, m):
         poly = [a + j * b for a, b in zip(poly + [0], [0] + poly)]
     assert json.loads(capsys.readouterr().out)["betti"] == poly + [0]
+
+
+BAD_RATIONALS = ("1/0", "x", "1/", "/2", "2/-3", "1.5.2", "--1", "nan")
+fields = st.one_of(st.integers(-3, 3).map(str), st.sampled_from(BAD_RATIONALS))
+positions = st.integers(-1, 2)
+
+
+@st.composite
+def malformed_files(draw):
+    """Arrangement or double-complex text, then truncated, repeated and corrupted.
+
+    Hyperplane lines get n to n + 2 fields and matrix rows 0 to 3, so field
+    counts are often wrong; `dims` stay small.  Positions stay in -1..2,
+    because `ss` time still grows quadratically with their spread (an open
+    defect, not a parse error).
+    """
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 3))
+        kind = draw(st.sampled_from(("affine", "projective")))
+        lines = [draw(st.sampled_from((f"{kind} {n}", f"{kind} {n} 1", f"{kind} x", f"{kind} 0")))]
+        for _ in range(draw(st.integers(0, 5))):
+            lines.append(" ".join(draw(st.lists(fields, min_size=n, max_size=n + 2))))
+    else:
+        lines = ["dims"]
+        for p, q, d in draw(st.lists(st.tuples(positions, positions, st.integers(0, 2)), max_size=4)):
+            lines.append(f"{p} {q} {d}")
+        for _ in range(draw(st.integers(0, 3))):
+            block = draw(st.sampled_from(("dh", "dv")))
+            lines.append(f"{block} {draw(positions)} {draw(positions)}")
+            for _ in range(draw(st.integers(0, 2))):
+                lines.append(" ".join(draw(st.lists(fields, max_size=3))))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        action = draw(st.sampled_from(("truncate", "repeat", "corrupt")))
+        if action == "truncate":
+            lines = lines[: i + 1]
+        elif action == "repeat":
+            lines.insert(i, lines[i])
+        else:
+            words = lines[i].split() or [""]
+            words[draw(st.integers(0, len(words) - 1))] = draw(st.sampled_from(BAD_RATIONALS))
+            lines[i] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+@given(malformed_files())
+@example("dims\n0 0 100000\n1 0 100000\n")
+@settings(max_examples=60, deadline=None)
+def test_malformed_input_never_escapes(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "input.txt"
+    path.write_text(text)
+    for subcommand in ("ss", "betti"):
+        assert main([subcommand, str(path)]) in (0, 1, 2, 3)

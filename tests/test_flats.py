@@ -9,23 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvbetti import (
-    AFFINE,
-    Arrangement,
     CapExceededError,
-    Hyperplane,
     QMatrix,
     build_intersection_poset,
     compute_betti,
     count_flats,
-    essentialize,
-    flat_of_subset,
     is_general_position,
     mobius_betti,
     parse_arrangement,
-    vstack,
     whitney_betti,
 )
-from mvbetti.flats import _extend, ambient_flat
+from mvbetti.arrangement import AFFINE, Arrangement, Hyperplane, essentialize
+from mvbetti.flats import _extend, ambient_flat, flat_of_subset
 from mvbetti.generate import random_affine_arrangement
 
 from helpers import BRAID_A3, PARALLEL_A2, boolean_arrangement_text
@@ -174,7 +169,8 @@ def test_oracles_agree_and_mobius_signs(seed):
     # containment by hyperplane masks agrees with elimination
     for i, x in enumerate(poset.flats):
         for j, y in enumerate(poset.flats):
-            contains = vstack([x.system, y.system]).rank() == x.system.rows
+            stacked = QMatrix.from_rows(x.system.row_lists() + y.system.row_lists())
+            contains = stacked.rank() == x.system.rows
             assert (j in poset.strictly_below[i]) == (j != i and contains)
     betti = mobius_betti(poset)
     assert betti == whitney_betti(arr)

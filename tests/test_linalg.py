@@ -1,4 +1,4 @@
-"""Exact rational matrix arithmetic: rref, rank, kernels, solving."""
+"""Exact rational matrix arithmetic: rref, rank, kernels, Kronecker products."""
 
 from fractions import Fraction
 
@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvbetti import QMatrix, hstack, kron, solve, vstack
+from mvbetti import QMatrix
+from mvbetti.linalg import kron
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -74,27 +75,6 @@ def test_kernel_explicit():
     assert (m @ k).is_zero()
 
 
-def test_solve_identity():
-    sol = solve(QMatrix.identity(2), [3, 5])
-    assert sol.particular == (Fraction(3), Fraction(5))
-    assert sol.kernel.cols == 0
-
-
-def test_solve_inconsistent():
-    assert solve(QMatrix.from_rows([[1, 0], [1, 0]]), [0, 1]) is None
-
-
-def test_solve_underdetermined():
-    sol = solve(QMatrix.from_rows([[2, 4]]), [6])
-    assert sol.particular == (Fraction(3), Fraction(0))
-    assert sol.kernel.column(0) == (Fraction(-2), Fraction(1))
-
-
-def test_solve_dimension_mismatch():
-    with pytest.raises(ValueError):
-        solve(QMatrix.identity(2), [1, 2, 3])
-
-
 def test_degenerate_shapes():
     a = QMatrix(0, 3, [])
     b = QMatrix(3, 0, [])
@@ -122,25 +102,6 @@ def test_rref_idempotent_and_kernel_exact(m):
     k = m.kernel_basis()
     assert (m @ k).is_zero()
     assert k.rank() == k.cols
-
-
-@given(matrices(max_rows=4, max_cols=4), st.lists(rationals, min_size=4, max_size=4))
-@settings(max_examples=60, deadline=None)
-def test_solve_exactness(m, coeffs):
-    x = coeffs[: m.cols]
-    b = m.matvec(x)
-    sol = solve(m, b)
-    assert sol is not None
-    assert m.matvec(sol.particular) == tuple(b)
-
-
-@given(matrices(max_rows=4, max_cols=4), st.lists(rationals, min_size=0, max_size=4))
-@settings(max_examples=60, deadline=None)
-def test_solve_none_iff_rank_grows(m, b):
-    b = (b + [Fraction(0)] * m.rows)[: m.rows]
-    augmented = hstack([m, QMatrix(m.rows, 1, b)])
-    grows = augmented.rank() > m.rank()
-    assert (solve(m, b) is None) == grows
 
 
 @given(matrices(max_rows=3, max_cols=3), matrices(max_rows=3, max_cols=3))
@@ -171,10 +132,3 @@ def test_rref_against_sympy(m):
     assert rank == theirs.rank()
     assert [sympy.Rational(x) for x in reduced.entries] == list(their_rref)
     assert m.kernel_basis().cols == len(theirs.nullspace())
-
-
-def test_stack_helpers():
-    a = QMatrix.from_rows([[1, 2]])
-    b = QMatrix.from_rows([[3, 4]])
-    assert vstack([a, b]) == QMatrix.from_rows([[1, 2], [3, 4]])
-    assert hstack([a, b]) == QMatrix.from_rows([[1, 2, 3, 4]])

@@ -7,21 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvbetti import (
+    HORIZONTAL,
+    VERTICAL,
     Complex,
     DoubleComplex,
     QMatrix,
     ValidationError,
     cohomology_dims,
-    hstack,
     pages,
     parse_double_complex,
     tensor_double_complex,
     total_complex,
     verify_convergence,
-    vstack,
 )
 from mvbetti.generate import random_complex
-from mvbetti.spectral import HORIZONTAL, VERTICAL
 
 from helpers import column_cohomology, kunneth_product, row_cohomology
 
@@ -60,9 +59,9 @@ def block_sum(x: Complex, y: Complex) -> Complex:
     dims = {n: x.dim(n) + y.dim(n) for n in set(x.dims) | set(y.dims)}
     diff = {}
     for n in dims:
-        top = hstack([x.d(n), QMatrix.zeros(x.dim(n + 1), y.dim(n))])
-        bottom = hstack([QMatrix.zeros(y.dim(n + 1), x.dim(n)), y.d(n)])
-        diff[n] = vstack([top, bottom])
+        top = [row + [0] * y.dim(n) for row in x.d(n).row_lists()]
+        bottom = [[0] * x.dim(n) + row for row in y.d(n).row_lists()]
+        diff[n] = QMatrix.from_rows(top + bottom)
     return Complex(dims, diff)
 
 
@@ -229,3 +228,11 @@ def test_parse_errors():
     with pytest.raises(ParseError, match="duplicate dims entry") as err:
         parse_double_complex("dims\n0 0 1\n0 0 2\n")
     assert err.value.line == 3
+    # The running total of the dimensions is capped before any matrix is built.
+    with pytest.raises(ParseError, match="exceeds the limit") as err:
+        parse_double_complex("dims\n0 0 100000\n1 0 100000\n")
+    assert err.value.line == 2
+    with pytest.raises(ParseError, match="total dimension 1001") as err:
+        parse_double_complex("dims\n0 0 600\n1 0 401\n")
+    assert err.value.line == 3
+    assert parse_double_complex("dims\n0 0 600\n1 0 400\n").dim(1, 0) == 400
