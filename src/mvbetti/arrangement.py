@@ -14,6 +14,7 @@ that the normals span the ambient space).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -30,6 +31,21 @@ PROJECTIVE = "projective"
 # double complex is held as dense rational matrices, so input far beyond any
 # real case would exhaust memory instead of failing fast.
 MAX_DIMENSION = 1000
+
+# A rational field of either input format: an optionally signed integer or
+# `integer/positive integer`.  `Fraction` alone also takes decimals and
+# exponents, and expands an exponent such as 1e10000000 digit by digit.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]*[1-9][0-9]*)?")
+
+
+def parse_rational(field: str, line: int, column: int | None = None) -> Fraction:
+    """The rational a field spells, or a ParseError naming its line (and column)."""
+    if _RATIONAL.fullmatch(field):
+        try:
+            return Fraction(field)
+        except ValueError:  # more digits than `int` converts
+            pass
+    raise ParseError(f"bad rational {field!r}", line=line, column=column)
 
 
 @dataclass(frozen=True)
@@ -149,9 +165,10 @@ def parse_arrangement(text: str) -> Arrangement:
 
     First non-comment line: `affine n` or `projective n`.  Every following
     non-comment line lists one hyperplane as whitespace-separated rationals
-    (`p/q` or integers): n+1 fields a_1 ... a_n c for affine input, n+1
-    homogeneous fields for projective input.  `#` starts a comment, blank
-    lines are ignored.  n must lie between 1 and `MAX_DIMENSION`.
+    (`parse_rational`: integers or `p/q`, with no decimals or exponents):
+    n+1 fields a_1 ... a_n c for affine input, n+1 homogeneous fields for
+    projective input.  `#` starts a comment, blank lines are ignored.  n
+    must lie between 1 and `MAX_DIMENSION`.
     """
     kind = None
     dim = 0
@@ -181,12 +198,7 @@ def parse_arrangement(text: str) -> Arrangement:
             raise ParseError(
                 f"expected {dim + 1} coefficients, got {len(fields)}", line=lineno
             )
-        coeffs = []
-        for col, field in enumerate(fields, start=1):
-            try:
-                coeffs.append(Fraction(field))
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(f"bad rational {field!r}", line=lineno, column=col) from None
+        coeffs = [parse_rational(f, lineno, col) for col, f in enumerate(fields, start=1)]
         try:
             if kind == AFFINE:
                 h = Hyperplane.canonical(coeffs[:-1], coeffs[-1])

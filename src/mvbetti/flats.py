@@ -11,11 +11,17 @@ of flats this module builds
 
 * the count table: how many subsets of each size cut out a flat of each
   dimension, with empty intersections tallied separately.  Subsets are
-  walked down to lines only: restricted to a line the hyperplanes either
-  contain it, miss it, or cut it in points, so everything below a line is
-  counted by binomials.  The table carries no spectral grading
-  (`betti.first_page` places each bucket), and general position is read
-  off it,
+  walked down to planes only.  Restricted to a plane X, each hyperplane
+  that may still be added contains X (z of them), misses it, or cuts a
+  line l of X (c_l of them per line); two lines meet in a point P or are
+  parallel.  With m_P the hyperplanes on the lines through P and p_l the
+  points on l, adding k of them leaves X C(z, k) times, a line
+  sum_l [C(z + c_l, k) - C(z, k)] times, a point
+  sum_P C(z + m_P, k) - sum_l p_l [C(z + c_l, k) - C(z, k)] - #P C(z, k)
+  times, and the empty set otherwise.  That table depends only on X and
+  the next index, so it is memoized on (X's rows, start).  The count
+  table carries no spectral grading (`betti.first_page` places each
+  bucket), and general position is read off it,
 * the intersection poset with its Moebius function, ordered by hyperplane
   masks, and
 * two independent combinatorial Betti oracles (Moebius-sum and signed
@@ -158,41 +164,128 @@ class FlatCounts:
     r: int
 
 
-def _line_basis(line: Flat, n: int) -> tuple:
-    """Integer kernel basis (u, v) of a line's augmented system.
+def _kernel_basis(flat: Flat, n: int) -> list:
+    """Integer kernel basis of a nonempty flat's augmented system.
 
-    u is the line's direction (constant coordinate 0) and v an affine part
-    (constant coordinate nonzero); both are integer multiples of the
-    solutions with the free coordinate or the constant set to 1.
+    One direction vector per free column j < n (constant coordinate 0), in
+    column order, then an affine part (constant coordinate nonzero).  Each is
+    an integer multiple of the solution with its own free coordinate, or the
+    constant, set to 1 and the other free coordinates set to 0.
     """
-    f = next(j for j in range(n) if j not in line.pivots)
-    scale = lcm(*(row[j] for row, j in zip(line.rows, line.pivots)))
-    u = [0] * (n + 1)
-    v = [0] * (n + 1)
-    u[f] = v[n] = scale
-    for row, j in zip(line.rows, line.pivots):
-        u[j] = -row[f] * (scale // row[j])
-        v[j] = -row[n] * (scale // row[j])
-    return u, v
+    scale = lcm(*(row[j] for row, j in zip(flat.rows, flat.pivots)))
+    basis = []
+    for f in [j for j in range(n) if j not in flat.pivots] + [n]:
+        w = [0] * (n + 1)
+        w[f] = scale
+        for row, j in zip(flat.rows, flat.pivots):
+            w[j] = -row[f] * (scale // row[j])
+        basis.append(w)
+    return basis
 
 
-def _meet(row, u, v) -> tuple:
-    """Where the hyperplane `row` meets the line with kernel basis (u, v).
+def _restrict(row, basis) -> tuple:
+    """The hyperplane `row` restricted to the flat with kernel basis `basis`.
 
-    With a = row.u and b = row.v: (0, 0) means the hyperplane contains the
-    line, a = 0 alone that it is parallel to it, and otherwise it meets the
-    line in one point.  The pair is returned as (b, a) divided by gcd(a, b)
-    with a > 0 (b > 0 when a = 0), so two hyperplanes meet the line in the
-    same point exactly when their pairs are equal.
+    Its dot products with the basis vectors, divided by their gcd and signed
+    so that the first nonzero one is positive.  All zero means the hyperplane
+    contains the flat, a zero direction part (0, ..., 0, 1) that it misses
+    the flat, and otherwise it cuts the flat in a hyperplane of the flat:
+    for a line a point, for a plane a line.  Two hyperplanes cut the flat in
+    the same place exactly when their keys are equal.
     """
-    a = sum(map(mul, row, u))
-    b = sum(map(mul, row, v))
-    g = gcd(a, b)
+    key = [sum(map(mul, row, w)) for w in basis]
+    g = gcd(*key)
     if not g:
-        return (0, 0)
-    if a < 0 or (a == 0 and b < 0):
+        return tuple(key)
+    for x in key:
+        if x:
+            break
+    if x < 0:
         g = -g
-    return (b // g, a // g)
+    return tuple([x // g for x in key])
+
+
+def _cross(a, b):
+    """The point where the lines a and b of a plane meet, or None if they are parallel.
+
+    Lines are keys (a_1, a_2, b) of `_restrict` on a plane, that is the
+    equations a_1 t_1 + a_2 t_2 + b w = 0 in the plane's coordinates.  Their
+    cross product (t_1, t_2, w) is divided by its gcd and signed with w > 0,
+    so every pair of lines through one point gives the same key.
+    """
+    w = a[0] * b[1] - a[1] * b[0]
+    if not w:
+        return None
+    t1 = a[1] * b[2] - a[2] * b[1]
+    t2 = a[2] * b[0] - a[0] * b[2]
+    g = gcd(t1, t2, w)
+    if w < 0:
+        g = -g
+    return (t1 // g, t2 // g, w // g)
+
+
+def _closed_table(keys, d: int) -> list:
+    """Subtree counts below a flat X of dimension d <= 2, from its restricted keys.
+
+    `keys` are the `_restrict` keys of the S hyperplanes that may still be
+    added.  Entry k - 1 of the result gives, for the subsets of k of them,
+    how many leave X itself, a flat of dimension d - 1, one of dimension
+    d - 2 and the empty set.  With z hyperplanes containing X and classes of
+    c_l hyperplanes cutting X in the same hyperplane l of X:
+
+    * X itself: C(z, k);
+    * l: C(z + c_l, k) - C(z, k), summed over l;
+    * on a plane, a point P where the lines through P carry m_P hyperplanes
+      and p_l points lie on l: sum_P C(z + m_P, k)
+      - sum_l p_l [C(z + c_l, k) - C(z, k)] - #P C(z, k);
+    * empty: the rest of C(S, k).
+
+    The sums run over histograms of c_l and m_P, not over single lines and
+    points.
+    """
+    tally: dict = {}
+    for key in keys:
+        tally[key] = tally.get(key, 0) + 1
+    z = tally.pop((0,) * (d + 1), 0)
+    tally.pop((0,) * d + (1,), None)
+    points: dict = {}
+    if d == 2:
+        lines = list(tally)
+        for i, a in enumerate(lines):
+            for b in lines[i + 1:]:
+                p = _cross(a, b)
+                if p is not None:
+                    points.setdefault(p, set()).update((a, b))
+    on_points = dict.fromkeys(tally, 0)
+    multiplicities: dict = {}  # m -> number of points P with m_P = m
+    for through in points.values():
+        m = 0
+        for line in through:
+            on_points[line] += 1
+            m += tally[line]
+        multiplicities[m] = multiplicities.get(m, 0) + 1
+    classes: dict = {}  # c -> [number of classes l with c_l = c, sum of their p_l]
+    for line, c in tally.items():
+        entry = classes.setdefault(c, [0, 0])
+        entry[0] += 1
+        entry[1] += on_points[line]
+    s = len(keys)
+    # Past z plus the largest class or point multiplicity only the empty set is left.
+    top = min(s, z + max((*classes, *multiplicities), default=0))
+    table = []
+    for k in range(1, top + 1):
+        base = comb(z, k)
+        cut = low = 0
+        for c, (count, incidences) in classes.items():
+            extra = comb(z + c, k) - base
+            cut += count * extra
+            low -= incidences * extra
+        for m, count in multiplicities.items():
+            low += count * comb(z + m, k)
+        low -= len(points) * base
+        table.append((base, cut, low, comb(s, k) - base - cut - low))
+    table += [(0, 0, 0, comb(s, k)) for k in range(top + 1, s + 1)]
+    return table
 
 
 def count_flats(arr: Arrangement, cap: int = DEFAULT_CAP) -> FlatCounts:
@@ -204,14 +297,22 @@ def count_flats(arr: Arrangement, cap: int = DEFAULT_CAP) -> FlatCounts:
     flat's integer rows.  Once a prefix has empty intersection all of its
     extensions are counted directly as empty.
 
-    Below a line the walk is replaced by binomials, so no flat of dimension 0
-    is ever built.  Of the S = r - start hyperplanes that may still be added,
-    z contain the line, the parallel ones miss it, and the rest fall into
-    classes of c_P hyperplanes meeting it in the same point P (`_meet`,
-    computed once per line and hyperplane).  Adding k of them gives the line
-    itself C(z, k) times, a point sum_P [C(z + c_P, k) - C(z, k)] times, and
-    the empty set in the other C(S, k) cases.  When the ambient space is a
-    line (n = 1) the whole table comes from the root.
+    The walk stops at every plane: what the subtree below a prefix adds
+    depends only on the prefix's flat X and the next index `start`.  For a
+    plane X the S = r - start hyperplanes that may still be added are
+    restricted to X (`_restrict`): each contains X, misses it, or cuts a
+    line of X, and two lines of X meet in a point or are parallel
+    (`_cross`).  With z hyperplanes containing X, c_l cutting the line l,
+    m_P on the lines through the point P and p_l points on l, adding k of
+    them gives X C(z, k) times, a line sum_l [C(z + c_l, k) - C(z, k)]
+    times, a point sum_P C(z + m_P, k) - sum_l p_l [C(z + c_l, k) - C(z, k)]
+    - #P C(z, k) times, and the empty set in the rest of C(S, k).
+    `_closed_table` computes that table, a list indexed by the number of
+    hyperplanes added; it is memoized on (X's rows, start) and folded in
+    shifted by the prefix size.  So no flat of dimension 1 or 0 is ever
+    built.  When the ambient space is a line or a plane (n <= 2) the whole
+    table comes from the root, the line's by the same formulas without
+    points.
     """
     _require_affine(arr)
     r, n = arr.r, arr.ambient_dim
@@ -221,39 +322,28 @@ def count_flats(arr: Arrangement, cap: int = DEFAULT_CAP) -> FlatCounts:
     counts: dict = {}
     empty: dict = {}
     memo: dict = {}
-    line_keys: dict = {}
+    closed: dict = {}
 
-    def close_line(flat, start, size):
-        entry = line_keys.get(flat.rows)
-        if entry is None:
-            entry = line_keys[flat.rows] = (*_line_basis(flat, n), [None] * r)
-        u, v, keys = entry
-        z = 0
-        points: dict = {}
-        for i in range(start, r):
-            key = keys[i]
-            if key is None:
-                key = keys[i] = _meet(rows[i], u, v)
-            if key[1]:
-                points[key] = points.get(key, 0) + 1
-            elif not key[0]:
-                z += 1
-        s = r - start
-        for k in range(1, s + 1):
-            on_line = comb(z, k)
-            on_point = sum(comb(z + c, k) for c in points.values()) - len(points) * on_line
-            sz = size + k
-            if on_line:
-                counts[(sz, 1)] = counts.get((sz, 1), 0) + on_line
-            if on_point:
-                counts[(sz, 0)] = counts.get((sz, 0), 0) + on_point
-            missed = comb(s, k) - on_line - on_point
-            if missed:
-                empty[sz] = empty.get(sz, 0) + missed
+    def close(flat, start, size):
+        table = closed.get((flat.rows, start))
+        if table is None:
+            basis = _kernel_basis(flat, n)
+            keys = [_restrict(row, basis) for row in rows[start:]]
+            table = closed[(flat.rows, start)] = _closed_table(keys, flat.dimension)
+        d = flat.dimension
+        for sz, (same, cut, low, none) in enumerate(table, size + 1):
+            if same:
+                counts[(sz, d)] = counts.get((sz, d), 0) + same
+            if cut:
+                counts[(sz, d - 1)] = counts.get((sz, d - 1), 0) + cut
+            if low:
+                counts[(sz, d - 2)] = counts.get((sz, d - 2), 0) + low
+            if none:
+                empty[sz] = empty.get(sz, 0) + none
 
     def visit(flat, start, size):
-        if flat.dimension == 1:
-            close_line(flat, start, size)
+        if flat.dimension <= 2:
+            close(flat, start, size)
             return
         succ = memo.get(flat.rows)
         if succ is None:

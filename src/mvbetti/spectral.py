@@ -27,9 +27,9 @@ obtained by running the column filtration on the transposed double complex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 
-from .arrangement import MAX_DIMENSION
+from .arrangement import MAX_DIMENSION, parse_rational
 from .errors import ParseError, ValidationError
 from .linalg import QMatrix, kron
 
@@ -230,11 +230,23 @@ class PageTable:
     pages: dict
     stable_at: int
 
+    @cached_property
+    def _by_r(self) -> dict:
+        return _group_by_r(self.pages)
+
     def page(self, r: int) -> dict:
-        return {(p, q): d for (rr, p, q), d in self.pages.items() if rr == r}
+        return dict(self._by_r.get(r, {}))
 
     def limit(self) -> dict:
         return self.page(min(self.stable_at, self.r_max))
+
+
+def _group_by_r(table: dict) -> dict:
+    """{r: {(p, q): dim}} from a table keyed (r, p, q), in one pass."""
+    by_r: dict = {}
+    for (r, p, q), d in table.items():
+        by_r.setdefault(r, {})[(p, q)] = d
+    return by_r
 
 
 def _column_pages(dc: DoubleComplex, r_max: int) -> dict:
@@ -280,12 +292,11 @@ def pages(dc: DoubleComplex, filtration: str, r_max: int) -> PageTable:
         table = {(r, q, p): d for (r, p, q), d in _column_pages(dc.transpose(), r_max).items()}
     else:
         raise ValidationError(f"unknown filtration {filtration!r}")
-    by_r = [
-        {(p, q): d for (rr, p, q), d in table.items() if rr == r} for r in range(r_max + 1)
-    ]
+    by_r = _group_by_r(table)
+    last = by_r.get(r_max, {})
     stable_at = r_max
     for r in range(r_max - 1, -1, -1):
-        if by_r[r] != by_r[r_max]:
+        if by_r.get(r, {}) != last:
             break
         stable_at = r
     if stable_at == r_max:
@@ -330,7 +341,8 @@ def parse_double_complex(text: str) -> DoubleComplex:
 
     A `dims` header is followed by `p q dim` triples; each `dh p q` or
     `dv p q` line is followed by the dense rational matrix of that block,
-    one row per line (target dimension rows of source dimension entries).
+    one row per line (target dimension rows of source dimension entries),
+    each entry an integer or `p/q` (`arrangement.parse_rational`).
     Omitted differentials are zero.  `#` starts a comment.  The dimensions
     may add up to at most `MAX_DIMENSION`.
     """
@@ -388,10 +400,7 @@ def parse_double_complex(text: str) -> DoubleComplex:
             row_fields = row_text.split()
             if len(row_fields) != src:
                 raise ParseError(f"expected {src} entries, got {len(row_fields)}", line=row_line)
-            try:
-                rows.append([Fraction(f) for f in row_fields])
-            except (ValueError, ZeroDivisionError):
-                raise ParseError("bad rational entry", line=row_line) from None
+            rows.append([parse_rational(f, row_line) for f in row_fields])
             idx += 1
         mat = QMatrix(tgt, src, [x for row in rows for x in row])
         target = d_horiz if fields[0] == "dh" else d_vert

@@ -67,6 +67,15 @@ def test_parse_comments_blanks_fractions():
     assert arr.hyperplanes[0].constant == Fraction(6)
 
 
+def test_parse_rejects_exponents_and_decimals():
+    # Only integers and p/q are rationals; Fraction alone would expand the
+    # exponent digit by digit.
+    for field in ("1e10000000", "1.5"):
+        with pytest.raises(ParseError, match="bad rational") as err:
+            parse_arrangement(f"affine 2\n1 0 0\n1 {field} 2\n")
+        assert (err.value.line, err.value.column) == (3, 2)
+
+
 def test_parse_field_count():
     with pytest.raises(ParseError, match="expected 3 coefficients"):
         parse_arrangement("affine 2\n1 0\n")

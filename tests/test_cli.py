@@ -170,6 +170,19 @@ def test_ss_subcommand(tmp_path, capsys):
     assert set(doc["filtrations"]) == {"horizontal", "vertical"}
 
 
+def test_ss_far_apart_positions(tmp_path, capsys):
+    # Two cells 2000 columns apart and no differentials: every page is the
+    # same, so both filtrations are stable from r = 0 and r_max = 2002.
+    path = write(tmp_path, "far.dc", "dims\n0 0 1\n2000 0 1\n")
+    assert main(["ss", path, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["r_max"] == 2002
+    assert doc["total_cohomology"] == {"0": 1, "2000": 1}
+    for name in ("horizontal", "vertical"):
+        assert doc["filtrations"][name]["stable_at"] == 0
+        assert len(doc["filtrations"][name]["pages"]) == 2003
+
+
 def test_ss_parse_error(tmp_path, capsys):
     path = write(tmp_path, "bad.dc", "dims\n0 0 1\n1 0 1\ndh 0 0\n")
     assert main(["ss", path]) == 1
@@ -231,24 +244,26 @@ def test_huge_coefficients_parallel_pair(tmp_path, capsys):
 
 
 def test_braid_closed_form(tmp_path, capsys):
-    # Braid arrangement on 7 coordinates (r=21): Poincare polynomial
-    # prod_{j<7} (1 + j t) (Arnold 1969; Orlik-Terao ch. 2).
-    m = 7
+    # Braid arrangement on 8 coordinates (r=28): Poincare polynomial
+    # prod_{j<8} (1 + j t) = 1 + 28t + 322t^2 + 1960t^3 + 6769t^4 + 13132t^5
+    # + 13068t^6 + 5040t^7 (Arnold 1969; Orlik-Terao ch. 2).
+    m = 8
     rows = [
         " ".join("1" if k == i else "-1" if k == j else "0" for k in range(m)) + " 0"
         for i, j in combinations(range(m), 2)
     ]
-    path = write(tmp_path, "braid7.arr", f"affine {m}\n" + "\n".join(rows) + "\n")
+    path = write(tmp_path, "braid8.arr", f"affine {m}\n" + "\n".join(rows) + "\n")
     assert main(["betti", path, "--no-oracle", "--cap", "64", "--json"]) == 0
     poly = [1]
     for j in range(1, m):
         poly = [a + j * b for a, b in zip(poly + [0], [0] + poly)]
+    assert poly == [1, 28, 322, 1960, 6769, 13132, 13068, 5040]
     assert json.loads(capsys.readouterr().out)["betti"] == poly + [0]
 
 
 BAD_RATIONALS = ("1/0", "x", "1/", "/2", "2/-3", "1.5.2", "--1", "nan")
 fields = st.one_of(st.integers(-3, 3).map(str), st.sampled_from(BAD_RATIONALS))
-positions = st.integers(-1, 2)
+positions = st.integers(-50, 50)
 
 
 @st.composite
@@ -256,9 +271,8 @@ def malformed_files(draw):
     """Arrangement or double-complex text, then truncated, repeated and corrupted.
 
     Hyperplane lines get n to n + 2 fields and matrix rows 0 to 3, so field
-    counts are often wrong; `dims` stay small.  Positions stay in -1..2,
-    because `ss` time still grows quadratically with their spread (an open
-    defect, not a parse error).
+    counts are often wrong; `dims` stay small.  Positions range over
+    -50..50, so `ss` often runs a hundred pages.
     """
     if draw(st.booleans()):
         n = draw(st.integers(1, 3))

@@ -193,7 +193,17 @@ def _degenerate_arrangement(rng: Random, kind: str) -> Arrangement:
     "parallel": one normal direction in n = 2..4, so the essential part is a line.
     "pencil": normals in {-1, 0, 1}^n, most hyperplanes through one point p,
     so lines through p lie on several hyperplanes and meet others at p.
+    "pencils": lines in the plane (n = 2) through a few shared points or in
+    a few shared directions, so a plane carries concurrent and parallel
+    classes together.
+    "sheaf": n = 3..4, several hyperplanes through one flat W of codimension
+    2, the others often through a point of W.  In n = 3, W is a line cut by
+    many hyperplanes; in n = 4 it is a plane that several hyperplanes contain.
     """
+    if kind == "pencils":
+        return _pencils(rng)
+    if kind == "sheaf":
+        return _sheaf(rng)
     r = rng.randint(1, 8)
     if kind == "mixed":
         n = rng.randint(1, 4)
@@ -219,8 +229,50 @@ def _degenerate_arrangement(rng: Random, kind: str) -> Arrangement:
     return Arrangement(n, tuple(found), AFFINE)
 
 
-@given(st.integers(0, 10_000), st.sampled_from(["mixed", "points", "parallel", "pencil"]))
-@settings(max_examples=200, deadline=None)
+def _pencils(rng: Random) -> Arrangement:
+    centers = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(rng.randint(1, 3))]
+    directions = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, -1)]
+    directions = rng.sample(directions, rng.randint(2, len(directions)))
+    found: dict = {}
+    for _ in range(rng.randint(2, 10)):
+        normal = rng.choice(directions)
+        if rng.random() < 0.7:
+            x, y = rng.choice(centers)
+            constant = normal[0] * x + normal[1] * y
+        else:
+            constant = rng.randint(-4, 4)
+        found.setdefault(Hyperplane.canonical(normal, constant))
+    return Arrangement(2, tuple(found), AFFINE)
+
+
+def _sheaf(rng: Random) -> Arrangement:
+    n = rng.randint(3, 4)
+    while True:
+        g = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(2)]
+        if QMatrix.from_rows(g).rank() == 2:
+            break
+    point = [rng.randint(-1, 1) for _ in range(n)]
+    through = [sum(a * x for a, x in zip(row, point)) for row in g]
+    found: dict = {}
+    for _ in range(rng.randint(2, 5)):
+        s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+        if s or t:
+            normal = [s * a + t * b for a, b in zip(*g)]
+            found.setdefault(Hyperplane.canonical(normal, s * through[0] + t * through[1]))
+    for _ in range(rng.randint(1, 5)):
+        normal = [rng.randint(-1, 1) for _ in range(n)]
+        if any(normal):
+            on_point = sum(a * x for a, x in zip(normal, point))
+            constant = on_point if rng.random() < 0.5 else rng.randint(-2, 2)
+            found.setdefault(Hyperplane.canonical(normal, constant))
+    return Arrangement(n, tuple(found), AFFINE)
+
+
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from(["mixed", "points", "parallel", "pencil", "pencils", "sheaf"]),
+)
+@settings(max_examples=300, deadline=None)
 def test_count_flats_matches_every_subset(seed, kind):
     arr = _degenerate_arrangement(Random(seed), kind)
     counts: dict = {}

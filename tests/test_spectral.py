@@ -236,3 +236,8 @@ def test_parse_errors():
         parse_double_complex("dims\n0 0 600\n1 0 401\n")
     assert err.value.line == 3
     assert parse_double_complex("dims\n0 0 600\n1 0 400\n").dim(1, 0) == 400
+    # Matrix entries are integers or p/q: no exponents, no decimals.
+    for field in ("1e10000000", "1.5"):
+        with pytest.raises(ParseError, match="bad rational") as err:
+            parse_double_complex(f"dims\n0 0 1\n1 0 1\ndh 0 0\n{field}\n")
+        assert err.value.line == 5
