@@ -32,10 +32,22 @@ PROJECTIVE = "projective"
 # real case would exhaust memory instead of failing fast.
 MAX_DIMENSION = 1000
 
-# A rational field of either input format: an optionally signed integer or
-# `integer/positive integer`.  `Fraction` alone also takes decimals and
+# The integer and rational fields of both input formats: optionally signed
+# ASCII digits, and that or `integer/positive integer`.  `int` alone also
+# takes underscores and non-ASCII digits; `Fraction` also takes decimals and
 # exponents, and expands an exponent such as 1e10000000 digit by digit.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]*[1-9][0-9]*)?")
+
+
+def parse_integer(field: str, message: str, line: int, column: int | None = None) -> int:
+    """The integer a field spells in ASCII digits, or a ParseError with `message`."""
+    if _INTEGER.fullmatch(field):
+        try:
+            return int(field)
+        except ValueError:  # more digits than `int` converts
+            pass
+    raise ParseError(message, line=line, column=column)
 
 
 def parse_rational(field: str, line: int, column: int | None = None) -> Fraction:
@@ -168,7 +180,8 @@ def parse_arrangement(text: str) -> Arrangement:
     (`parse_rational`: integers or `p/q`, with no decimals or exponents):
     n+1 fields a_1 ... a_n c for affine input, n+1 homogeneous fields for
     projective input.  `#` starts a comment, blank lines are ignored.  n
-    must lie between 1 and `MAX_DIMENSION`.
+    (`parse_integer`: optionally signed ASCII digits) must lie between 1 and
+    `MAX_DIMENSION`.
     """
     kind = None
     dim = 0
@@ -183,10 +196,7 @@ def parse_arrangement(text: str) -> Arrangement:
             if len(fields) != 2 or fields[0] not in (AFFINE, PROJECTIVE):
                 raise ParseError("expected header `affine n` or `projective n`", line=lineno)
             kind = fields[0]
-            try:
-                dim = int(fields[1])
-            except ValueError:
-                raise ParseError(f"bad dimension {fields[1]!r}", line=lineno, column=2) from None
+            dim = parse_integer(fields[1], f"bad dimension {fields[1]!r}", lineno, 2)
             if dim < 1:
                 raise ParseError("dimension must be positive", line=lineno, column=2)
             if dim > MAX_DIMENSION:
@@ -260,9 +270,9 @@ def _affine_chart(arr: Arrangement, infinity_index: int | None) -> Arrangement:
 def essentialize(arr: Arrangement) -> EssentialReduction:
     """Split off the trivial affine factor of an affine arrangement.
 
-    One rref of the normal matrix N gives its rank s and pivot columns J.
-    Those columns are a basis of the column space of N, so every hyperplane
-    restricted to them (and re-canonicalized) defines the essential
+    The echelon form of the normal matrix N gives its rank s and pivot
+    columns J.  Those columns are a basis of the column space of N, so every
+    hyperplane restricted to them (and re-canonicalized) defines the essential
     arrangement in affine s-space; see `EssentialReduction`.  A restricted
     normal is never zero, since N_i = (N_J)_i T, and two restricted
     hyperplanes coincide only if the inputs did.  An essential arrangement
@@ -270,7 +280,8 @@ def essentialize(arr: Arrangement) -> EssentialReduction:
     """
     if arr.kind != AFFINE:
         raise ValidationError("essentialize applies to affine arrangements")
-    _, s, pivots = arr.normal_matrix().rref()
+    pivots = arr.normal_matrix().echelon()[1]
+    s = len(pivots)
     if s == 0:
         raise ValidationError("cannot essentialize an arrangement with no hyperplanes (rank 0)")
     if s == arr.ambient_dim:

@@ -1,13 +1,12 @@
 """Intersections of hyperplane subsets, the intersection poset, and oracles.
 
 A flat is the intersection of a subset of the hyperplanes, stored as the
-primitive integer echelon rows of its augmented linear system: the rows of
-the reduced row echelon form with zero rows stripped, each scaled to coprime
-integers with a positive pivot.  That form is unique, so two flats are equal
-exactly when their rows are identical.  Flats are built one hyperplane at a
-time by exact fraction-free integer elimination from the canonical integer
-hyperplanes; no rational arithmetic runs while subsets are walked.  On top
-of flats this module builds
+primitive integer echelon rows of its augmented linear system (see
+`linalg`), a unique form, so two flats are equal exactly when their rows
+are identical.  Flats are built one hyperplane at a time from the canonical
+integer hyperplanes by `linalg.echelon_insert`, the package's one
+elimination, and restricted by `linalg.integer_kernel_basis`; no rational
+arithmetic runs while subsets are walked.  On top of flats this module builds
 
 * the count table: how many subsets of each size cut out a flat of each
   dimension, with empty intersections tallied separately.  Subsets are
@@ -31,13 +30,12 @@ of flats this module builds
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 from operator import mul
 
 from .arrangement import AFFINE, Arrangement
 from .errors import CapExceededError, ValidationError
-from .linalg import QMatrix
+from .linalg import QMatrix, echelon_insert, integer_kernel_basis, primitive, rref_entries
 
 DEFAULT_CAP = 24
 
@@ -62,20 +60,11 @@ class Flat:
     def is_empty(self) -> bool:
         return self.dimension is None
 
-    def _rref_entries(self) -> tuple:
-        """Row-major entries of the exact rref: each row divided by its pivot."""
-        return tuple(
-            Fraction(x, p) if x % p else x // p
-            for row, j in zip(self.rows, self.pivots)
-            for p in (row[j],)
-            for x in row
-        )
-
     @property
     def system(self) -> QMatrix:
         """The stripped reduced row echelon form [A | c] over the rationals."""
         cols = len(self.rows[0]) if self.rows else self.dimension + 1
-        return QMatrix(len(self.rows), cols, self._rref_entries())
+        return QMatrix(len(self.rows), cols, rref_entries(self.rows, self.pivots))
 
 
 def ambient_flat(n: int) -> Flat:
@@ -85,45 +74,16 @@ def ambient_flat(n: int) -> Flat:
 def _extend(flat: Flat, row) -> Flat:
     """Intersect `flat` with the hyperplane of the integer row [a_1 ... a_n | c].
 
-    The row is reduced against each pivot row by integer cross-multiplication
-    and divided by its gcd.  If it reduces to zero the hyperplane contains the
-    flat, which is returned as is; otherwise it becomes a pivot row (a pivot in
-    the constant column makes the intersection empty) and its pivot column is
-    cleared from the other rows, which keeps the canonical form.
+    A row in the span of the flat's rows is a hyperplane containing the
+    flat, which is returned as is; a pivot in the constant column n makes
+    the intersection empty.
     """
-    v = row
-    for other, j in zip(flat.rows, flat.pivots):
-        x = v[j]
-        if x:
-            a = other[j]
-            v = [a * vi - x * oi for vi, oi in zip(v, other)]
-    for q, x in enumerate(v):
-        if x:
-            break
-    else:
+    step = echelon_insert(flat.rows, flat.pivots, row)
+    if step is None:
         return flat
-    v = _primitive(v, -1 if x < 0 else 1)
-    b = v[q]
-    rows = []
-    at = 0
-    for other, j in zip(flat.rows, flat.pivots):
-        # Only rows pivoting left of q can be nonzero in column q.
-        if j < q:
-            at += 1
-            y = other[q]
-            if y:
-                other = _primitive([b * oi - y * vi for oi, vi in zip(other, v)], 1)
-        rows.append(other)
-    rows.insert(at, v)
-    pivots = flat.pivots[:at] + (q,) + flat.pivots[at:]
-    empty = flat.is_empty or q == len(v) - 1
-    return Flat(tuple(rows), None if empty else flat.dimension - 1, pivots)
-
-
-def _primitive(v, sign) -> tuple:
-    """v divided by sign * gcd(v)."""
-    g = sign * gcd(*v)
-    return tuple(v) if g == 1 else tuple([x // g for x in v])
+    rows, pivots = step
+    empty = pivots[-1] == len(row) - 1
+    return Flat(rows, None if empty else flat.dimension - 1, pivots)
 
 
 def _integer_rows(arr: Arrangement) -> list:
@@ -164,25 +124,6 @@ class FlatCounts:
     r: int
 
 
-def _kernel_basis(flat: Flat, n: int) -> list:
-    """Integer kernel basis of a nonempty flat's augmented system.
-
-    One direction vector per free column j < n (constant coordinate 0), in
-    column order, then an affine part (constant coordinate nonzero).  Each is
-    an integer multiple of the solution with its own free coordinate, or the
-    constant, set to 1 and the other free coordinates set to 0.
-    """
-    scale = lcm(*(row[j] for row, j in zip(flat.rows, flat.pivots)))
-    basis = []
-    for f in [j for j in range(n) if j not in flat.pivots] + [n]:
-        w = [0] * (n + 1)
-        w[f] = scale
-        for row, j in zip(flat.rows, flat.pivots):
-            w[j] = -row[f] * (scale // row[j])
-        basis.append(w)
-    return basis
-
-
 def _restrict(row, basis) -> tuple:
     """The hyperplane `row` restricted to the flat with kernel basis `basis`.
 
@@ -193,16 +134,7 @@ def _restrict(row, basis) -> tuple:
     for a line a point, for a plane a line.  Two hyperplanes cut the flat in
     the same place exactly when their keys are equal.
     """
-    key = [sum(map(mul, row, w)) for w in basis]
-    g = gcd(*key)
-    if not g:
-        return tuple(key)
-    for x in key:
-        if x:
-            break
-    if x < 0:
-        g = -g
-    return tuple([x // g for x in key])
+    return primitive([sum(map(mul, row, w)) for w in basis])
 
 
 def _cross(a, b):
@@ -327,7 +259,8 @@ def count_flats(arr: Arrangement, cap: int = DEFAULT_CAP) -> FlatCounts:
     def close(flat, start, size):
         table = closed.get((flat.rows, start))
         if table is None:
-            basis = _kernel_basis(flat, n)
+            # Directions of the flat, then an affine part: column n is never a pivot.
+            _, basis = integer_kernel_basis(flat.rows, flat.pivots, n + 1)
             keys = [_restrict(row, basis) for row in rows[start:]]
             table = closed[(flat.rows, start)] = _closed_table(keys, flat.dimension)
         d = flat.dimension
@@ -414,7 +347,9 @@ def build_intersection_poset(arr: Arrangement, cap: int = DEFAULT_CAP) -> Inters
                     children.setdefault(g.rows, [g, mask])[1] |= 1 << i
         found.update((key, tuple(child)) for key, child in children.items())
         frontier = [g for g, _ in children.values()]
-    order = sorted(found.values(), key=lambda fk: (n - fk[0].dimension, fk[0]._rref_entries()))
+    order = sorted(
+        found.values(), key=lambda fk: (n - fk[0].dimension, rref_entries(fk[0].rows, fk[0].pivots))
+    )
     flats, keys = zip(*order)
     # Sorted by codimension, so the flats containing flats[i] come before it.
     below = tuple(

@@ -2,13 +2,19 @@
 
 Scalars are `fractions.Fraction`, so every rank and kernel in this package is
 exact; there is no floating point anywhere.  Matrices are immutable and
-degenerate shapes (0xk, kx0) are legal, behaving as rank-0 maps.  Pivot selection in `rref` is deterministic: leftmost nonzero column,
-topmost candidate row.
+degenerate shapes (0xk, kx0) are legal, behaving as rank-0 maps.
+
+The one row elimination, `echelon_insert`, runs on integers: it adds a row
+to the primitive echelon rows of a row space (its rref rows scaled to coprime
+integers with positive pivots, a unique form) by fraction-free
+cross-multiplication.  `rref`, `rank` and `kernel_basis` fold a matrix's
+rows, cleared of denominators, over it; flats add hyperplanes with it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 ZERO = Fraction(0)
@@ -58,13 +64,6 @@ class QMatrix:
 
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def column(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def row_lists(self) -> list:
-        c = self.cols
-        return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
 
     def __eq__(self, other) -> bool:
         return (
@@ -123,57 +122,113 @@ class QMatrix:
             out.extend(self.entries[i * self.cols + j0 : i * self.cols + j1])
         return QMatrix(self.rows, j1 - j0, out)
 
+    def echelon(self) -> tuple[tuple, tuple]:
+        """Primitive integer echelon rows of the row space and their pivot columns."""
+        rows = pivots = ()
+        for i in range(self.rows):
+            row = self.row(i)
+            scale = lcm(*(x.denominator for x in row))
+            ints = [x.numerator * (scale // x.denominator) for x in row]
+            step = echelon_insert(rows, pivots, ints)
+            if step is not None:
+                rows, pivots = step
+        return rows, pivots
+
     def rref(self) -> tuple["QMatrix", int, tuple]:
         """Reduced row echelon form; returns (reduced, rank, pivot_columns)."""
-        m = self.row_lists()
-        nr, nc = self.rows, self.cols
-        pivots = []
-        pr = 0
-        for c in range(nc):
-            if pr == nr:
-                break
-            pivot = next((i for i in range(pr, nr) if m[i][c]), None)
-            if pivot is None:
-                continue
-            if pivot != pr:
-                m[pr], m[pivot] = m[pivot], m[pr]
-            prow = m[pr]
-            pv = prow[c]
-            if pv != 1:
-                inv = ONE / pv
-                for j in range(c, nc):
-                    if prow[j]:
-                        prow[j] *= inv
-            for i in range(nr):
-                f = m[i][c]
-                if f and i != pr:
-                    row = m[i]
-                    for j in range(c, nc):
-                        if prow[j]:
-                            row[j] -= f * prow[j]
-            pivots.append(c)
-            pr += 1
-        reduced = QMatrix(nr, nc, [x for row in m for x in row])
-        return reduced, len(pivots), tuple(pivots)
+        rows, pivots = self.echelon()
+        entries = rref_entries(rows, pivots) + [ZERO] * ((self.rows - len(rows)) * self.cols)
+        return QMatrix(self.rows, self.cols, entries), len(pivots), pivots
 
     def rank(self) -> int:
-        return self.rref()[1]
+        return len(self.echelon()[1])
 
     def kernel_basis(self) -> "QMatrix":
         """Basis of the right kernel {x : self @ x = 0}, one column per free variable."""
-        reduced, rank, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [j for j in range(self.cols) if j not in pivot_set]
-        cols = []
-        for f in free:
-            v = [ZERO] * self.cols
-            v[f] = ONE
-            for i, p in enumerate(pivots):
-                v[p] = -reduced.at(i, f)
-            cols.append(v)
+        scale, basis = integer_kernel_basis(*self.echelon(), self.cols)
         return QMatrix(
-            self.cols, len(free), [cols[j][i] for i in range(self.cols) for j in range(len(free))]
+            self.cols, len(basis), [Fraction(w[i], scale) for i in range(self.cols) for w in basis]
         )
+
+
+def _primitive(v, sign) -> tuple:
+    """v divided by sign * gcd(v)."""
+    g = sign * gcd(*v)
+    return tuple(v) if g == 1 else tuple([x // g for x in v])
+
+
+def primitive(v) -> tuple:
+    """v divided by the gcd of its entries, signed so its first nonzero entry is positive."""
+    for x in v:
+        if x:
+            return _primitive(v, -1 if x < 0 else 1)
+    return tuple(v)
+
+
+def echelon_insert(rows: tuple, pivots: tuple, row) -> tuple[tuple, tuple] | None:
+    """Add the integer `row` to primitive echelon `rows` with pivot columns `pivots`.
+
+    The row is reduced against each pivot row by integer cross-multiplication.
+    If it reduces to zero it lies in their span and None is returned;
+    otherwise it is made primitive and becomes a pivot row, and its pivot
+    column is cleared from the other rows, which keeps the form canonical.
+    Returns the new rows and pivot columns, in pivot order.
+    """
+    v = row
+    for other, j in zip(rows, pivots):
+        x = v[j]
+        if x:
+            a = other[j]
+            v = [a * vi - x * oi for vi, oi in zip(v, other)]
+    for q, x in enumerate(v):
+        if x:
+            break
+    else:
+        return None
+    v = primitive(v)
+    b = v[q]
+    out = []
+    at = 0
+    for other, j in zip(rows, pivots):
+        # Only rows pivoting left of q can be nonzero in column q.
+        if j < q:
+            at += 1
+            y = other[q]
+            if y:
+                other = _primitive([b * oi - y * vi for oi, vi in zip(other, v)], 1)
+        out.append(other)
+    out.insert(at, v)
+    return tuple(out), pivots[:at] + (q,) + pivots[at:]
+
+
+def integer_kernel_basis(rows: tuple, pivots: tuple, width: int) -> tuple[int, list]:
+    """(scale, basis): an integer kernel basis of primitive echelon `rows`.
+
+    One vector per free column f, in column order: scale, the lcm of the
+    pivots, times the solution with f-th coordinate 1 and the other free
+    coordinates 0.
+    """
+    scale = lcm(*(row[j] for row, j in zip(rows, pivots)))
+    basis = []
+    for f in range(width):
+        if f in pivots:
+            continue
+        w = [0] * width
+        w[f] = scale
+        for row, j in zip(rows, pivots):
+            w[j] = -row[f] * (scale // row[j])
+        basis.append(w)
+    return scale, basis
+
+
+def rref_entries(rows: tuple, pivots: tuple) -> list:
+    """Row-major entries of primitive echelon `rows`, each divided by its pivot."""
+    return [
+        Fraction(x, p) if x % p else x // p
+        for row, j in zip(rows, pivots)
+        for p in (row[j],)
+        for x in row
+    ]
 
 
 def kron(a: QMatrix, b: QMatrix) -> QMatrix:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .arrangement import MAX_DIMENSION, parse_rational
+from .arrangement import MAX_DIMENSION, parse_integer, parse_rational
 from .errors import ParseError, ValidationError
 from .linalg import QMatrix, kron
 
@@ -339,12 +339,13 @@ def tensor_double_complex(a: Complex, b: Complex) -> DoubleComplex:
 def parse_double_complex(text: str) -> DoubleComplex:
     """Parse the double-complex text format.
 
-    A `dims` header is followed by `p q dim` triples; each `dh p q` or
-    `dv p q` line is followed by the dense rational matrix of that block,
-    one row per line (target dimension rows of source dimension entries),
-    each entry an integer or `p/q` (`arrangement.parse_rational`).
-    Omitted differentials are zero.  `#` starts a comment.  The dimensions
-    may add up to at most `MAX_DIMENSION`.
+    A `dims` header is followed by `p q dim` triples of integers
+    (`arrangement.parse_integer`); each `dh p q` or `dv p q` line is followed
+    by the dense rational matrix of that block, one row per line (target
+    dimension rows of source dimension entries), each entry an integer or
+    `p/q` (`arrangement.parse_rational`).  Omitted differentials are zero.
+    `#` starts a comment.  The dimensions may add up to at most
+    `MAX_DIMENSION`.
     """
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -363,10 +364,7 @@ def parse_double_complex(text: str) -> DoubleComplex:
             break
         if len(fields) != 3:
             raise ParseError("expected `p q dim` triple", line=lineno)
-        try:
-            p, q, d = (int(f) for f in fields)
-        except ValueError:
-            raise ParseError(f"bad integer in {line!r}", line=lineno) from None
+        p, q, d = (parse_integer(f, f"bad integer in {line!r}", lineno) for f in fields)
         if d < 0:
             raise ParseError("dimension must be nonnegative", line=lineno)
         if (p, q) in dims:
@@ -385,10 +383,7 @@ def parse_double_complex(text: str) -> DoubleComplex:
         fields = line.split()
         if len(fields) != 3 or fields[0] not in ("dh", "dv"):
             raise ParseError("expected `dh p q` or `dv p q` block header", line=lineno)
-        try:
-            p, q = int(fields[1]), int(fields[2])
-        except ValueError:
-            raise ParseError(f"bad position in {line!r}", line=lineno) from None
+        p, q = (parse_integer(f, f"bad position in {line!r}", lineno) for f in fields[1:])
         src = dims.get((p, q), 0)
         tgt = dims.get((p + 1, q) if fields[0] == "dh" else (p, q + 1), 0)
         idx += 1

@@ -58,6 +58,11 @@ def test_parse_reports_line_numbers():
             parse_arrangement(header + "\n")
         assert err.value.line == 1
     assert parse_arrangement(f"affine {MAX_DIMENSION}\n").ambient_dim == MAX_DIMENSION
+    # Integers are ASCII digits only: no underscores, no other scripts' digits.
+    for field in ("0_2", "1_0", "\u0662", "\u0661\u0660"):
+        with pytest.raises(ParseError, match="bad dimension") as err:
+            parse_arrangement(f"# header below\naffine {field}\n1 0 0\n")
+        assert (err.value.line, err.value.column) == (2, 2)
 
 
 def test_parse_comments_blanks_fractions():

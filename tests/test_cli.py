@@ -305,6 +305,7 @@ def malformed_files(draw):
 
 @given(malformed_files())
 @example("dims\n0 0 100000\n1 0 100000\n")
+@example("dims\n0 0 1_0\n")
 @settings(max_examples=60, deadline=None)
 def test_malformed_input_never_escapes(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("fuzz") / "input.txt"

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -71,7 +71,7 @@ def test_kernel_explicit():
     m = QMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
     k = m.kernel_basis()
     assert k.cols == 1
-    assert k.column(0) == (Fraction(1), Fraction(-1), Fraction(1))
+    assert k.transpose().row(0) == (Fraction(1), Fraction(-1), Fraction(1))
     assert (m @ k).is_zero()
 
 
@@ -119,16 +119,33 @@ def test_scalar_arithmetic_exact(a, b):
     assert gcd(abs(a.numerator), a.denominator) == 1
 
 
-@given(matrices(max_rows=4, max_cols=5))
-@settings(max_examples=40, deadline=None)
+@st.composite
+def matrices_with_zero_lines(draw):
+    """Matrices up to 6x8 with some rows and columns zeroed and some rows repeated."""
+    m = draw(matrices(max_rows=6, max_cols=8))
+    zero_rows = draw(st.sets(st.integers(0, 5)))
+    zero_cols = draw(st.sets(st.integers(0, 7)))
+    rows = [
+        [0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+        for i, row in enumerate(map(m.row, range(m.rows)))
+    ]
+    if rows and m.rows < 6 and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), list(draw(st.sampled_from(rows))))
+    return QMatrix(len(rows), m.cols, [x for row in rows for x in row])
+
+
+@given(matrices_with_zero_lines())
+@settings(max_examples=100, deadline=None)
 def test_rref_against_sympy(m):
-    sympy = pytest.importorskip("sympy")
-    if m.rows == 0 or m.cols == 0:
-        return
     theirs = sympy.Matrix(m.rows, m.cols, [sympy.Rational(x) for x in m.entries])
     reduced, rank, pivots = m.rref()
     their_rref, their_pivots = theirs.rref()
     assert pivots == tuple(their_pivots)
     assert rank == theirs.rank()
+    assert m.rank() == theirs.rank()
     assert [sympy.Rational(x) for x in reduced.entries] == list(their_rref)
-    assert m.kernel_basis().cols == len(theirs.nullspace())
+    kernel = m.kernel_basis()
+    their_kernel = theirs.nullspace()
+    assert (kernel.rows, kernel.cols) == (m.cols, len(their_kernel))
+    for j, column in enumerate(their_kernel):
+        assert [sympy.Rational(x) for x in kernel.transpose().row(j)] == list(column)

@@ -59,8 +59,9 @@ def block_sum(x: Complex, y: Complex) -> Complex:
     dims = {n: x.dim(n) + y.dim(n) for n in set(x.dims) | set(y.dims)}
     diff = {}
     for n in dims:
-        top = [row + [0] * y.dim(n) for row in x.d(n).row_lists()]
-        bottom = [[0] * x.dim(n) + row for row in y.d(n).row_lists()]
+        dx, dy = x.d(n), y.d(n)
+        top = [list(dx.row(i)) + [0] * y.dim(n) for i in range(dx.rows)]
+        bottom = [[0] * x.dim(n) + list(dy.row(i)) for i in range(dy.rows)]
         diff[n] = QMatrix.from_rows(top + bottom)
     return Complex(dims, diff)
 
@@ -236,6 +237,19 @@ def test_parse_errors():
         parse_double_complex("dims\n0 0 600\n1 0 401\n")
     assert err.value.line == 3
     assert parse_double_complex("dims\n0 0 600\n1 0 400\n").dim(1, 0) == 400
+    # Dimensions and positions are ASCII digits only: no underscores, no
+    # other scripts' digits.
+    for field in ("1_0", "\u0661"):
+        with pytest.raises(ParseError, match="bad integer") as err:
+            parse_double_complex(f"dims\n0 0 {field}\n")
+        assert err.value.line == 2
+        with pytest.raises(ParseError, match="bad integer") as err:
+            parse_double_complex(f"dims\n0 0 1\n{field} 0 1\n")
+        assert err.value.line == 3
+        for block in (f"dh {field} 0", f"dv 0 {field}"):
+            with pytest.raises(ParseError, match="bad position") as err:
+                parse_double_complex(f"dims\n0 0 1\n1 0 1\n0 1 1\n{block}\n1\n")
+            assert err.value.line == 5
     # Matrix entries are integers or p/q: no exponents, no decimals.
     for field in ("1e10000000", "1.5"):
         with pytest.raises(ParseError, match="bad rational") as err:
