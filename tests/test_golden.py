@@ -50,6 +50,15 @@ EXTRA_INPUTS = {
         "dims\n0 1 1\n1 1 1\n1 0 1\n2 0 1\n"
         "dh 0 1\n1\ndv 1 0\n1\ndh 1 0\n1\n"
     ),
+    # that staircase plus its transpose shifted by (1,0), the dv-first zigzag
+    # (2,0) -> (2,1) <- (1,1) -> (1,2), sharing the cells (1,1) and (2,0):
+    # the vertical filtration has d2 from (0,1) to (2,0), the horizontal one
+    # d2 from (2,0) to (1,2)
+    "zigzag_pair_d2.dc": (
+        "dims\n0 1 1\n1 1 2\n1 0 1\n2 0 2\n2 1 1\n1 2 1\n"
+        "dh 0 1\n1\n0\ndv 1 0\n1\n0\ndh 1 0\n1\n0\n"
+        "dv 2 0\n0 1\ndh 1 1\n0 1\ndv 1 1\n0 1\n"
+    ),
 }
 
 EXTRA_CASES = (
@@ -69,6 +78,8 @@ EXTRA_CASES = (
     ("readme_square.dc", ("ss", "--json")),
     ("staircase_d2.dc", ("ss", "--verbose")),
     ("staircase_d2.dc", ("ss", "--json")),
+    ("zigzag_pair_d2.dc", ("ss", "--verbose")),
+    ("zigzag_pair_d2.dc", ("ss", "--json")),
 )
 
 
