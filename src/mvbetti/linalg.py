@@ -7,8 +7,10 @@ degenerate shapes (0xk, kx0) are legal, behaving as rank-0 maps.
 The one row elimination, `echelon_insert`, runs on integers: it adds a row
 to the primitive echelon rows of a row space (its rref rows scaled to coprime
 integers with positive pivots, a unique form) by fraction-free
-cross-multiplication.  `rref`, `rank` and `kernel_basis` fold a matrix's
-rows, cleared of denominators, over it; flats add hyperplanes with it.
+cross-multiplication.  `pivot_profile` folds rows over it and records the
+pivot column each row adds, which gives the rank of every leading corner
+block at once.  `rref`, `rank` and `kernel_basis` fold a matrix's rows,
+cleared of denominators, that way; flats add hyperplanes with the step.
 """
 
 from __future__ import annotations
@@ -113,25 +115,9 @@ class QMatrix:
                             out[io + j] += x * y
         return QMatrix(n, p, out)
 
-    def rows_slice(self, i0: int, i1: int) -> "QMatrix":
-        return QMatrix(i1 - i0, self.cols, self.entries[i0 * self.cols : i1 * self.cols])
-
-    def cols_slice(self, j0: int, j1: int) -> "QMatrix":
-        out = []
-        for i in range(self.rows):
-            out.extend(self.entries[i * self.cols + j0 : i * self.cols + j1])
-        return QMatrix(self.rows, j1 - j0, out)
-
     def echelon(self) -> tuple[tuple, tuple]:
         """Primitive integer echelon rows of the row space and their pivot columns."""
-        rows = pivots = ()
-        for i in range(self.rows):
-            row = self.row(i)
-            scale = lcm(*(x.denominator for x in row))
-            ints = [x.numerator * (scale // x.denominator) for x in row]
-            step = echelon_insert(rows, pivots, ints)
-            if step is not None:
-                rows, pivots = step
+        rows, pivots, _ = pivot_profile(integer_row(self.row(i)) for i in range(self.rows))
         return rows, pivots
 
     def rref(self) -> tuple["QMatrix", int, tuple]:
@@ -149,6 +135,12 @@ class QMatrix:
         return QMatrix(
             self.cols, len(basis), [Fraction(w[i], scale) for i in range(self.cols) for w in basis]
         )
+
+
+def integer_row(row) -> list:
+    """A row of rationals as integers, scaled by the lcm of its denominators."""
+    scale = lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
 
 
 def _primitive(v, sign) -> tuple:
@@ -199,6 +191,31 @@ def echelon_insert(rows: tuple, pivots: tuple, row) -> tuple[tuple, tuple] | Non
         out.append(other)
     out.insert(at, v)
     return tuple(out), pivots[:at] + (q,) + pivots[at:]
+
+
+def pivot_profile(rows: Iterable) -> tuple[tuple, tuple, list]:
+    """Fold integer `rows`, in order, over `echelon_insert`.
+
+    Returns the primitive echelon rows and pivot columns of their span, and
+    for each row the pivot column it adds to the echelon form of the rows
+    before it, or None if it lies in their span.  The pivot columns of a row
+    space are where its rref pivots, so the rank of every leading corner
+    rows[:i] x columns[:j] is the number of rows before i whose pivot lies
+    left of column j (the rank profile of Dumas, Pernet and Sultan, ISSAC
+    2015).
+    """
+    echelon = pivots = ()
+    added = []
+    for row in rows:
+        step = echelon_insert(echelon, pivots, row)
+        if step is None:
+            added.append(None)
+            continue
+        # The new pivot is the first place where the sorted pivots differ.
+        new = step[1]
+        added.append(next((j for j, old in zip(new, pivots) if j != old), new[-1]))
+        echelon, pivots = step
+    return echelon, pivots, added
 
 
 def integer_kernel_basis(rows: tuple, pivots: tuple, width: int) -> tuple[int, list]:

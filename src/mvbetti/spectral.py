@@ -19,19 +19,29 @@ F^{p+1} is the image of F^{p-r+1} mod F^{p+1} meeting F^p.  Only dimensions
 are exposed, not bases or induced differentials.
 
 Conventions: `vertical` filters by column (first index); its first page is
-the columnwise cohomology H^q(C^{p,*}).  `horizontal` filters by row; its
-first page is the rowwise cohomology H^p(C^{*,q}).  The horizontal pages are
-obtained by running the column filtration on the transposed double complex.
+the columnwise cohomology H^q(C^{p,*}).  `horizontal` filters by row (second
+index); its first page is the rowwise cohomology H^p(C^{*,q}).
+
+Every rho of one degree is read off a single exact elimination of d(n).
+Both Tot^n and Tot^{n+1} list their cells by first index.  So for
+`vertical`, F^a is a suffix of the columns and the complement of F^b a
+prefix of the rows; for `horizontal` (q = n - p), F^a is a prefix of the
+columns and the complement of F^b a suffix of the rows.  Reversing the
+columns in the first case, and the rows in the second, makes every such
+block a leading corner.  `linalg.pivot_profile` folds the rows in that
+order and records the pivot column each row adds; the rank of a leading
+corner is the number of its rows whose pivot lies inside its columns.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
 from .arrangement import MAX_DIMENSION, parse_integer, parse_rational
 from .errors import ParseError, ValidationError
-from .linalg import QMatrix, kron
+from .linalg import QMatrix, integer_row, kron, pivot_profile
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
@@ -132,13 +142,6 @@ class DoubleComplex:
         m = self.d_vert.get((p, q))
         return m if m is not None else QMatrix.zeros(self.dim(p, q + 1), self.dim(p, q))
 
-    def transpose(self) -> "DoubleComplex":
-        return DoubleComplex(
-            {(q, p): d for (p, q), d in self.dims.items()},
-            {(q, p): m for (p, q), m in self.d_vert.items()},
-            {(q, p): m for (p, q), m in self.d_horiz.items()},
-        )
-
     def support_box(self) -> tuple:
         """(min_p, max_p, min_q, max_q) of the support; None for empty support."""
         if not self.dims:
@@ -155,6 +158,10 @@ class _Layout:
         self.dc = dc
         self.offsets = {}
         self.total = {}
+        # Per degree: the sorted first indices of the cells, and the offsets
+        # of those cells followed by the total.
+        self._firsts = {}
+        self._starts = {}
         degrees = sorted({p + q for p, q in dc.dims})
         for n in degrees:
             cells = sorted((p, q) for (p, q) in dc.dims if p + q == n)
@@ -165,35 +172,32 @@ class _Layout:
                 pos += dc.dims[cell]
             self.offsets[n] = off
             self.total[n] = pos
-        self._d_cache = {}
+            self._firsts[n] = [p for p, _ in cells]
+            self._starts[n] = [*off.values(), pos]
 
     def dim(self, n: int) -> int:
         return self.total.get(n, 0)
 
-    def d(self, n: int) -> QMatrix:
-        """Total differential Tot^n -> Tot^{n+1}, assembled blockwise."""
-        cached = self._d_cache.get(n)
-        if cached is not None:
-            return cached
-        rows, cols = self.dim(n + 1), self.dim(n)
-        out = [0] * (rows * cols)
+    def rows(self, n: int) -> list:
+        """Rows of the total differential Tot^n -> Tot^{n+1}, assembled blockwise.
+
+        Entries are the blocks' `Fraction`s, and the int 0 elsewhere.
+        """
+        out = [[0] * self.dim(n) for _ in range(self.dim(n + 1))]
         tgt_off = self.offsets.get(n + 1, {})
         for (p, q), src in self.offsets.get(n, {}).items():
-            for block, cell in ((self.dc.dh(p, q), (p + 1, q)), (self.dc.dv(p, q), (p, q + 1))):
-                if cell not in tgt_off or block.is_zero():
-                    continue
-                base = tgt_off[cell]
-                for i in range(block.rows):
-                    for j in range(block.cols):
-                        out[(base + i) * cols + (src + j)] = block.at(i, j)
-        mat = QMatrix(rows, cols, out)
-        self._d_cache[n] = mat
-        return mat
+            for maps, cell in ((self.dc.d_horiz, (p + 1, q)), (self.dc.d_vert, (p, q + 1))):
+                block = maps.get((p, q))
+                if block is not None:
+                    base = tgt_off[cell]
+                    for i in range(block.rows):
+                        out[base + i][src : src + block.cols] = block.row(i)
+        return out
 
     def start(self, n: int, a: int) -> int:
-        """Offset of F^a Tot^n, whose cells (first index >= a) come last."""
-        offsets = self.offsets.get(n, {})
-        return next((off for (p, _), off in offsets.items() if p >= a), self.dim(n))
+        """Offset of the first cell of Tot^n whose first index is at least a."""
+        firsts = self._firsts.get(n)
+        return self._starts[n][bisect_left(firsts, a)] if firsts else 0
 
 
 def total_complex(dc: DoubleComplex) -> Complex:
@@ -201,7 +205,7 @@ def total_complex(dc: DoubleComplex) -> Complex:
     layout = _Layout(dc)
     diff = {}
     for n in layout.total:
-        d = layout.d(n)
+        d = QMatrix(layout.dim(n + 1), layout.dim(n), [x for row in layout.rows(n) for x in row])
         if not d.is_zero():
             diff[n] = d
     return Complex(layout.total, diff)
@@ -249,33 +253,54 @@ def _group_by_r(table: dict) -> dict:
     return by_r
 
 
-def _column_pages(dc: DoubleComplex, r_max: int) -> dict:
-    """Pages of the column (first-index) filtration, keyed (r, p, q).
+def _filtration_pages(dc: DoubleComplex, filtration: str, r_max: int) -> dict:
+    """Pages of `filtration`, keyed (r, p, q).
 
-    Each page entry is the signed sum of four ranks of the module docstring.
-    rho(n, a, b) is the rank of the corner block of d(n) with columns in
-    F^a (a suffix, cells being sorted by first index) and rows outside F^b
-    (a prefix), memoized by those offsets; it is zero for b <= a because d
-    preserves the filtration.
+    Each page entry is the signed sum of four ranks of the module docstring,
+    taken at the cell's filtration index s: p for vertical, q for
+    horizontal.  rho(n, a, b) is zero for b <= a, because d preserves the
+    filtration.  Otherwise it is the rank of a leading corner of d(n), whose
+    rows are folded once per degree by `linalg.pivot_profile`:
+    - vertical: rows top-down, each row reversed.  The corner is the rows of
+      the cells with p < b by the last columns, those of the cells with
+      p >= a.
+    - horizontal: rows bottom-up, columns in order.  The corner is the last
+      rows, those of the cells with q < b, by the columns of the cells with
+      q >= a, which come first.
+    The rank is the number of the corner's rows whose pivot lies inside its
+    columns, memoized by degree and corner shape.
     """
     layout = _Layout(dc)
+    vertical = filtration == VERTICAL
+    profiles = {}
     ranks = {}
 
     def rho(n: int, a: int, b: int) -> int:
         if b <= a:
             return 0
-        key = (n, layout.start(n, a), layout.start(n + 1, b))
-        if key not in ranks:
-            d = layout.d(n)
-            ranks[key] = d.rows_slice(0, key[2]).cols_slice(key[1], d.cols).rank()
-        return ranks[key]
+        if vertical:
+            height, width = layout.start(n + 1, b), layout.dim(n) - layout.start(n, a)
+        else:
+            height = layout.dim(n + 1) - layout.start(n + 1, n + 2 - b)
+            width = layout.start(n, n + 1 - a)
+        key = (n, height, width)
+        rank = ranks.get(key)
+        if rank is None:
+            added = profiles.get(n)
+            if added is None:
+                ints = [integer_row(row) for row in layout.rows(n)]
+                ints = [row[::-1] for row in ints] if vertical else ints[::-1]
+                added = profiles[n] = pivot_profile(ints)[2]
+            rank = ranks[key] = sum(1 for j in added[:height] if j is not None and j < width)
+        return rank
 
     pages = {}
     for (p, q), dim_pq in dc.dims.items():
         n = p + q
+        s = p if vertical else q
         for r in range(r_max + 1):
-            cycles = dim_pq - rho(n, p, p + r) + rho(n, p + 1, p + r)
-            boundaries = rho(n - 1, p - r + 1, p + 1) - rho(n - 1, p - r + 1, p)
+            cycles = dim_pq - rho(n, s, s + r) + rho(n, s + 1, s + r)
+            boundaries = rho(n - 1, s - r + 1, s + 1) - rho(n - 1, s - r + 1, s)
             dim = cycles - boundaries
             if dim:
                 pages[(r, p, q)] = dim
@@ -286,12 +311,9 @@ def pages(dc: DoubleComplex, filtration: str, r_max: int) -> PageTable:
     """Page dimensions E_r^{p,q} for r = 0..r_max under the chosen filtration."""
     if r_max < 2:
         raise ValidationError("r_max must be at least 2")
-    if filtration == VERTICAL:
-        table = _column_pages(dc, r_max)
-    elif filtration == HORIZONTAL:
-        table = {(r, q, p): d for (r, p, q), d in _column_pages(dc.transpose(), r_max).items()}
-    else:
+    if filtration not in (HORIZONTAL, VERTICAL):
         raise ValidationError(f"unknown filtration {filtration!r}")
+    table = _filtration_pages(dc, filtration, r_max)
     by_r = _group_by_r(table)
     last = by_r.get(r_max, {})
     stable_at = r_max

@@ -5,7 +5,9 @@ rows/columns comes straight from ranks of the stored differentials, never
 from the page calculator.
 """
 
-from mvbetti import DoubleComplex
+from functools import cache
+
+from mvbetti import HORIZONTAL, DoubleComplex, QMatrix
 
 
 def row_cohomology(dc: DoubleComplex) -> dict:
@@ -25,6 +27,55 @@ def column_cohomology(dc: DoubleComplex) -> dict:
         h = dc.dim(p, q) - dc.dv(p, q).rank() - dc.dv(p, q - 1).rank()
         if h:
             out[(p, q)] = h
+    return out
+
+
+def reference_pages(dc: DoubleComplex, filtration: str, r_max: int) -> dict:
+    """Page table {(r, p, q): dim} from ranks of explicitly assembled blocks.
+
+    This is the column filtration taken from the definition: rho(n, a, b)
+    is the rank of the block of the total differential from the cells of
+    degree n with first index >= a to the cells of degree n+1 with first
+    index < b, built cell by cell from d_horiz and d_vert, and the four-rank
+    formula of `mvbetti.spectral` gives each entry.  The horizontal
+    filtration is the column filtration of the transpose: cells (q, p), with
+    d_horiz and d_vert swapped.
+    """
+    dims, dh, dv = dc.dims, dc.d_horiz, dc.d_vert
+    if filtration == HORIZONTAL:
+        dims = {(q, p): d for (p, q), d in dims.items()}
+        dh, dv = ({(q, p): m for (p, q), m in maps.items()} for maps in (dv, dh))
+
+    def component(src, tgt):
+        p, q = src
+        return {(p + 1, q): dh, (p, q + 1): dv}.get(tgt, {}).get(src)
+
+    @cache
+    def rho(n, a, b):
+        cols = sorted(c for c in dims if sum(c) == n and c[0] >= a)
+        rows = sorted(c for c in dims if sum(c) == n + 1 and c[0] < b)
+        entries = []
+        for tgt in rows:
+            for i in range(dims[tgt]):
+                for src in cols:
+                    m = component(src, tgt)
+                    entries.extend(m.row(i) if m is not None else [0] * dims[src])
+        height = sum(dims[tgt] for tgt in rows)
+        return QMatrix(height, sum(dims[src] for src in cols), entries).rank()
+
+    out = {}
+    for (p, q), d in dims.items():
+        n = p + q
+        for r in range(r_max + 1):
+            dim = (
+                d
+                - rho(n, p, p + r)
+                + rho(n, p + 1, p + r)
+                - rho(n - 1, p - r + 1, p + 1)
+                + rho(n - 1, p - r + 1, p)
+            )
+            if dim:
+                out[(r, q, p) if filtration == HORIZONTAL else (r, p, q)] = dim
     return out
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvbetti import QMatrix
-from mvbetti.linalg import kron
+from mvbetti.linalg import integer_row, kron, pivot_profile
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -149,3 +149,27 @@ def test_rref_against_sympy(m):
     assert (kernel.rows, kernel.cols) == (m.cols, len(their_kernel))
     for j, column in enumerate(their_kernel):
         assert [sympy.Rational(x) for x in kernel.transpose().row(j)] == list(column)
+
+
+@given(matrices_with_zero_lines(), st.booleans(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_pivot_profile_gives_every_leading_corner_rank(m, flip_rows, flip_cols):
+    # Reversing the rows, the columns or both turns the other three corners
+    # of m into leading corners.
+    ints = [integer_row(m.row(i)) for i in range(m.rows)]
+    if flip_cols:
+        ints = [row[::-1] for row in ints]
+    if flip_rows:
+        ints = ints[::-1]
+    _, pivots, added = pivot_profile(ints)
+    assert len(added) == m.rows
+    assert sorted(j for j in added if j is not None) == list(pivots)
+    theirs = sympy.Matrix(m.rows, m.cols, [sympy.Rational(x) for x in m.entries])
+    if flip_cols:
+        theirs = theirs[:, ::-1]
+    if flip_rows:
+        theirs = theirs[::-1, :]
+    for i in range(m.rows + 1):
+        for j in range(m.cols + 1):
+            ours = sum(1 for q in added[:i] if q is not None and q < j)
+            assert ours == theirs[:i, :j].rank(), (i, j)

@@ -1,5 +1,6 @@
 """Total complexes, page tables and convergence of the generic engine."""
 
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -22,7 +23,7 @@ from mvbetti import (
 )
 from mvbetti.generate import random_complex
 
-from helpers import column_cohomology, kunneth_product, row_cohomology
+from helpers import column_cohomology, kunneth_product, reference_pages, row_cohomology
 
 ONE = QMatrix.from_rows([[1]])
 
@@ -191,6 +192,98 @@ def test_random_tensor_complexes_full_suite(seed):
         assert len(euler) == 1
         for r in range(2, r_max + 1):
             assert pt.page(r) == kunneth_grid
+
+
+def _basis_change(rng: Random, n: int) -> tuple:
+    """(g, g^-1) for a random invertible n x n rational matrix, as QMatrices."""
+    g = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in g]
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            # Row i of g times t, column i of g^-1 divided by t.
+            t = Fraction(rng.choice([-2, -1, 2, 3]), rng.choice([1, 2, 3]))
+            g[i] = [t * x for x in g[i]]
+            for row in inv:
+                row[i] /= t
+        else:
+            # Row i of g plus t times row j, column j of g^-1 minus t times column i.
+            t = rng.choice([-2, -1, 1, 2])
+            g[i] = [x + t * y for x, y in zip(g[i], g[j])]
+            for row in inv:
+                row[j] -= t * row[i]
+    return QMatrix.from_rows(g), QMatrix.from_rows(inv)
+
+
+def zigzag_sum(rng: Random) -> DoubleComplex:
+    """Direct sum of random zigzag staircases, in a random basis of each cell.
+
+    A staircase runs down and to the right through one-dimensional cells,
+    alternately sources (total degree n) and targets (degree n + 1): a
+    source's d_horiz hits the target to its right, and a target is hit by
+    the d_vert of the source below it, each with a random nonzero
+    coefficient.  Targets map nowhere, so every composite vanishes: d^2 = 0
+    and the differentials anticommute.  A direct sum keeps that, and so does
+    an invertible change of basis in each cell, which also mixes the
+    summands that share a cell.
+    """
+    dims = {}
+    edges = []  # (kind, source cell, source index, target index)
+
+    def add(cell):
+        dims[cell] = dims.get(cell, 0) + 1
+        return dims[cell] - 1
+
+    for _ in range(rng.randint(1, 4)):
+        cell = (rng.randint(-1, 2), rng.randint(-1, 3))
+        index, source = add(cell), rng.random() < 0.5
+        for _ in range(rng.randint(0, 7)):
+            p, q = cell
+            nxt = (p + 1, q) if source else (p, q - 1)
+            j = add(nxt)
+            edges.append(("h", cell, index, j) if source else ("v", nxt, j, index))
+            cell, index, source = nxt, j, not source
+    entries = {}
+    for kind, (p, q), i, j in edges:
+        tgt = (p + 1, q) if kind == "h" else (p, q + 1)
+        block = entries.setdefault((kind, (p, q)), [[0] * dims[(p, q)] for _ in range(dims[tgt])])
+        block[j][i] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2]))
+    change = {cell: _basis_change(rng, d) for cell, d in dims.items()}
+    maps = {"h": {}, "v": {}}
+    for (kind, (p, q)), block in entries.items():
+        tgt = (p + 1, q) if kind == "h" else (p, q + 1)
+        maps[kind][(p, q)] = change[tgt][0] @ QMatrix.from_rows(block) @ change[(p, q)][1]
+    return DoubleComplex(dims, maps["h"], maps["v"])
+
+
+def _r_max(dc: DoubleComplex) -> int:
+    box = dc.support_box()
+    return max(2, box[1] - box[0] + 2, box[3] - box[2] + 2)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_pages_match_reference_on_zigzag_sums(seed):
+    dc = zigzag_sum(Random(seed))
+    r_max = _r_max(dc)
+    h = cohomology_dims(total_complex(dc))
+    for filtration in (HORIZONTAL, VERTICAL):
+        pt = pages(dc, filtration, r_max)
+        assert pt.pages == reference_pages(dc, filtration, r_max)
+        assert verify_convergence(pt, h)
+
+
+def test_zigzag_sums_have_late_differentials():
+    # Over Q a tensor product degenerates at E2 (Kunneth), so only inputs
+    # like these reach the d_r with r >= 2 of either filtration.
+    late = {HORIZONTAL: 0, VERTICAL: 0}
+    for seed in range(40):
+        dc = zigzag_sum(Random(seed))
+        r_max = _r_max(dc)
+        for filtration in late:
+            pt = pages(dc, filtration, r_max)
+            late[filtration] += any(pt.page(r) != pt.page(r + 1) for r in range(2, r_max))
+    assert min(late.values()) >= 5, late
 
 
 def test_parse_round_trip():
