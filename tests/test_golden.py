@@ -59,6 +59,20 @@ EXTRA_INPUTS = {
         "dh 0 1\n1\n0\ndv 1 0\n1\n0\ndh 1 0\n1\n0\n"
         "dv 2 0\n0 1\ndh 1 1\n0 1\ndv 1 1\n0 1\n"
     ),
+    # one defect each, at (1,0) or (0,1) in a degree of two cells: the error
+    # names the identity that fails and its source cell
+    "bad_dh_squared.dc": (
+        "dims\n0 1 1\n1 0 1\n2 0 1\n3 0 1\n"
+        "dh 1 0\n1\ndh 2 0\n1\n"
+    ),
+    "bad_anticommute.dc": (
+        "dims\n0 1 1\n1 0 1\n2 0 1\n1 1 1\n2 1 1\n"
+        "dh 1 0\n1\ndh 1 1\n1\ndv 1 0\n1\ndv 2 0\n1\n"
+    ),
+    "bad_dv_squared.dc": (
+        "dims\n0 1 1\n1 0 1\n0 2 1\n0 3 1\n"
+        "dv 0 1\n1\ndv 0 2\n1\n"
+    ),
 }
 
 EXTRA_CASES = (
@@ -80,6 +94,9 @@ EXTRA_CASES = (
     ("staircase_d2.dc", ("ss", "--json")),
     ("zigzag_pair_d2.dc", ("ss", "--verbose")),
     ("zigzag_pair_d2.dc", ("ss", "--json")),
+    ("bad_dh_squared.dc", ("ss",)),
+    ("bad_anticommute.dc", ("ss",)),
+    ("bad_dv_squared.dc", ("ss",)),
 )
 
 
