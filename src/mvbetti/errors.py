@@ -14,7 +14,11 @@ class ParseError(ValueError):
 
 
 class ValidationError(ValueError):
-    """A structurally invalid mathematical object was constructed or requested."""
+    """A structurally invalid mathematical object; `entry`, if given, locates the defect."""
+
+    def __init__(self, message, entry=None):
+        super().__init__(message)
+        self.entry = entry
 
 
 class CapExceededError(RuntimeError):

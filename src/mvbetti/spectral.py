@@ -18,6 +18,12 @@ last two give dim B_r^p mod F^{p+1}: the image of Z_{r-1}^{p-r+1} mod
 F^{p+1} is the image of F^{p-r+1} mod F^{p+1} meeting F^p.  Only dimensions
 are exposed, not bases or induced differentials.
 
+A `DoubleComplex` assembles Tot and D = d_h + d_v once, at construction,
+and the `Complex` constructor checks D^2 = 0, the only d o d check.  D^2
+maps (p, q) to (p+2, q) by d_h^2, to (p+1, q+1) by d_h d_v + d_v d_h and to
+(p, q+2) by d_v^2, so D^2 = 0 is exactly those three identities.
+`total_complex` and the page engine reuse the complex built there.
+
 Conventions: `vertical` filters by column (first index); its first page is
 the columnwise cohomology H^q(C^{p,*}).  `horizontal` filters by row (second
 index); its first page is the rowwise cohomology H^p(C^{*,q}).
@@ -35,8 +41,8 @@ corner is the number of its rows whose pivot lies inside its columns.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .arrangement import MAX_DIMENSION, parse_integer, parse_rational
@@ -75,8 +81,10 @@ class Complex:
                 raise ValidationError(f"differential at degree {p} has shape {m.rows}x{m.cols}")
         for p, m in diff.items():
             nxt = diff.get(p + 1)
-            if nxt is not None and not (nxt @ m).is_zero():
-                raise ValidationError(f"d o d != 0 at degree {p}")
+            nonzero = [] if nxt is None else [k for k, x in enumerate((nxt @ m).entries) if x]
+            if nonzero:
+                entry = (p, *divmod(nonzero[0], m.cols))
+                raise ValidationError(f"d o d != 0 at degree {p}", entry=entry)
 
     def dim(self, p: int) -> int:
         return self.dims.get(p, 0)
@@ -94,12 +102,16 @@ class DoubleComplex:
 
     dims[(p, q)] holds the nonzero dimensions; d_horiz[(p, q)] maps (p, q) to
     (p+1, q) and d_vert[(p, q)] to (p, q+1).  Missing differentials are zero
-    maps.  Construction verifies d_h^2 = d_v^2 = d_h d_v + d_v d_h = 0.
+    maps.  Construction assembles the total complex and checks D^2 = 0 on
+    it, which is d_h^2 = d_v^2 = d_h d_v + d_v d_h = 0 (module docstring).  A
+    failure names the identity and the source cell of the first nonzero
+    entry of D^2 by degree.
     """
 
     dims: dict
     d_horiz: dict
     d_vert: dict
+    _layout: _Layout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "dims", _clean_dims(self.dims))
@@ -116,20 +128,7 @@ class DoubleComplex:
                 if src and tgt and not m.is_zero():
                     kept[(p, q)] = m
             object.__setattr__(self, name, kept)
-        for p, q in self.dims:
-            hh = self.dh(p + 1, q) @ self.dh(p, q)
-            if not hh.is_zero():
-                raise ValidationError(f"d_horiz o d_horiz != 0 at ({p},{q})")
-            vv = self.dv(p, q + 1) @ self.dv(p, q)
-            if not vv.is_zero():
-                raise ValidationError(f"d_vert o d_vert != 0 at ({p},{q})")
-            anti = self.dv(p + 1, q) @ self.dh(p, q)
-            anti2 = self.dh(p, q + 1) @ self.dv(p, q)
-            mixed = QMatrix(
-                anti.rows, anti.cols, [a + b for a, b in zip(anti.entries, anti2.entries)]
-            )
-            if not mixed.is_zero():
-                raise ValidationError(f"differentials do not anticommute at ({p},{q})")
+        object.__setattr__(self, "_layout", _Layout(self))
 
     def dim(self, p: int, q: int) -> int:
         return self.dims.get((p, q), 0)
@@ -151,48 +150,53 @@ class DoubleComplex:
         return min(ps), max(ps), min(qs), max(qs)
 
 
+_DEFECTS = ("d_vert o d_vert != 0", "differentials do not anticommute", "d_horiz o d_horiz != 0")
+
+
 class _Layout:
-    """Coordinates of each total degree: cells sorted by first index."""
+    """The total complex of a double complex, each degree's cells sorted by first index."""
 
     def __init__(self, dc: DoubleComplex):
-        self.dc = dc
-        self.offsets = {}
         self.total = {}
         # Per degree: the sorted first indices of the cells, and the offsets
         # of those cells followed by the total.
         self._firsts = {}
         self._starts = {}
-        degrees = sorted({p + q for p, q in dc.dims})
-        for n in degrees:
+        offsets = {}
+        for n in sorted({p + q for p, q in dc.dims}):
             cells = sorted((p, q) for (p, q) in dc.dims if p + q == n)
-            off = {}
             pos = 0
             for cell in cells:
-                off[cell] = pos
+                offsets[cell] = pos
                 pos += dc.dims[cell]
-            self.offsets[n] = off
             self.total[n] = pos
             self._firsts[n] = [p for p, _ in cells]
-            self._starts[n] = [*off.values(), pos]
+            self._starts[n] = [*(offsets[cell] for cell in cells), pos]
+        # Entries of D(n): Tot^n -> Tot^{n+1}, row-major, block by block.  Stored
+        # blocks are nonzero, so D(n) is zero exactly when no block starts in degree n.
+        flat = {}
+        for maps, (dp, dq) in ((dc.d_horiz, (1, 0)), (dc.d_vert, (0, 1))):
+            for (p, q), block in maps.items():
+                n, src, base = p + q, offsets[(p, q)], offsets[(p + dp, q + dq)]
+                width = self.total[n]
+                if n not in flat:
+                    flat[n] = [0] * (width * self.total[n + 1])
+                for i in range(block.rows):
+                    at = (base + i) * width + src
+                    flat[n][at : at + block.cols] = block.row(i)
+        diff = {n: QMatrix(self.total[n + 1], self.total[n], flat[n]) for n in sorted(flat)}
+        try:
+            self.complex = Complex(self.total, diff)
+        except ValidationError as err:
+            # Column j lies in the source cell (p, q), row i in (p + k, q + 2 - k),
+            # and that block of D^2 is the identity _DEFECTS[k].
+            n, i, j = err.entry
+            p = self._firsts[n][bisect_right(self._starts[n], j) - 1]
+            k = self._firsts[n + 2][bisect_right(self._starts[n + 2], i) - 1] - p
+            raise ValidationError(f"{_DEFECTS[k]} at ({p},{n - p})") from None
 
     def dim(self, n: int) -> int:
         return self.total.get(n, 0)
-
-    def rows(self, n: int) -> list:
-        """Rows of the total differential Tot^n -> Tot^{n+1}, assembled blockwise.
-
-        Entries are the blocks' `Fraction`s, and the int 0 elsewhere.
-        """
-        out = [[0] * self.dim(n) for _ in range(self.dim(n + 1))]
-        tgt_off = self.offsets.get(n + 1, {})
-        for (p, q), src in self.offsets.get(n, {}).items():
-            for maps, cell in ((self.dc.d_horiz, (p + 1, q)), (self.dc.d_vert, (p, q + 1))):
-                block = maps.get((p, q))
-                if block is not None:
-                    base = tgt_off[cell]
-                    for i in range(block.rows):
-                        out[base + i][src : src + block.cols] = block.row(i)
-        return out
 
     def start(self, n: int, a: int) -> int:
         """Offset of the first cell of Tot^n whose first index is at least a."""
@@ -201,21 +205,19 @@ class _Layout:
 
 
 def total_complex(dc: DoubleComplex) -> Complex:
-    """Tot^n = sum of C^{p,q} with p+q = n, differential d_horiz + d_vert."""
-    layout = _Layout(dc)
-    diff = {}
-    for n in layout.total:
-        d = QMatrix(layout.dim(n + 1), layout.dim(n), [x for row in layout.rows(n) for x in row])
-        if not d.is_zero():
-            diff[n] = d
-    return Complex(layout.total, diff)
+    """Tot^n = sum of C^{p,q} with p+q = n, differential d_horiz + d_vert.
+
+    Returns the complex that `dc` assembled and checked at construction.
+    """
+    return dc._layout.complex
 
 
 def cohomology_dims(c: Complex) -> dict:
     """dim H^n = dim C^n - rank d^n - rank d^{n-1}, nonzero entries only."""
+    ranks = {n: m.rank() for n, m in c.diff.items()}
     out = {}
     for n, d in c.dims.items():
-        h = d - c.d(n).rank() - c.d(n - 1).rank()
+        h = d - ranks.get(n, 0) - ranks.get(n - 1, 0)
         if h:
             out[n] = h
     return out
@@ -270,7 +272,7 @@ def _filtration_pages(dc: DoubleComplex, filtration: str, r_max: int) -> dict:
     The rank is the number of the corner's rows whose pivot lies inside its
     columns, memoized by degree and corner shape.
     """
-    layout = _Layout(dc)
+    layout = dc._layout
     vertical = filtration == VERTICAL
     profiles = {}
     ranks = {}
@@ -288,7 +290,8 @@ def _filtration_pages(dc: DoubleComplex, filtration: str, r_max: int) -> dict:
         if rank is None:
             added = profiles.get(n)
             if added is None:
-                ints = [integer_row(row) for row in layout.rows(n)]
+                d = layout.complex.d(n)
+                ints = [integer_row(d.row(i)) for i in range(d.rows)]
                 ints = [row[::-1] for row in ints] if vertical else ints[::-1]
                 added = profiles[n] = pivot_profile(ints)[2]
             rank = ranks[key] = sum(1 for j in added[:height] if j is not None and j < width)

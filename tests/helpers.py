@@ -79,6 +79,37 @@ def reference_pages(dc: DoubleComplex, filtration: str, r_max: int) -> dict:
     return out
 
 
+def square_defects(dims: dict, d_horiz: dict, d_vert: dict) -> set:
+    """Error message of each identity that fails at a cell, block by block.
+
+    At each source cell (p, q) this composes the stored blocks entry by entry
+    (missing blocks are zero), with its own sums of products, and tests
+    d_h o d_h = 0 into (p+2, q), d_v o d_h + d_h o d_v = 0 into (p+1, q+1)
+    and d_v o d_v = 0 into (p, q+2).  Each failure is named as
+    `DoubleComplex` names it.
+    """
+    out = set()
+    for (p, q), n in dims.items():
+        h, v = (p + 1, q), (p, q + 1)
+        first_h, first_v = d_horiz.get((p, q)), d_vert.get((p, q))
+        checks = (
+            ("d_horiz o d_horiz != 0", (p + 2, q), [(d_horiz.get(h), h, first_h)]),
+            (
+                "differentials do not anticommute",
+                (p + 1, q + 1),
+                [(d_vert.get(h), h, first_h), (d_horiz.get(v), v, first_v)],
+            ),
+            ("d_vert o d_vert != 0", (p, q + 2), [(d_vert.get(v), v, first_v)]),
+        )
+        for message, target, paths in checks:
+            pairs = [(a, b, dims.get(mid, 0)) for a, mid, b in paths if a and b]
+            for i in range(dims.get(target, 0)):
+                for j in range(n):
+                    if sum(a.at(i, k) * b.at(k, j) for a, b, m in pairs for k in range(m)):
+                        out.add(f"{message} at ({p},{q})")
+    return out
+
+
 def kunneth_product(ha: dict, hb: dict) -> dict:
     out = {}
     for p, x in ha.items():

@@ -23,9 +23,16 @@ from mvbetti import (
 )
 from mvbetti.generate import random_complex
 
-from helpers import column_cohomology, kunneth_product, reference_pages, row_cohomology
+from helpers import (
+    column_cohomology,
+    kunneth_product,
+    reference_pages,
+    row_cohomology,
+    square_defects,
+)
 
 ONE = QMatrix.from_rows([[1]])
+ONE_ONE = QMatrix.from_rows([[1, 1]])
 
 
 def two_term_identity():
@@ -82,17 +89,49 @@ def test_cohomology_additive_over_direct_sum():
 
 
 def test_double_complex_invariants_enforced():
-    bad = {(0, 0): 1, (1, 0): 1, (2, 0): 1}
-    with pytest.raises(ValidationError, match=r"\(0,0\)"):
-        DoubleComplex(bad, {(0, 0): ONE, (1, 0): ONE}, {})
-    with pytest.raises(ValidationError, match="anticommute"):
-        DoubleComplex(
-            {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1},
-            {(0, 0): ONE, (0, 1): ONE},
-            {(0, 0): ONE, (1, 0): ONE},
-        )
+    cases = [
+        # one defect each; the error names the identity and its source cell
+        ({(0, 0): 1, (1, 0): 1, (2, 0): 1}, {(0, 0): ONE, (1, 0): ONE}, {},
+         "d_horiz o d_horiz != 0 at (0,0)"),
+        ({(0, 0): 1, (0, 1): 1, (0, 2): 1}, {}, {(0, 0): ONE, (0, 1): ONE},
+         "d_vert o d_vert != 0 at (0,0)"),
+        ({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}, {(0, 0): ONE, (0, 1): ONE},
+         {(0, 0): ONE, (1, 0): ONE}, "differentials do not anticommute at (0,0)"),
+        # the same defects at a cell other than (0,0), in a degree of two cells
+        ({(1, 0): 1, (0, 1): 1, (1, 1): 1, (2, 1): 1}, {(0, 1): ONE, (1, 1): ONE}, {},
+         "d_horiz o d_horiz != 0 at (0,1)"),
+        ({(0, 1): 1, (1, 0): 1, (1, 1): 1, (1, 2): 1}, {}, {(1, 0): ONE, (1, 1): ONE},
+         "d_vert o d_vert != 0 at (1,0)"),
+        ({(1, 0): 1, (0, 1): 1, (1, 1): 1, (0, 2): 1, (1, 2): 1},
+         {(0, 1): ONE, (0, 2): ONE}, {(0, 1): ONE, (1, 1): ONE},
+         "differentials do not anticommute at (0,1)"),
+        # two-dimensional cells: the defect is in the second basis vector of
+        # the second cell of degree 1, and lands in the second cell of degree 3
+        ({(0, 1): 2, (1, 0): 2, (2, 0): 2, (2, 1): 1, (3, 0): 1},
+         {(1, 0): QMatrix.identity(2), (2, 0): QMatrix.from_rows([[0, 1]])}, {},
+         "d_horiz o d_horiz != 0 at (1,0)"),
+    ]
+    for dims, d_horiz, d_vert, message in cases:
+        assert square_defects(dims, d_horiz, d_vert) == {message}
+        with pytest.raises(ValidationError) as err:
+            DoubleComplex(dims, d_horiz, d_vert)
+        assert str(err.value) == message
+    # Several defects: the error names the first nonzero entry of D^2 by
+    # degree, then by row, whose cells are sorted by first index.
+    dims = {(0, 0): 1, (1, 0): 1, (2, 0): 1, (0, 1): 1, (0, 2): 1}
+    d_horiz, d_vert = {(0, 0): ONE, (1, 0): ONE}, {(0, 0): ONE, (0, 1): ONE}
+    assert square_defects(dims, d_horiz, d_vert) == {
+        "d_horiz o d_horiz != 0 at (0,0)",
+        "d_vert o d_vert != 0 at (0,0)",
+    }
+    with pytest.raises(ValidationError, match=r"^d_vert o d_vert != 0 at \(0,0\)$"):
+        DoubleComplex(dims, d_horiz, d_vert)
     with pytest.raises(ValidationError, match="shape"):
         DoubleComplex({(0, 0): 2, (1, 0): 1}, {(0, 0): ONE}, {})
+    # A plain complex locates the first nonzero entry of d(p+1) d(p).
+    with pytest.raises(ValidationError, match=r"^d o d != 0 at degree 0$") as err:
+        Complex({0: 1, 1: 2, 2: 1}, {0: QMatrix.from_rows([[0], [1]]), 1: ONE_ONE})
+    assert err.value.entry == (0, 0, 0)
 
 
 def test_pages_single_object():
@@ -271,6 +310,46 @@ def test_pages_match_reference_on_zigzag_sums(seed):
         pt = pages(dc, filtration, r_max)
         assert pt.pages == reference_pages(dc, filtration, r_max)
         assert verify_convergence(pt, h)
+
+
+def _perturb_one_entry(rng: Random, dc: DoubleComplex) -> dict:
+    """d_horiz and d_vert of dc, one entry of one block changed (a missing block is zero)."""
+    maps = {"d_horiz": dict(dc.d_horiz), "d_vert": dict(dc.d_vert)}
+    slots = [
+        (name, (p, q), target)
+        for p, q in dc.dims
+        for name, target in (("d_horiz", (p + 1, q)), ("d_vert", (p, q + 1)))
+        if target in dc.dims
+    ]
+    if slots:
+        name, cell, target = rng.choice(slots)
+        block = maps[name].get(cell, QMatrix.zeros(dc.dims[target], dc.dims[cell]))
+        rows = [list(block.row(i)) for i in range(block.rows)]
+        rows[rng.randrange(block.rows)][rng.randrange(block.cols)] += rng.choice([-2, -1, 1, 3])
+        maps[name][cell] = QMatrix.from_rows(rows)
+    return maps
+
+
+@given(st.integers(0, 10_000), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_construction_check_matches_blockwise_reference(seed, perturb):
+    # D^2 = 0 on the total differential against the three identities tested
+    # block by block: a valid double complex, or one with one entry changed,
+    # is rejected exactly when an identity fails, naming a failing one.
+    rng = Random(seed)
+    if rng.random() < 0.5:
+        a = random_complex(rng, max_terms=4, max_dim=3)
+        dc = tensor_double_complex(a, random_complex(rng, max_terms=4, max_dim=3))
+    else:
+        dc = zigzag_sum(rng)
+    maps = _perturb_one_entry(rng, dc) if perturb else {"d_horiz": dc.d_horiz, "d_vert": dc.d_vert}
+    expected = square_defects(dc.dims, maps["d_horiz"], maps["d_vert"])
+    if not expected:
+        DoubleComplex(dc.dims, **maps)
+        return
+    with pytest.raises(ValidationError) as err:
+        DoubleComplex(dc.dims, **maps)
+    assert str(err.value) in expected
 
 
 def test_zigzag_sums_have_late_differentials():
