@@ -157,7 +157,7 @@ class _Layout:
     """The total complex of a double complex, each degree's cells sorted by first index."""
 
     def __init__(self, dc: DoubleComplex):
-        self.total = {}
+        total = {}
         # Per degree: the sorted first indices of the cells, and the offsets
         # of those cells followed by the total.
         self._firsts = {}
@@ -169,7 +169,7 @@ class _Layout:
             for cell in cells:
                 offsets[cell] = pos
                 pos += dc.dims[cell]
-            self.total[n] = pos
+            total[n] = pos
             self._firsts[n] = [p for p, _ in cells]
             self._starts[n] = [*(offsets[cell] for cell in cells), pos]
         # Entries of D(n): Tot^n -> Tot^{n+1}, row-major, block by block.  Stored
@@ -178,15 +178,15 @@ class _Layout:
         for maps, (dp, dq) in ((dc.d_horiz, (1, 0)), (dc.d_vert, (0, 1))):
             for (p, q), block in maps.items():
                 n, src, base = p + q, offsets[(p, q)], offsets[(p + dp, q + dq)]
-                width = self.total[n]
+                width = total[n]
                 if n not in flat:
-                    flat[n] = [0] * (width * self.total[n + 1])
+                    flat[n] = [0] * (width * total[n + 1])
                 for i in range(block.rows):
                     at = (base + i) * width + src
                     flat[n][at : at + block.cols] = block.row(i)
-        diff = {n: QMatrix(self.total[n + 1], self.total[n], flat[n]) for n in sorted(flat)}
+        diff = {n: QMatrix(total[n + 1], total[n], flat[n]) for n in sorted(flat)}
         try:
-            self.complex = Complex(self.total, diff)
+            self.complex = Complex(total, diff)
         except ValidationError as err:
             # Column j lies in the source cell (p, q), row i in (p + k, q + 2 - k),
             # and that block of D^2 is the identity _DEFECTS[k].
@@ -194,9 +194,6 @@ class _Layout:
             p = self._firsts[n][bisect_right(self._starts[n], j) - 1]
             k = self._firsts[n + 2][bisect_right(self._starts[n + 2], i) - 1] - p
             raise ValidationError(f"{_DEFECTS[k]} at ({p},{n - p})") from None
-
-    def dim(self, n: int) -> int:
-        return self.total.get(n, 0)
 
     def start(self, n: int, a: int) -> int:
         """Offset of the first cell of Tot^n whose first index is at least a."""
@@ -273,6 +270,7 @@ def _filtration_pages(dc: DoubleComplex, filtration: str, r_max: int) -> dict:
     columns, memoized by degree and corner shape.
     """
     layout = dc._layout
+    total = layout.complex
     vertical = filtration == VERTICAL
     profiles = {}
     ranks = {}
@@ -281,17 +279,17 @@ def _filtration_pages(dc: DoubleComplex, filtration: str, r_max: int) -> dict:
         if b <= a:
             return 0
         if vertical:
-            height, width = layout.start(n + 1, b), layout.dim(n) - layout.start(n, a)
+            height, width = layout.start(n + 1, b), total.dim(n) - layout.start(n, a)
         else:
-            height = layout.dim(n + 1) - layout.start(n + 1, n + 2 - b)
+            height = total.dim(n + 1) - layout.start(n + 1, n + 2 - b)
             width = layout.start(n, n + 1 - a)
         key = (n, height, width)
         rank = ranks.get(key)
         if rank is None:
             added = profiles.get(n)
             if added is None:
-                d = layout.complex.d(n)
-                ints = [integer_row(d.row(i)) for i in range(d.rows)]
+                d = total.diff.get(n)
+                ints = [integer_row(d.row(i)) for i in range(d.rows)] if d is not None else []
                 ints = [row[::-1] for row in ints] if vertical else ints[::-1]
                 added = profiles[n] = pivot_profile(ints)[2]
             rank = ranks[key] = sum(1 for j in added[:height] if j is not None and j < width)
