@@ -2,14 +2,15 @@
 
 Subcommands on arrangement files: `betti`, `e1`, `e2`, `poset`, `oracle`,
 `check`; on double-complex files: `ss`.  Exit codes: 0 success, 1 parse or
-validation error, 2 enumeration cap exceeded, 3 consistency failure (oracle
-mismatch, negative alternating sum, non-unique degree, degeneration or
-convergence failure).
+validation error, 2 enumeration cap exceeded or a usage error (argparse
+raises SystemExit(2)), 3 consistency failure (oracle mismatch, negative
+alternating sum, non-unique degree, degeneration or convergence failure).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -28,7 +29,10 @@ from .spectral import (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on the first `main` call and shared by later ones: `parse_args`
+    # leaves the parser unchanged, and help is formatted afresh each time.
     parser = argparse.ArgumentParser(
         prog="mvbetti",
         description="Betti numbers of hyperplane arrangement complements "

@@ -1,8 +1,12 @@
 """Command-line interface: outputs, exit codes, JSON determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
 from math import comb
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -210,6 +214,100 @@ def test_no_oracle_flag(boolean3_file, capsys):
     assert main(["betti", boolean3_file, "--no-oracle"]) == 0
     out = capsys.readouterr().out
     assert "oracle" not in out
+
+
+def run(capsys, argv):
+    """Exit code, stdout and stderr of one in-process `main` call."""
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def run_to_exit(capsys, argv):
+    """Like `run`, for a call that argparse ends with SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+# Three lines through one point plus a fourth line: the affine chart at
+# infinity 0 has a parallel pair, the default chart (last hyperplane at
+# infinity) is central, so the two give different first pages.
+PENCIL_P2 = "projective 2\n1 0 0\n0 1 0\n1 1 0\n0 0 1\n"
+
+
+def test_calls_share_no_state(boolean3_file, tmp_path, capsys):
+    projective = write(tmp_path, "pencil.arr", PENCIL_P2)
+    square = write(tmp_path, "square.dc", SQUARE_DC)
+    sequence = [
+        ["betti", boolean3_file, "--cap", "2"],
+        ["betti", boolean3_file],
+        ["betti", boolean3_file, "--json"],
+        ["betti", boolean3_file],
+        ["betti", projective, "--json", "--infinity", "0"],
+        ["betti", projective, "--json"],
+        ["ss", square],
+        ["betti", boolean3_file, "--cap", "2"],
+        ["betti", projective, "--json", "--infinity", "0"],
+        ["betti", boolean3_file, "--json"],
+        ["betti", projective, "--json"],
+        ["ss", square],
+        ["betti", boolean3_file],
+    ]
+    first = {}
+    for argv in sequence:
+        result = run(capsys, argv)
+        assert first.setdefault(tuple(argv), result) == result, argv
+    assert first[("betti", boolean3_file, "--cap", "2")][0] == 2
+    plain = first[("betti", boolean3_file)]
+    assert plain[0] == 0 and plain[1].startswith("betti: 1 3 3 1\n")
+    assert json.loads(first[("betti", boolean3_file, "--json")][1])["betti"] == [1, 3, 3, 1]
+    at_zero = first[("betti", projective, "--json", "--infinity", "0")]
+    default = first[("betti", projective, "--json")]
+    assert at_zero[0] == default[0] == 0
+    assert json.loads(at_zero[1])["e1"] != json.loads(default[1])["e1"]
+    assert first[("ss", square)][0] == 0
+
+    for argv in ([], ["betti"], ["betti", boolean3_file, "--cap", "x"]):
+        code, _, err = run_to_exit(capsys, argv)
+        assert code == 2 and "usage: mvbetti" in err, argv
+    assert run(capsys, ["betti", boolean3_file]) == plain
+    assert run(capsys, ["ss", square]) == first[("ss", square)]
+
+
+def test_help_follows_terminal_width(monkeypatch, capsys):
+    def help_text(columns):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        code, out, _ = run_to_exit(capsys, ["betti", "--help"])
+        assert code == 0
+        return out
+
+    narrow = help_text(60)
+    wide = help_text(140)
+    assert max(map(len, narrow.splitlines())) <= 60
+    assert max(map(len, wide.splitlines())) > 60
+    assert len(wide.splitlines()) < len(narrow.splitlines())
+    assert help_text(60) == narrow
+
+
+@pytest.mark.parametrize("module", ["mvbetti", "mvbetti.cli"])
+@pytest.mark.parametrize(
+    "file_name,command",
+    [("boolean_a_3.arr", ("betti", "--json")), ("braid_a_3.arr", ("check", "--verbose"))],
+)
+def test_process_entry_points(module, file_name, command):
+    root = Path(__file__).parent.parent
+    golden = root / "tests" / "golden"
+    expected = json.loads((golden / "expected.json").read_text(encoding="utf-8"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    argv = [command[0], str(golden / file_name), *command[1:]]
+    proc = subprocess.run(
+        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    record = {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
+    assert record == expected[" ".join([command[0], file_name, *command[1:]])]
 
 
 def huge(rng):
