@@ -86,7 +86,16 @@ class Hyperplane:
         return Hyperplane(tuple(Fraction(x) for x in ints[:-1]), Fraction(ints[-1]))
 
     def is_canonical(self) -> bool:
-        return self == Hyperplane.canonical(self.normal, self.constant)
+        """Whether `canonical` leaves the hyperplane as it is.
+
+        That is: every coefficient an integer, their gcd 1 and the first
+        nonzero normal coefficient positive.  A zero normal is not canonical.
+        """
+        row = self.equation_row()
+        if not all(isinstance(x, (int, Fraction)) and x.denominator == 1 for x in row):
+            return False
+        first = next((x for x in self.normal if x), 0)
+        return first > 0 and gcd(*(x.numerator for x in row)) == 1
 
     def equation_row(self) -> list:
         """Augmented row [a_1, ..., a_n, c]."""

@@ -5,37 +5,42 @@ primitive integer echelon rows of its augmented linear system (see
 `linalg`), a unique form, so two flats are equal exactly when their rows
 are identical.  Flats are built one hyperplane at a time from the canonical
 integer hyperplanes by `linalg.echelon_insert`, the package's one
-elimination, and restricted by `linalg.integer_kernel_basis`; no rational
-arithmetic runs while subsets are walked.  On top of flats this module builds
+elimination; a hyperplane is restricted to another by the same integer
+cross-multiplication (`_restrict`).  No rational arithmetic runs while
+subsets are counted.  On top of flats this module builds
 
 * the count table: how many subsets of each size cut out a flat of each
-  dimension, with empty intersections tallied separately.  Subsets are
-  walked down to planes only.  Restricted to a plane X, each hyperplane
-  that may still be added contains X (z of them), misses it, or cuts a
-  line l of X (c_l of them per line); two lines meet in a point P or are
-  parallel.  With m_P the hyperplanes on the lines through P and p_l the
-  points on l, adding k of them leaves X C(z, k) times, a line
-  sum_l [C(z + c_l, k) - C(z, k)] times, a point
+  dimension, with empty intersections tallied separately.  It is counted
+  by deletion and restriction on the restricted equations: the subsets of
+  a flat X's hyperplanes without the first one h, plus, one size up, those
+  with h, which are the subsets of the others restricted to the flat
+  X ∩ h.  Two hyperplanes that cut X in the same place restrict to the
+  same primitive key, so the count below X depends only on X's dimension
+  and the multiset of keys, and is memoized on them.  The recursion stops
+  at planes.  Restricted to a plane X, each hyperplane contains X (z of
+  them), misses it, or cuts a line l of X (c_l of them per line); two lines
+  meet in a point P or are parallel.  With m_P the hyperplanes on the lines
+  through P and p_l the points on l, adding k of them leaves X C(z, k)
+  times, a line sum_l [C(z + c_l, k) - C(z, k)] times, a point
   sum_P C(z + m_P, k) - sum_l p_l [C(z + c_l, k) - C(z, k)] - #P C(z, k)
-  times, and the empty set otherwise.  That table depends only on X and
-  the next index, so it is memoized on (X's rows, start).  The count
-  table carries no spectral grading (`betti.first_page` places each
-  bucket), and general position is read off it,
+  times, and the empty set otherwise.  The count table carries no spectral
+  grading (`betti.first_page` places each bucket), and general position is
+  read off it,
 * the intersection poset with its Moebius function, ordered by hyperplane
   masks, and
 * two independent combinatorial Betti oracles (Moebius-sum and signed
-  inclusion-exclusion over subsets) used to cross-check the pipeline.
+  inclusion-exclusion over subsets, the latter walking subsets one
+  hyperplane at a time by `_extend`) used to cross-check the pipeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb, gcd
-from operator import mul
 
 from .arrangement import AFFINE, Arrangement
 from .errors import CapExceededError, ValidationError
-from .linalg import QMatrix, echelon_insert, integer_kernel_basis, primitive, rref_entries
+from .linalg import QMatrix, echelon_insert, primitive, rref_entries
 
 DEFAULT_CAP = 24
 
@@ -124,17 +129,25 @@ class FlatCounts:
     r: int
 
 
-def _restrict(row, basis) -> tuple:
-    """The hyperplane `row` restricted to the flat with kernel basis `basis`.
+def _restrict(row, h, pivot: int) -> tuple:
+    """The key `row` restricted to the hyperplane with key `h`, first nonzero at `pivot`.
 
-    Its dot products with the basis vectors, divided by their gcd and signed
-    so that the first nonzero one is positive.  All zero means the hyperplane
-    contains the flat, a zero direction part (0, ..., 0, 1) that it misses
-    the flat, and otherwise it cuts the flat in a hyperplane of the flat:
-    for a line a point, for a plane a line.  Two hyperplanes cut the flat in
-    the same place exactly when their keys are equal.
+    Keys are hyperplanes in a flat's own coordinates (directions, then the
+    affine column), divided by their gcd and signed so that the first
+    nonzero entry is positive.  The integer kernel basis of h has one vector
+    per column f other than the pivot p, h[p] at f and -h[f] at p
+    (`linalg.integer_kernel_basis`), so the restricted equation has the
+    entries h[p] row[f] - row[p] h[f], column p left out, in the same form.
+    All zero means the hyperplane contains the flat, a zero direction part
+    (0, ..., 0, 1) that it misses the flat, and otherwise it cuts the flat
+    in a hyperplane of the flat: for a line a point, for a plane a line.
+    Two hyperplanes cut the flat in the same place exactly when their keys
+    are equal.
     """
-    return primitive([sum(map(mul, row, w)) for w in basis])
+    a, b = h[pivot], row[pivot]
+    v = [a * x - b * y for x, y in zip(row, h)]
+    del v[pivot]
+    return primitive(v)
 
 
 def _cross(a, b):
@@ -156,14 +169,15 @@ def _cross(a, b):
     return (t1 // g, t2 // g, w // g)
 
 
-def _closed_table(keys, d: int) -> list:
-    """Subtree counts below a flat X of dimension d <= 2, from its restricted keys.
+def _closed_table(keys, d: int) -> dict:
+    """`_subset_table` of a flat X of dimension d <= 2, from binomials.
 
     `keys` are the `_restrict` keys of the S hyperplanes that may still be
-    added.  Entry k - 1 of the result gives, for the subsets of k of them,
-    how many leave X itself, a flat of dimension d - 1, one of dimension
-    d - 2 and the empty set.  With z hyperplanes containing X and classes of
-    c_l hyperplanes cutting X in the same hyperplane l of X:
+    added.  For the subsets of k of them the result counts how many leave
+    X itself, a flat of dimension d - 1, one of dimension d - 2 and the
+    empty set, keyed (k, dimension) with dimension None for the empty set.
+    With z hyperplanes containing X and classes of c_l hyperplanes cutting
+    X in the same hyperplane l of X:
 
     * X itself: C(z, k);
     * l: C(z + c_l, k) - C(z, k), summed over l;
@@ -204,7 +218,7 @@ def _closed_table(keys, d: int) -> list:
     s = len(keys)
     # Past z plus the largest class or point multiplicity only the empty set is left.
     top = min(s, z + max((*classes, *multiplicities), default=0))
-    table = []
+    table = {(0, d): 1}
     for k in range(1, top + 1):
         base = comb(z, k)
         cut = low = 0
@@ -215,88 +229,89 @@ def _closed_table(keys, d: int) -> list:
         for m, count in multiplicities.items():
             low += count * comb(z + m, k)
         low -= len(points) * base
-        table.append((base, cut, low, comb(s, k) - base - cut - low))
-    table += [(0, 0, 0, comb(s, k)) for k in range(top + 1, s + 1)]
+        for dim, c in zip((d, d - 1, d - 2, None), (base, cut, low, comb(s, k) - base - cut - low)):
+            if c:
+                table[(k, dim)] = c
+    table.update(((k, None), comb(s, k)) for k in range(top + 1, s + 1))
+    return table
+
+
+def _subset_table(d: int, keys: tuple, memo: dict) -> dict:
+    """T(d, keys): the subsets of `keys` counted by size and by the dimension of their flat.
+
+    `keys` are the sorted `_restrict` keys of hyperplanes restricted to a
+    flat X of dimension d, in X's own coordinates (d direction columns,
+    then the affine column).  The result maps (size, dimension) to a count,
+    with dimension None for an empty intersection; the empty subset gives
+    X itself.  With h = keys[0] and the rest after it, T(d, keys) is
+    T(d, rest) plus, one size up, what the subsets holding h add:
+    T(d, rest) itself if h contains X (all zero), every subset of the rest
+    as empty if h misses X (0, ..., 0, 1), and otherwise T(d - 1, rest
+    restricted to the hyperplane h of X).
+
+    The table depends only on d and the multiset of keys, so it is memoized
+    on (d, keys).  The deletions run as a loop, from the longest memoized
+    suffix of `keys` to the front; only restrictions recurse, so the depth
+    is at most d - 2.
+    """
+    if d <= 2:
+        table = memo.get((d, keys))
+        if table is None:
+            table = memo[(d, keys)] = _closed_table(keys, d)
+        return table
+    start = len(keys)
+    table = {(0, d): 1}
+    for i in range(len(keys)):
+        known = memo.get((d, keys[i:]))
+        if known is not None:
+            start, table = i, known
+            break
+    contains = (0,) * (d + 1)
+    misses = (0,) * d + (1,)
+    for i in range(start - 1, -1, -1):
+        h, rest = keys[i], keys[i + 1:]
+        if h == contains:
+            below = table
+        elif h == misses:
+            below = {(k, None): comb(len(rest), k) for k in range(len(rest) + 1)}
+        else:
+            pivot = next(j for j, x in enumerate(h) if x)
+            cut = tuple(sorted(_restrict(row, h, pivot) for row in rest))
+            below = _subset_table(d - 1, cut, memo)
+        table = dict(table)
+        for (size, dim), c in below.items():
+            table[(size + 1, dim)] = table.get((size + 1, dim), 0) + c
+        memo[(d, keys[i:])] = table
     return table
 
 
 def count_flats(arr: Arrangement, cap: int = DEFAULT_CAP) -> FlatCounts:
-    """Enumerate all nonempty hyperplane subsets and bucket their flats.
+    """Count the nonempty hyperplane subsets by size and by the dimension of their flat.
 
-    Enumeration is depth-first in lexicographic order, extending each subset
-    by larger indices only and reusing the flat of the prefix; distinct
-    prefixes reaching the same flat share work through a memo keyed by the
-    flat's integer rows.  Once a prefix has empty intersection all of its
-    extensions are counted directly as empty.
-
-    The walk stops at every plane: what the subtree below a prefix adds
-    depends only on the prefix's flat X and the next index `start`.  For a
-    plane X the S = r - start hyperplanes that may still be added are
-    restricted to X (`_restrict`): each contains X, misses it, or cuts a
-    line of X, and two lines of X meet in a point or are parallel
-    (`_cross`).  With z hyperplanes containing X, c_l cutting the line l,
-    m_P on the lines through the point P and p_l points on l, adding k of
-    them gives X C(z, k) times, a line sum_l [C(z + c_l, k) - C(z, k)]
-    times, a point sum_P C(z + m_P, k) - sum_l p_l [C(z + c_l, k) - C(z, k)]
-    - #P C(z, k) times, and the empty set in the rest of C(S, k).
-    `_closed_table` computes that table, a list indexed by the number of
-    hyperplanes added; it is memoized on (X's rows, start) and folded in
-    shifted by the prefix size.  So no flat of dimension 1 or 0 is ever
-    built.  When the ambient space is a line or a plane (n <= 2) the whole
-    table comes from the root, the line's by the same formulas without
-    points.
+    By deletion and restriction (Orlik and Terao, Arrangements of
+    Hyperplanes, 1992, section 2.3), applied to the whole table: the
+    subsets without a hyperplane h are those of the arrangement with h
+    deleted, and the subsets with h are, one size up, those of the other
+    hyperplanes restricted to h.  `_subset_table` runs that recursion on
+    the restricted equations, each in its flat's own coordinates, from the
+    root state (n, the sorted canonical hyperplane rows).  Restricted to a
+    flat, two hyperplanes that cut it in the same place have the same key,
+    so the count below a flat depends only on its dimension and the
+    multiset of keys, and equal multisets, such as every coordinate
+    subspace of a Boolean arrangement or the braid flats that show the same
+    smaller arrangement, are counted once.  Flats of dimension 2 or less
+    are counted from binomials by `_closed_table`; so no flat of dimension
+    1 or 0 is ever built, and for n <= 2 the whole table comes from the
+    root.
     """
     _require_affine(arr)
     r, n = arr.r, arr.ambient_dim
     if r > cap:
         raise CapExceededError(r, cap)
-    rows = _integer_rows(arr)
-    counts: dict = {}
-    empty: dict = {}
-    memo: dict = {}
-    closed: dict = {}
-
-    def close(flat, start, size):
-        table = closed.get((flat.rows, start))
-        if table is None:
-            # Directions of the flat, then an affine part: column n is never a pivot.
-            _, basis = integer_kernel_basis(flat.rows, flat.pivots, n + 1)
-            keys = [_restrict(row, basis) for row in rows[start:]]
-            table = closed[(flat.rows, start)] = _closed_table(keys, flat.dimension)
-        d = flat.dimension
-        for sz, (same, cut, low, none) in enumerate(table, size + 1):
-            if same:
-                counts[(sz, d)] = counts.get((sz, d), 0) + same
-            if cut:
-                counts[(sz, d - 1)] = counts.get((sz, d - 1), 0) + cut
-            if low:
-                counts[(sz, d - 2)] = counts.get((sz, d - 2), 0) + low
-            if none:
-                empty[sz] = empty.get(sz, 0) + none
-
-    def visit(flat, start, size):
-        if flat.dimension <= 2:
-            close(flat, start, size)
-            return
-        succ = memo.get(flat.rows)
-        if succ is None:
-            succ = memo[flat.rows] = [None] * r
-        sz = size + 1
-        for i in range(start, r):
-            nxt = succ[i]
-            if nxt is None:
-                nxt = succ[i] = _extend(flat, rows[i])
-            if nxt.is_empty:
-                empty[sz] = empty.get(sz, 0) + 1
-                remaining = r - 1 - i
-                for k in range(1, remaining + 1):
-                    empty[sz + k] = empty.get(sz + k, 0) + comb(remaining, k)
-            else:
-                key = (sz, nxt.dimension)
-                counts[key] = counts.get(key, 0) + 1
-                visit(nxt, i + 1, sz)
-
-    visit(ambient_flat(n), 0, 0)
+    # Canonical rows are primitive with the first nonzero entry positive: keys already.
+    table = _subset_table(n, tuple(sorted(_integer_rows(arr))), {})
+    counts = {key: c for key, c in table.items() if key[0] and key[1] is not None}
+    empty = {size: c for (size, dim), c in table.items() if dim is None}
     return FlatCounts(counts, empty, n, r)
 
 

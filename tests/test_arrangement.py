@@ -99,6 +99,30 @@ def test_projective_constant_rejected():
         Arrangement(2, (h,), PROJECTIVE)
 
 
+def test_arrangement_rejects_noncanonical_hyperplanes():
+    h = Hyperplane.canonical([1, -2], 3)
+    assert Arrangement(2, (h,), AFFINE).hyperplanes == (h,)
+    for bad in (
+        Hyperplane((Fraction(2), Fraction(-4)), Fraction(6)),  # scaled
+        Hyperplane((Fraction(-1), Fraction(2)), Fraction(-3)),  # sign-flipped
+        Hyperplane((Fraction(1, 2), Fraction(-1)), Fraction(3, 2)),  # fractional
+        Hyperplane((Fraction(0), Fraction(0)), Fraction(1)),  # zero normal
+    ):
+        with pytest.raises(ValidationError, match="hyperplane 1 is not in canonical form"):
+            Arrangement(2, (h, bad), AFFINE)
+
+
+@given(st.lists(rationals, min_size=1, max_size=4), rationals, rationals)
+@settings(max_examples=80, deadline=None)
+def test_is_canonical_exactly_when_canonical_is_identity(normal, constant, scale):
+    if all(x == 0 for x in normal):
+        normal[0] = Fraction(1)
+    scale = scale or Fraction(1)
+    h = Hyperplane(tuple(scale * x for x in normal), scale * constant)
+    assert h.is_canonical() == (h == Hyperplane.canonical(h.normal, h.constant))
+    assert Hyperplane.canonical(h.normal, h.constant).is_canonical()
+
+
 @given(st.lists(rationals, min_size=1, max_size=5), rationals, rationals)
 @settings(max_examples=80, deadline=None)
 def test_canonicalization_idempotent_and_scale_invariant(normal, constant, scale):

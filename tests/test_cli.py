@@ -341,22 +341,35 @@ def test_huge_coefficients_parallel_pair(tmp_path, capsys):
     assert [-1, 1, 2] in doc["e1"]
 
 
-def test_braid_closed_form(tmp_path, capsys):
-    # Braid arrangement on 8 coordinates (r=28): Poincare polynomial
-    # prod_{j<8} (1 + j t) = 1 + 28t + 322t^2 + 1960t^3 + 6769t^4 + 13132t^5
-    # + 13068t^6 + 5040t^7 (Arnold 1969; Orlik-Terao ch. 2).
-    m = 8
+def braid_poincare(tmp_path, capsys, m: int) -> tuple:
+    """`betti --json` on the braid arrangement on m coordinates, and prod_{j<m} (1 + j t)."""
     rows = [
         " ".join("1" if k == i else "-1" if k == j else "0" for k in range(m)) + " 0"
         for i, j in combinations(range(m), 2)
     ]
-    path = write(tmp_path, "braid8.arr", f"affine {m}\n" + "\n".join(rows) + "\n")
+    path = write(tmp_path, f"braid{m}.arr", f"affine {m}\n" + "\n".join(rows) + "\n")
     assert main(["betti", path, "--no-oracle", "--cap", "64", "--json"]) == 0
     poly = [1]
     for j in range(1, m):
         poly = [a + j * b for a, b in zip(poly + [0], [0] + poly)]
-    assert poly == [1, 28, 322, 1960, 6769, 13132, 13068, 5040]
-    assert json.loads(capsys.readouterr().out)["betti"] == poly + [0]
+    return json.loads(capsys.readouterr().out)["betti"], poly + [0]
+
+
+def test_braid_closed_form(tmp_path, capsys):
+    # Braid arrangement on 8 coordinates (r=28): Poincare polynomial
+    # prod_{j<8} (1 + j t) = 1 + 28t + 322t^2 + 1960t^3 + 6769t^4 + 13132t^5
+    # + 13068t^6 + 5040t^7 (Arnold 1969; Orlik-Terao ch. 2).
+    betti, expected = braid_poincare(tmp_path, capsys, 8)
+    assert expected == [1, 28, 322, 1960, 6769, 13132, 13068, 5040, 0]
+    assert betti == expected
+
+
+def test_braid_closed_form_ten_coordinates(tmp_path, capsys):
+    # r = 45: past what a walk over subsets can finish, since the restricted
+    # arrangements repeat and each is counted once.
+    betti, expected = braid_poincare(tmp_path, capsys, 10)
+    assert expected[-2] == 362880  # 9!
+    assert betti == expected
 
 
 BAD_RATIONALS = ("1/0", "x", "1/", "/2", "2/-3", "1.5.2", "--1", "nan")

@@ -1,8 +1,12 @@
 """Flats, subset counts, the intersection poset and the two oracles."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -278,6 +282,12 @@ def _sheaf(rng: Random) -> Arrangement:
 @settings(max_examples=300, deadline=None)
 def test_count_flats_matches_every_subset(seed, kind):
     arr = _degenerate_arrangement(Random(seed), kind)
+    table = count_flats(arr)
+    assert (table.counts, table.empty) == _every_subset(arr)
+
+
+def _every_subset(arr: Arrangement) -> tuple:
+    """(counts, empty) of `count_flats`, from the flat of every nonempty subset."""
     counts: dict = {}
     empty: dict = {}
     for size in range(1, arr.r + 1):
@@ -287,9 +297,61 @@ def test_count_flats_matches_every_subset(seed, kind):
                 empty[size] = empty.get(size, 0) + 1
             else:
                 counts[(size, flat.dimension)] = counts.get((size, flat.dimension), 0) + 1
+    return counts, empty
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_count_flats_matches_every_subset_above_planes(seed):
+    # Five and six dimensions, so restriction runs below the root several times.
+    rng = Random(seed)
+    arr = random_affine_arrangement(rng, rng.randint(5, 6), rng.randint(1, 10))
     table = count_flats(arr)
-    assert table.counts == counts
-    assert table.empty == empty
+    assert (table.counts, table.empty) == _every_subset(arr)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_count_flats_ignores_hyperplane_order(seed):
+    rng = Random(seed)
+    arr = random_affine_arrangement(
+        rng, rng.randint(1, 6), rng.randint(1, 12), parallel=0.4, central=0.5, bound=2
+    )
+    shuffled = list(arr.hyperplanes)
+    rng.shuffle(shuffled)
+    table = count_flats(arr)
+    again = count_flats(Arrangement(arr.ambient_dim, tuple(shuffled), AFFINE))
+    assert (again.counts, again.empty) == (table.counts, table.empty)
+
+
+def test_count_flats_boolean_24():
+    # Every s coordinate hyperplanes meet in a flat of dimension 24 - s.
+    table = count_flats(parse_arrangement(boolean_arrangement_text(24)))
+    assert table.counts == {(s, 24 - s): comb(24, s) for s in range(1, 25)}
+    assert table.empty == {}
+
+
+DEEP_DELETION = """
+import sys
+from mvbetti import count_flats, parse_arrangement
+sys.setrecursionlimit(120)
+slabs = "".join(f"1 0 0 {c}\\n" for c in range(198))
+arr = parse_arrangement("affine 3\\n0 1 0 0\\n0 0 1 0\\n" + slabs)
+print(count_flats(arr, cap=1000).counts[(3, 0)])
+"""
+
+
+def test_count_flats_depth_follows_dimension_not_hyperplanes():
+    # y = 0, z = 0 and 198 slabs x = c: each slab meets the line y = z = 0
+    # in its own point.  Deleting 200 hyperplanes one by one must not
+    # recurse, so a recursion limit far below 200 is enough.
+    root = Path(__file__).parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", DEEP_DELETION], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "198\n", "")
 
 
 @st.composite
