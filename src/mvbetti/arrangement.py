@@ -1,15 +1,17 @@
 """Affine and projective hyperplane arrangements over the rationals.
 
-A hyperplane is stored in canonical form: the coefficients of
-a_1*x_1 + ... + a_n*x_n = c are scaled to coprime integers with the first
-nonzero normal coefficient positive, so two hyperplanes are equal iff their
-canonical data coincide.  Projective arrangements carry n+1 homogeneous
-coefficients and a zero constant.
+A hyperplane a_1*x_1 + ... + a_n*x_n = c is stored as the primitive integer
+row (a_1, ..., a_n, c) (`linalg.primitive`: coprime `int`s, the first
+nonzero normal coefficient positive), so two hyperplanes are equal iff their
+rows coincide.  Projective arrangements carry n+1 homogeneous coefficients
+and a zero constant.  `Fraction` is used only to read `p/q` input.
 
-The two reductions applied before any Betti computation also live here:
-deconing (declaring one hyperplane of a projective arrangement to be at
-infinity) and essentialization (splitting off the trivial affine factor so
-that the normals span the ambient space).
+The two reductions applied before any Betti computation also live here, and
+both are integer row operations: deconing (declaring one hyperplane of a
+projective arrangement to be at infinity) restricts every other hyperplane
+to the affine chart by `linalg.restrict`, and essentialization (splitting off
+the trivial affine factor so that the normals span the ambient space) keeps
+the pivot columns of one `linalg.pivot_profile` fold of the normals.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 
 from .errors import ParseError, ValidationError
-from .linalg import QMatrix
+from .linalg import integer_row, pivot_profile, primitive, restrict
 
 AFFINE = "affine"
 PROJECTIVE = "projective"
@@ -63,43 +64,41 @@ def parse_rational(field: str, line: int, column: int | None = None) -> Fraction
 @dataclass(frozen=True)
 class Hyperplane:
     normal: tuple
-    constant: Fraction
+    constant: int
+
+    def __post_init__(self):
+        # Integral values are stored as `int`s; any other value is kept, and
+        # `is_canonical` rejects it.
+        row = (*self.normal, self.constant)
+        if not all(type(x) is int for x in row):
+            row = [x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
+                   for x in row]
+            object.__setattr__(self, "normal", tuple(row[:-1]))
+            object.__setattr__(self, "constant", row[-1])
 
     @staticmethod
     def canonical(normal, constant=0) -> "Hyperplane":
-        """Canonical form of the hyperplane sum(a_i x_i) = c.
+        """Canonical form of the hyperplane sum(a_i x_i) = c, for rational a_i and c.
 
-        All of (a_1, ..., a_n, c) are scaled to coprime integers and the sign
-        is fixed so the first nonzero a_i is positive.
+        The row (a_1, ..., a_n, c) is scaled to integers and made primitive.
         """
-        normal = [Fraction(x) for x in normal]
-        constant = Fraction(constant)
-        if all(x == 0 for x in normal):
+        row = primitive(integer_row((*normal, constant)))
+        if not any(row[:-1]):
             raise ValidationError("hyperplane has zero normal vector")
-        scale = lcm(*(x.denominator for x in normal), constant.denominator)
-        ints = [int(x * scale) for x in normal] + [int(constant * scale)]
-        g = gcd(*ints)
-        ints = [x // g for x in ints]
-        first = next(x for x in ints[:-1] if x)
-        if first < 0:
-            ints = [-x for x in ints]
-        return Hyperplane(tuple(Fraction(x) for x in ints[:-1]), Fraction(ints[-1]))
+        return Hyperplane(row[:-1], row[-1])
 
     def is_canonical(self) -> bool:
         """Whether `canonical` leaves the hyperplane as it is.
 
-        That is: every coefficient an integer, their gcd 1 and the first
-        nonzero normal coefficient positive.  A zero normal is not canonical.
+        That is: a nonzero normal, every coefficient an `int`, and the row
+        primitive.
         """
         row = self.equation_row()
-        if not all(isinstance(x, (int, Fraction)) and x.denominator == 1 for x in row):
-            return False
-        first = next((x for x in self.normal if x), 0)
-        return first > 0 and gcd(*(x.numerator for x in row)) == 1
+        return any(self.normal) and all(type(x) is int for x in row) and primitive(row) == row
 
-    def equation_row(self) -> list:
-        """Augmented row [a_1, ..., a_n, c]."""
-        return list(self.normal) + [self.constant]
+    def equation_row(self) -> tuple:
+        """Augmented row (a_1, ..., a_n, c)."""
+        return (*self.normal, self.constant)
 
     def __str__(self):
         terms = []
@@ -151,18 +150,16 @@ class Arrangement:
     def r(self) -> int:
         return len(self.hyperplanes)
 
-    def normal_matrix(self) -> QMatrix:
-        return QMatrix(
-            self.r,
-            self.ambient_dim if self.kind == AFFINE else self.ambient_dim + 1,
-            [x for h in self.hyperplanes for x in h.normal],
-        )
-
     def rank(self) -> int:
         """Dimension of the span of the normal vectors (affine arrangements)."""
         if self.kind != AFFINE:
             raise ValidationError("rank is defined for affine arrangements; decone first")
-        return self.normal_matrix().rank()
+        return len(_normal_pivots(self))
+
+
+def _normal_pivots(arr: Arrangement) -> tuple:
+    """Pivot columns of the echelon form of the normals: a basis of their column space."""
+    return pivot_profile(h.normal for h in arr.hyperplanes)[1]
 
 
 @dataclass(frozen=True)
@@ -240,11 +237,14 @@ def parse_arrangement(text: str) -> Arrangement:
 def decone(arr: Arrangement, infinity_index: int) -> Arrangement:
     """Affine arrangement whose complement equals the projective complement.
 
-    Coordinates are changed so the selected hyperplane becomes the hyperplane
-    at infinity and the remaining ones are read in the affine chart.  The
-    eliminated homogeneous coordinate is the largest-index one with a nonzero
-    coefficient in the infinity hyperplane, which makes the construction
-    deterministic; downstream Betti numbers do not depend on the choice.
+    The selected hyperplane a.X = 0 becomes the hyperplane at infinity and
+    every other one is read in the affine chart a.X = 1: the homogeneous row
+    (b, 0) restricted to (a, 1) (`linalg.restrict`), which is the integer form
+    of the normal b - (b_j/a_j) a without column j and the constant -b_j/a_j.
+    The eliminated homogeneous coordinate j is the largest-index one with a
+    nonzero coefficient in a, which makes the construction deterministic;
+    downstream Betti numbers do not depend on the choice.  A restricted
+    normal is zero only if b is a multiple of a, so the result is canonical.
     """
     if arr.kind != PROJECTIVE:
         raise ValidationError("decone applies to projective arrangements")
@@ -253,17 +253,14 @@ def decone(arr: Arrangement, infinity_index: int) -> Arrangement:
             f"infinity index {infinity_index} out of range for {arr.r} hyperplanes"
         )
     n = arr.ambient_dim
-    a = arr.hyperplanes[infinity_index].normal
-    j_star = max(j for j in range(n + 1) if a[j])
-    keep = [j for j in range(n + 1) if j != j_star]
+    chart = arr.hyperplanes[infinity_index].normal + (1,)
+    j_star = max(j for j in range(n + 1) if chart[j])
     out = []
     for idx, h in enumerate(arr.hyperplanes):
         if idx == infinity_index:
             continue
-        b = h.normal
-        ratio = b[j_star] / a[j_star]
-        normal = [b[j] - ratio * a[j] for j in keep]
-        out.append(Hyperplane.canonical(normal, -ratio))
+        row = restrict(h.equation_row(), chart, j_star)
+        out.append(Hyperplane(row[:-1], row[-1]))
     return Arrangement(n, tuple(out), AFFINE)
 
 
@@ -279,24 +276,23 @@ def _affine_chart(arr: Arrangement, infinity_index: int | None) -> Arrangement:
 def essentialize(arr: Arrangement) -> EssentialReduction:
     """Split off the trivial affine factor of an affine arrangement.
 
-    The echelon form of the normal matrix N gives its rank s and pivot
-    columns J.  Those columns are a basis of the column space of N, so every
-    hyperplane restricted to them (and re-canonicalized) defines the essential
-    arrangement in affine s-space; see `EssentialReduction`.  A restricted
+    One `linalg.pivot_profile` fold of the integer normals gives the rank s
+    of the normal matrix N and its pivot columns J.  Those columns are a
+    basis of the column space of N, so every hyperplane's row restricted to
+    them and the constant (made primitive) defines the essential arrangement
+    in affine s-space; see `EssentialReduction`.  A restricted
     normal is never zero, since N_i = (N_J)_i T, and two restricted
     hyperplanes coincide only if the inputs did.  An essential arrangement
     keeps every column and is returned as it is.
     """
     if arr.kind != AFFINE:
         raise ValidationError("essentialize applies to affine arrangements")
-    pivots = arr.normal_matrix().echelon()[1]
+    pivots = _normal_pivots(arr)
     s = len(pivots)
     if s == 0:
         raise ValidationError("cannot essentialize an arrangement with no hyperplanes (rank 0)")
     if s == arr.ambient_dim:
         return EssentialReduction(arr, 0)
-    hyperplanes = tuple(
-        Hyperplane.canonical([h.normal[j] for j in pivots], h.constant)
-        for h in arr.hyperplanes
-    )
+    rows = (primitive([h.normal[j] for j in pivots] + [h.constant]) for h in arr.hyperplanes)
+    hyperplanes = tuple(Hyperplane(row[:-1], row[-1]) for row in rows)
     return EssentialReduction(Arrangement(s, hyperplanes, AFFINE), arr.ambient_dim - s)

@@ -3,11 +3,12 @@
 A flat is the intersection of a subset of the hyperplanes, stored as the
 primitive integer echelon rows of its augmented linear system (see
 `linalg`), a unique form, so two flats are equal exactly when their rows
-are identical.  Flats are built one hyperplane at a time from the canonical
-integer hyperplanes by `linalg.echelon_insert`, the package's one
-elimination; a hyperplane is restricted to another by the same integer
-cross-multiplication (`_restrict`).  No rational arithmetic runs while
-subsets are counted.  On top of flats this module builds
+are identical.  Flats are built one hyperplane at a time from the
+hyperplanes' primitive integer rows (`Hyperplane.equation_row`) by
+`linalg.echelon_insert`, the package's one elimination; a hyperplane is
+restricted to another by the same integer cross-multiplication
+(`linalg.restrict`).  No rational arithmetic runs while subsets are
+counted.  On top of flats this module builds
 
 * the count table: how many subsets of each size cut out a flat of each
   dimension, with empty intersections tallied separately.  It is counted
@@ -40,7 +41,7 @@ from math import comb, gcd
 
 from .arrangement import AFFINE, Arrangement
 from .errors import CapExceededError, ValidationError
-from .linalg import QMatrix, echelon_insert, primitive, rref_entries
+from .linalg import QMatrix, echelon_insert, restrict, rref_entries
 
 DEFAULT_CAP = 24
 
@@ -54,7 +55,8 @@ class Flat:
     to coprime integers with a positive pivot, in pivot order.  `pivots` are
     their pivot columns, derived from `rows` and left out of equality.
     `dimension` is None exactly when the constant column n is a pivot (empty
-    flat).  `system` gives the same equations as an exact rational rref.
+    flat).  `system` divides each row by its pivot, which gives the same
+    equations as an exact rational reduced row echelon form.
     """
 
     rows: tuple
@@ -91,25 +93,30 @@ def _extend(flat: Flat, row) -> Flat:
     return Flat(rows, None if empty else flat.dimension - 1, pivots)
 
 
-def _integer_rows(arr: Arrangement) -> list:
-    # Arrangement keeps every hyperplane canonical: coprime integer coefficients.
-    return [tuple(x.numerator for x in h.equation_row()) for h in arr.hyperplanes]
-
-
 def _require_affine(arr: Arrangement):
     if arr.kind != AFFINE:
         raise ValidationError("flats are computed for affine arrangements; decone first")
 
 
+def _walk_rows(arr: Arrangement, cap: int) -> list:
+    """The hyperplanes' integer rows, after the checks every flat walk makes first.
+
+    The arrangement must be affine, then have at most `cap` hyperplanes.
+    """
+    _require_affine(arr)
+    if arr.r > cap:
+        raise CapExceededError(arr.r, cap)
+    return [h.equation_row() for h in arr.hyperplanes]
+
+
 def flat_of_subset(arr: Arrangement, subset) -> Flat:
     """Flat of the intersection of the selected hyperplanes (empty subset: ambient space)."""
     _require_affine(arr)
-    rows = _integer_rows(arr)
     flat = ambient_flat(arr.ambient_dim)
     for i in subset:
         if not 0 <= i < arr.r:
             raise ValidationError(f"hyperplane index {i} out of range for r={arr.r}")
-        flat = _extend(flat, rows[i])
+        flat = _extend(flat, arr.hyperplanes[i].equation_row())
     return flat
 
 
@@ -129,31 +136,10 @@ class FlatCounts:
     r: int
 
 
-def _restrict(row, h, pivot: int) -> tuple:
-    """The key `row` restricted to the hyperplane with key `h`, first nonzero at `pivot`.
-
-    Keys are hyperplanes in a flat's own coordinates (directions, then the
-    affine column), divided by their gcd and signed so that the first
-    nonzero entry is positive.  The integer kernel basis of h has one vector
-    per column f other than the pivot p, h[p] at f and -h[f] at p
-    (`linalg.integer_kernel_basis`), so the restricted equation has the
-    entries h[p] row[f] - row[p] h[f], column p left out, in the same form.
-    All zero means the hyperplane contains the flat, a zero direction part
-    (0, ..., 0, 1) that it misses the flat, and otherwise it cuts the flat
-    in a hyperplane of the flat: for a line a point, for a plane a line.
-    Two hyperplanes cut the flat in the same place exactly when their keys
-    are equal.
-    """
-    a, b = h[pivot], row[pivot]
-    v = [a * x - b * y for x, y in zip(row, h)]
-    del v[pivot]
-    return primitive(v)
-
-
 def _cross(a, b):
     """The point where the lines a and b of a plane meet, or None if they are parallel.
 
-    Lines are keys (a_1, a_2, b) of `_restrict` on a plane, that is the
+    Lines are keys (a_1, a_2, b) of `linalg.restrict` on a plane, that is the
     equations a_1 t_1 + a_2 t_2 + b w = 0 in the plane's coordinates.  Their
     cross product (t_1, t_2, w) is divided by its gcd and signed with w > 0,
     so every pair of lines through one point gives the same key.
@@ -172,9 +158,9 @@ def _cross(a, b):
 def _closed_table(keys, d: int) -> dict:
     """`_subset_table` of a flat X of dimension d <= 2, from binomials.
 
-    `keys` are the `_restrict` keys of the S hyperplanes that may still be
-    added.  For the subsets of k of them the result counts how many leave
-    X itself, a flat of dimension d - 1, one of dimension d - 2 and the
+    `keys` are the `linalg.restrict` keys of the S hyperplanes that may
+    still be added.  For the subsets of k of them the result counts how many
+    leave X itself, a flat of dimension d - 1, one of dimension d - 2 and the
     empty set, keyed (k, dimension) with dimension None for the empty set.
     With z hyperplanes containing X and classes of c_l hyperplanes cutting
     X in the same hyperplane l of X:
@@ -239,7 +225,7 @@ def _closed_table(keys, d: int) -> dict:
 def _subset_table(d: int, keys: tuple, memo: dict) -> dict:
     """T(d, keys): the subsets of `keys` counted by size and by the dimension of their flat.
 
-    `keys` are the sorted `_restrict` keys of hyperplanes restricted to a
+    `keys` are the sorted `linalg.restrict` keys of hyperplanes restricted to a
     flat X of dimension d, in X's own coordinates (d direction columns,
     then the affine column).  The result maps (size, dimension) to a count,
     with dimension None for an empty intersection; the empty subset gives
@@ -276,7 +262,7 @@ def _subset_table(d: int, keys: tuple, memo: dict) -> dict:
             below = {(k, None): comb(len(rest), k) for k in range(len(rest) + 1)}
         else:
             pivot = next(j for j, x in enumerate(h) if x)
-            cut = tuple(sorted(_restrict(row, h, pivot) for row in rest))
+            cut = tuple(sorted(restrict(row, h, pivot) for row in rest))
             below = _subset_table(d - 1, cut, memo)
         table = dict(table)
         for (size, dim), c in below.items():
@@ -304,12 +290,10 @@ def count_flats(arr: Arrangement, cap: int = DEFAULT_CAP) -> FlatCounts:
     1 or 0 is ever built, and for n <= 2 the whole table comes from the
     root.
     """
-    _require_affine(arr)
+    rows = _walk_rows(arr, cap)
     r, n = arr.r, arr.ambient_dim
-    if r > cap:
-        raise CapExceededError(r, cap)
-    # Canonical rows are primitive with the first nonzero entry positive: keys already.
-    table = _subset_table(n, tuple(sorted(_integer_rows(arr))), {})
+    # Hyperplane rows are primitive with the first nonzero entry positive: keys already.
+    table = _subset_table(n, tuple(sorted(rows)), {})
     counts = {key: c for key, c in table.items() if key[0] and key[1] is not None}
     empty = {size: c for (size, dim), c in table.items() if dim is None}
     return FlatCounts(counts, empty, n, r)
@@ -341,11 +325,8 @@ def build_intersection_poset(arr: Arrangement, cap: int = DEFAULT_CAP) -> Inters
     Y contains X iff H_Y is a subset of H_X.  X is extended only by the i not
     in H_X, and the i that give the same child are the bits it adds to H_X.
     """
-    _require_affine(arr)
+    rows = _walk_rows(arr, cap)
     r, n = arr.r, arr.ambient_dim
-    if r > cap:
-        raise CapExceededError(r, cap)
-    rows = _integer_rows(arr)
     ambient = ambient_flat(n)
     found = {ambient.rows: (ambient, 0)}
     frontier = [ambient]
@@ -396,11 +377,8 @@ def whitney_betti(arr: Arrangement, cap: int = DEFAULT_CAP) -> tuple:
     b_k = (-1)^k * sum over subsets I with nonempty intersection of
     codimension k of (-1)^|I|, the empty subset contributing to k = 0.
     """
-    _require_affine(arr)
+    rows = _walk_rows(arr, cap)
     r, n = arr.r, arr.ambient_dim
-    if r > cap:
-        raise CapExceededError(r, cap)
-    rows = _integer_rows(arr)
     acc = [0] * (n + 1)
     acc[0] = 1
     memo: dict = {}

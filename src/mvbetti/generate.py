@@ -12,7 +12,7 @@ from random import Random
 
 from .arrangement import AFFINE, PROJECTIVE, Arrangement, Hyperplane
 from .flats import is_general_position
-from .linalg import QMatrix
+from .linalg import QMatrix, integer_kernel_basis
 from .spectral import Complex
 
 
@@ -99,7 +99,8 @@ def random_complex(
             d = random_matrix(rng, tgt, src, bound)
         else:
             # rows of `left` span the left kernel of prev: left @ prev = 0
-            left = prev.transpose().kernel_basis().transpose()
+            scale, basis = integer_kernel_basis(*prev.transpose().echelon(), prev.rows)
+            left = QMatrix(len(basis), prev.rows, [Fraction(x, scale) for w in basis for x in w])
             d = random_matrix(rng, tgt, left.rows, bound) @ left
         diff[degrees[k]] = d
         prev = d

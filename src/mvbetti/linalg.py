@@ -1,16 +1,22 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact dense linear algebra over the rationals, and the integer row steps.
 
 Scalars are `fractions.Fraction`, so every rank and kernel in this package is
 exact; there is no floating point anywhere.  Matrices are immutable and
 degenerate shapes (0xk, kx0) are legal, behaving as rank-0 maps.
 
-The one row elimination, `echelon_insert`, runs on integers: it adds a row
-to the primitive echelon rows of a row space (its rref rows scaled to coprime
-integers with positive pivots, a unique form) by fraction-free
-cross-multiplication.  `pivot_profile` folds rows over it and records the
-pivot column each row adds, which gives the rank of every leading corner
-block at once.  `rref`, `rank` and `kernel_basis` fold a matrix's rows,
-cleared of denominators, that way; flats add hyperplanes with the step.
+Hyperplanes, flats and the elimination all live on integer rows.  A row is
+canonical when it is `primitive`: divided by the gcd of its entries and
+signed so that its first nonzero entry is positive.  `restrict` writes a row
+in the coordinates of another row's hyperplane by integer
+cross-multiplication; deconing and the flat count both restrict that way.
+The one row elimination, `echelon_insert`, adds a row to the primitive
+echelon rows of a row space (its rref rows scaled to coprime integers with
+positive pivots, a unique form) by the same cross-multiplication.
+`pivot_profile` folds rows over it and records the pivot column each row
+adds, which gives the rank of every leading corner block at once.
+`QMatrix.echelon` and `QMatrix.rank` fold a matrix's rows, cleared of
+denominators, that way; `rref_entries` and `integer_kernel_basis` read the
+reduced rows and an integer kernel basis off the result.
 """
 
 from __future__ import annotations
@@ -120,21 +126,8 @@ class QMatrix:
         rows, pivots, _ = pivot_profile(integer_row(self.row(i)) for i in range(self.rows))
         return rows, pivots
 
-    def rref(self) -> tuple["QMatrix", int, tuple]:
-        """Reduced row echelon form; returns (reduced, rank, pivot_columns)."""
-        rows, pivots = self.echelon()
-        entries = rref_entries(rows, pivots) + [ZERO] * ((self.rows - len(rows)) * self.cols)
-        return QMatrix(self.rows, self.cols, entries), len(pivots), pivots
-
     def rank(self) -> int:
         return len(self.echelon()[1])
-
-    def kernel_basis(self) -> "QMatrix":
-        """Basis of the right kernel {x : self @ x = 0}, one column per free variable."""
-        scale, basis = integer_kernel_basis(*self.echelon(), self.cols)
-        return QMatrix(
-            self.cols, len(basis), [Fraction(w[i], scale) for i in range(self.cols) for w in basis]
-        )
 
 
 def integer_row(row) -> list:
@@ -155,6 +148,24 @@ def primitive(v) -> tuple:
         if x:
             return _primitive(v, -1 if x < 0 else 1)
     return tuple(v)
+
+
+def restrict(row, h, pivot: int) -> tuple:
+    """`row` restricted to the hyperplane of the row `h`, which is nonzero at `pivot`.
+
+    Both rows are read as homogeneous equations, the last column the affine
+    one.  The integer kernel basis of h has one vector per column f other
+    than the pivot p, h[p] at f and -h[f] at p (`integer_kernel_basis`), so
+    the restricted equation has the entries h[p] row[f] - row[p] h[f],
+    column p left out, made `primitive`.  All zero means the hyperplane of
+    `row` contains that of h, a zero direction part (0, ..., 0, 1) that it
+    misses it, and otherwise it cuts it in a hyperplane; two rows cut it in
+    the same place exactly when their restrictions are equal.
+    """
+    a, b = h[pivot], row[pivot]
+    v = [a * x - b * y for x, y in zip(row, h)]
+    del v[pivot]
+    return primitive(v)
 
 
 def echelon_insert(rows: tuple, pivots: tuple, row) -> tuple[tuple, tuple] | None:

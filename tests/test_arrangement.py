@@ -1,6 +1,7 @@
 """Parsing, canonical forms, deconing and essentialization."""
 
 from fractions import Fraction
+from math import gcd, lcm
 from random import Random
 
 import pytest
@@ -17,7 +18,7 @@ from mvbetti.arrangement import (
     decone,
     essentialize,
 )
-from mvbetti.generate import random_affine_arrangement
+from mvbetti.generate import random_affine_arrangement, random_projective_arrangement
 
 from helpers import BRAID_A3, boolean_arrangement_text
 
@@ -216,3 +217,61 @@ def test_essentialize_preserves_flat_counts(seed):
     lowered = {(size, dim - red.shift): c for (size, dim), c in table.counts.items()}
     assert lowered == essential.counts
     assert table.empty == essential.empty
+
+
+def _all_int(arr) -> bool:
+    return all(type(x) is int for h in arr.hyperplanes for x in h.equation_row())
+
+
+def test_hyperplanes_hold_integers():
+    h = Hyperplane.canonical([Fraction(1, 2), Fraction(-1, 3)], Fraction(1))
+    assert (h.normal, h.constant) == ((3, -2), 6)
+    assert all(type(x) is int for x in h.equation_row())
+    arr = parse_arrangement("affine 3\n1/2 -1/3 0 1\n1 1 0 0\n0 1 0 -2\n")
+    assert _all_int(arr)
+    assert _all_int(essentialize(arr).essential)
+    projective = parse_arrangement("projective 2\n1 0 0\n0 1 0\n2 3 5\n1 1 1\n")
+    assert _all_int(projective)
+    for k in range(projective.r):
+        assert _all_int(decone(projective, k))
+
+
+def test_integral_fractions_are_stored_as_integers():
+    h = Hyperplane((Fraction(2), Fraction(0)), Fraction(4))
+    assert all(type(x) is int for x in h.equation_row())
+    assert h.equation_row() == (2, 0, 4)
+    assert not h.is_canonical()
+    with pytest.raises(ValidationError, match="hyperplane 0 is not in canonical form"):
+        Arrangement(2, (h,), AFFINE)
+
+
+def _canonical_row(row) -> tuple:
+    """Rationals scaled to coprime integers, the first nonzero entry positive."""
+    scale = lcm(*(x.denominator for x in row))
+    ints = [int(x * scale) for x in row]
+    g = gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_decone_is_the_rational_chart(seed):
+    # The chart a.X = 1 of the infinity hyperplane a, solved for the last
+    # coordinate j with a_j != 0: b.X = 0 reads sum_{i != j} (b_i - t a_i) x_i = -t
+    # with t = b_j / a_j, computed here in Fractions.
+    rng = Random(seed)
+    n = rng.randint(1, 4)
+    arr = random_projective_arrangement(rng, n, rng.randint(1, 6))
+    for k, infinity in enumerate(arr.hyperplanes):
+        a = infinity.normal
+        j = max(i for i in range(n + 1) if a[i])
+        expected = []
+        for h in arr.hyperplanes[:k] + arr.hyperplanes[k + 1:]:
+            t = Fraction(h.normal[j], a[j])
+            normal = [h.normal[i] - t * a[i] for i in range(n + 1) if i != j]
+            expected.append(_canonical_row(normal + [-t]))
+        affine = decone(arr, k)
+        assert [h.equation_row() for h in affine.hyperplanes] == expected
+        assert _all_int(affine)

@@ -1,4 +1,4 @@
-"""Exact rational matrix arithmetic: rref, rank, kernels, Kronecker products."""
+"""Exact rational matrix arithmetic: echelon forms, rank, kernels, Kronecker products."""
 
 from fractions import Fraction
 
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvbetti import QMatrix
-from mvbetti.linalg import integer_row, kron, pivot_profile
+from mvbetti.linalg import integer_kernel_basis, integer_row, kron, pivot_profile, rref_entries
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -20,9 +20,23 @@ def matrices(draw, max_rows=5, max_cols=5, min_rows=0, min_cols=0):
     return QMatrix(rows, cols, entries)
 
 
+def rref(m: QMatrix) -> tuple:
+    """(reduced row echelon form, rank, pivot columns) from `echelon` and `rref_entries`."""
+    rows, pivots = m.echelon()
+    entries = rref_entries(rows, pivots) + [0] * ((m.rows - len(rows)) * m.cols)
+    return QMatrix(m.rows, m.cols, entries), len(pivots), pivots
+
+
+def kernel_basis(m: QMatrix) -> QMatrix:
+    """The right kernel basis of `integer_kernel_basis`, one column per free variable."""
+    scale, basis = integer_kernel_basis(*m.echelon(), m.cols)
+    entries = [Fraction(w[i], scale) for i in range(m.cols) for w in basis]
+    return QMatrix(m.cols, len(basis), entries)
+
+
 def test_rref_identity():
     eye = QMatrix.identity(2)
-    reduced, rank, pivots = eye.rref()
+    reduced, rank, pivots = rref(eye)
     assert reduced == eye
     assert rank == 2
     assert pivots == (0, 1)
@@ -30,7 +44,7 @@ def test_rref_identity():
 
 def test_rref_dependent_rows():
     m = QMatrix.from_rows([[1, 2], [2, 4]])
-    reduced, rank, pivots = m.rref()
+    reduced, rank, pivots = rref(m)
     assert reduced == QMatrix.from_rows([[1, 2], [0, 0]])
     assert rank == 1
     assert pivots == (0,)
@@ -60,16 +74,16 @@ def test_rank_of_known_factor_product():
 
 
 def test_kernel_trivial_and_full():
-    k = QMatrix.identity(2).kernel_basis()
+    k = kernel_basis(QMatrix.identity(2))
     assert (k.rows, k.cols) == (2, 0)
-    k = QMatrix(1, 3, [0, 0, 0]).kernel_basis()
+    k = kernel_basis(QMatrix(1, 3, [0, 0, 0]))
     assert (k.rows, k.cols) == (3, 3)
     assert k.rank() == 3
 
 
 def test_kernel_explicit():
     m = QMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
-    k = m.kernel_basis()
+    k = kernel_basis(m)
     assert k.cols == 1
     assert k.transpose().row(0) == (Fraction(1), Fraction(-1), Fraction(1))
     assert (m @ k).is_zero()
@@ -88,18 +102,19 @@ def test_degenerate_shapes():
 def test_rank_nullity_and_transpose(m):
     rank = m.rank()
     assert rank <= min(m.rows, m.cols)
-    assert rank + m.kernel_basis().cols == m.cols
+    assert rank + kernel_basis(m).cols == m.cols
     assert rank == m.transpose().rank()
 
 
 @given(matrices())
 @settings(max_examples=60, deadline=None)
 def test_rref_idempotent_and_kernel_exact(m):
-    reduced, rank, pivots = m.rref()
-    again, rank2, pivots2 = reduced.rref()
+    reduced, rank, pivots = rref(m)
+    again, rank2, pivots2 = rref(reduced)
     assert (again, rank2, pivots2) == (reduced, rank, pivots)
+    assert reduced.echelon() == m.echelon()
     assert len(pivots) == rank
-    k = m.kernel_basis()
+    k = kernel_basis(m)
     assert (m @ k).is_zero()
     assert k.rank() == k.cols
 
@@ -138,13 +153,13 @@ def matrices_with_zero_lines(draw):
 @settings(max_examples=100, deadline=None)
 def test_rref_against_sympy(m):
     theirs = sympy.Matrix(m.rows, m.cols, [sympy.Rational(x) for x in m.entries])
-    reduced, rank, pivots = m.rref()
+    reduced, rank, pivots = rref(m)
     their_rref, their_pivots = theirs.rref()
     assert pivots == tuple(their_pivots)
     assert rank == theirs.rank()
     assert m.rank() == theirs.rank()
     assert [sympy.Rational(x) for x in reduced.entries] == list(their_rref)
-    kernel = m.kernel_basis()
+    kernel = kernel_basis(m)
     their_kernel = theirs.nullspace()
     assert (kernel.rows, kernel.cols) == (m.cols, len(their_kernel))
     for j, column in enumerate(their_kernel):
