@@ -230,8 +230,9 @@ def compute_betti(
     one listed).  The affine arrangement is essentialized, the count table of
     its flats feeds the two spectral pages, degeneration is checked, and the
     graded limit is shifted back to the original ambient dimension.  With
-    `oracles` the Moebius and inclusion-exclusion Betti numbers are computed
-    as well and compared.  When the count table shows general position the
+    `oracles` the Moebius and inclusion-exclusion Betti numbers of the affine
+    arrangement itself, not of its essential part, are computed as well and
+    compared.  When the count table shows general position the
     binomial formula b_k = C(r, k) is verified against the result.
     """
     affine = _affine_chart(arr, infinity_index)
@@ -266,14 +267,7 @@ def compute_betti(
     agreement = None
     if oracles:
         oracle_mobius = mobius_betti(build_intersection_poset(affine, cap))
-        # Codimensions are invariant under essentialization, so the subset
-        # oracle runs on the (smaller) essential arrangement and pads with
-        # the zeros above its rank.
-        ess = affine if r == 0 else reduction.essential
-        ess_whitney = whitney_betti(ess, cap)
-        oracle_whitney = tuple(
-            ess_whitney[k] if k < len(ess_whitney) else 0 for k in range(n + 1)
-        )
+        oracle_whitney = whitney_betti(affine, cap)
         agreement = betti == oracle_mobius == oracle_whitney
 
     poincare = list(betti)

@@ -30,8 +30,10 @@ counted.  On top of flats this module builds
 * the intersection poset with its Moebius function, ordered by hyperplane
   masks, and
 * two independent combinatorial Betti oracles (Moebius-sum and signed
-  inclusion-exclusion over subsets, the latter walking subsets one
-  hyperplane at a time by `_extend`) used to cross-check the pipeline.
+  inclusion-exclusion over subsets) used to cross-check the pipeline.  Each
+  sweeps the hyperplanes once by `_extend`, keeping every nonempty
+  intersection of the hyperplanes seen so far; they share no code with
+  each other or with `count_flats`, so each is a second route.
 """
 
 from __future__ import annotations
@@ -319,30 +321,26 @@ class IntersectionPoset:
 
 
 def build_intersection_poset(arr: Arrangement, cap: int = DEFAULT_CAP) -> IntersectionPoset:
-    """Close {ambient} under intersection with hyperplanes, one codimension at a time.
+    """Every nonempty flat, by one sweep over the hyperplanes in input order.
 
     Each flat X is keyed by the bitmask H_X of the hyperplanes containing it:
-    Y contains X iff H_Y is a subset of H_X.  X is extended only by the i not
-    in H_X, and the i that give the same child are the bits it adds to H_X.
+    Y contains X iff H_Y is a subset of H_X.  After hyperplanes 0..i-1 the
+    dict holds every nonempty intersection of them; step i extends a snapshot
+    of it by H_i, so the flats made at step i are not cut by H_i again.  The
+    mask of Y = X ∩ H_i is complete: the flat X' cut out by the earlier
+    hyperplanes containing Y is in the snapshot and X' ∩ H_i = Y, so every
+    earlier bit of Y arrives through X', and every later bit arrives when Y
+    meets a hyperplane that contains it.
     """
     rows = _walk_rows(arr, cap)
-    r, n = arr.r, arr.ambient_dim
+    n = arr.ambient_dim
     ambient = ambient_flat(n)
     found = {ambient.rows: (ambient, 0)}
-    frontier = [ambient]
-    while frontier:
-        children = {}
-        for f in frontier:
-            mask = found[f.rows][1]
-            for i in range(r):
-                if mask >> i & 1:
-                    continue
-                g = _extend(f, rows[i])
-                if not g.is_empty:
-                    # H_g is H_f plus every i whose hyperplane cuts f in g; no parent adds more.
-                    children.setdefault(g.rows, [g, mask])[1] |= 1 << i
-        found.update((key, tuple(child)) for key, child in children.items())
-        frontier = [g for g, _ in children.values()]
+    for i, row in enumerate(rows):
+        for f, mask in list(found.values()):
+            g = _extend(f, row)
+            if not g.is_empty:
+                found[g.rows] = (g, found.get(g.rows, (g, 0))[1] | mask | 1 << i)
     order = sorted(
         found.values(), key=lambda fk: (n - fk[0].dimension, rref_entries(fk[0].rows, fk[0].pivots))
     )
@@ -375,29 +373,25 @@ def whitney_betti(arr: Arrangement, cap: int = DEFAULT_CAP) -> tuple:
     """Betti numbers by signed inclusion-exclusion over hyperplane subsets.
 
     b_k = (-1)^k * sum over subsets I with nonempty intersection of
-    codimension k of (-1)^|I|, the empty subset contributing to k = 0.
+    codimension k of (-1)^|I|, the empty subset contributing to k = 0.  One
+    sweep over the hyperplanes in input order keeps, for every nonempty
+    intersection X of hyperplanes 0..i-1, the weight w(X), the sum of
+    (-1)^|I| over the subsets I of them that cut out X.  Step i extends a
+    snapshot of the weights by H_i: the subsets with i add -w(X) to X ∩ H_i.
     """
     rows = _walk_rows(arr, cap)
-    r, n = arr.r, arr.ambient_dim
+    n = arr.ambient_dim
+    ambient = ambient_flat(n)
+    weights = {ambient.rows: (ambient, 1)}
+    for row in rows:
+        for f, w in list(weights.values()):
+            g = _extend(f, row)
+            if not g.is_empty:
+                weights[g.rows] = (g, weights.get(g.rows, (g, 0))[1] - w)
     acc = [0] * (n + 1)
-    acc[0] = 1
-    memo: dict = {}
-
-    def visit(flat, start, sign):
-        succ = memo.get(flat.rows)
-        if succ is None:
-            succ = memo[flat.rows] = [None] * r
-        for i in range(start, r):
-            nxt = succ[i]
-            if nxt is None:
-                nxt = succ[i] = _extend(flat, rows[i])
-            if nxt.is_empty:
-                continue
-            acc[n - nxt.dimension] -= sign
-            visit(nxt, i + 1, -sign)
-
-    visit(ambient_flat(n), 0, 1)
-    return tuple(acc[k] if k % 2 == 0 else -acc[k] for k in range(n + 1))
+    for f, w in weights.values():
+        acc[n - f.dimension] += w
+    return tuple(-a if k % 2 else a for k, a in enumerate(acc))
 
 
 def _general_position(counts: FlatCounts, n: int) -> bool:

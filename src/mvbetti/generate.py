@@ -15,9 +15,16 @@ from .flats import is_general_position
 from .linalg import QMatrix, integer_kernel_basis
 from .spectral import Complex
 
+# Fixed ranges of the generated values; tests/test_generate.py pins them by digest.
+MAX_DEN = 3
+PROJECTIVE_BOUND = 4
+GENERAL_POSITION_BOUND = 30
+MATRIX_BOUND = 2
+START_RANGE = 2
 
-def random_fraction(rng: Random, bound: int = 4, max_den: int = 3) -> Fraction:
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, max_den))
+
+def random_fraction(rng: Random, bound: int = 4) -> Fraction:
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, MAX_DEN))
 
 
 def _random_normal(rng: Random, n: int, bound: int) -> list:
@@ -53,42 +60,37 @@ def random_affine_arrangement(
     return Arrangement(n, tuple(hyperplanes), AFFINE)
 
 
-def random_projective_arrangement(rng: Random, n: int, r: int, *, bound: int = 4) -> Arrangement:
+def random_projective_arrangement(rng: Random, n: int, r: int) -> Arrangement:
     hyperplanes: list = []
     seen = set()
     while len(hyperplanes) < r:
-        h = Hyperplane.canonical(_random_normal(rng, n + 1, bound), 0)
+        h = Hyperplane.canonical(_random_normal(rng, n + 1, PROJECTIVE_BOUND), 0)
         if h not in seen:
             seen.add(h)
             hyperplanes.append(h)
     return Arrangement(n, tuple(hyperplanes), PROJECTIVE)
 
 
-def random_general_position_arrangement(
-    rng: Random, n: int, r: int, *, bound: int = 30
-) -> Arrangement:
+def random_general_position_arrangement(rng: Random, n: int, r: int) -> Arrangement:
     """Random arrangement retried until verified to be in general position."""
     while True:
-        arr = random_affine_arrangement(rng, n, r, parallel=0.0, central=0.0, bound=bound)
+        arr = random_affine_arrangement(
+            rng, n, r, parallel=0.0, central=0.0, bound=GENERAL_POSITION_BOUND
+        )
         if is_general_position(arr):
             return arr
 
 
-def random_matrix(rng: Random, rows: int, cols: int, bound: int = 2) -> QMatrix:
-    return QMatrix(rows, cols, [rng.randint(-bound, bound) for _ in range(rows * cols)])
+def random_matrix(rng: Random, rows: int, cols: int) -> QMatrix:
+    return QMatrix(
+        rows, cols, [rng.randint(-MATRIX_BOUND, MATRIX_BOUND) for _ in range(rows * cols)]
+    )
 
 
-def random_complex(
-    rng: Random,
-    *,
-    max_terms: int = 5,
-    max_dim: int = 4,
-    bound: int = 2,
-    start_range: int = 2,
-) -> Complex:
+def random_complex(rng: Random, *, max_terms: int = 5, max_dim: int = 4) -> Complex:
     """Bounded complex with d o d = 0: each map factors over the previous left kernel."""
     length = rng.randint(1, max_terms)
-    start = rng.randint(-start_range, start_range)
+    start = rng.randint(-START_RANGE, START_RANGE)
     dims = [rng.randint(1, max_dim) for _ in range(length)]
     degrees = list(range(start, start + length))
     diff = {}
@@ -96,12 +98,12 @@ def random_complex(
     for k in range(length - 1):
         src, tgt = dims[k], dims[k + 1]
         if prev is None:
-            d = random_matrix(rng, tgt, src, bound)
+            d = random_matrix(rng, tgt, src)
         else:
             # rows of `left` span the left kernel of prev: left @ prev = 0
             scale, basis = integer_kernel_basis(*prev.transpose().echelon(), prev.rows)
             left = QMatrix(len(basis), prev.rows, [Fraction(x, scale) for w in basis for x in w])
-            d = random_matrix(rng, tgt, left.rows, bound) @ left
+            d = random_matrix(rng, tgt, left.rows) @ left
         diff[degrees[k]] = d
         prev = d
     return Complex(dict(zip(degrees, dims)), diff)

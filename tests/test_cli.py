@@ -341,18 +341,38 @@ def test_huge_coefficients_parallel_pair(tmp_path, capsys):
     assert [-1, 1, 2] in doc["e1"]
 
 
-def braid_poincare(tmp_path, capsys, m: int) -> tuple:
-    """`betti --json` on the braid arrangement on m coordinates, and prod_{j<m} (1 + j t)."""
+def braid_file(tmp_path, m: int) -> str:
+    """The braid arrangement x_i = x_j (i < j) on m coordinates, written to a file."""
     rows = [
         " ".join("1" if k == i else "-1" if k == j else "0" for k in range(m)) + " 0"
         for i, j in combinations(range(m), 2)
     ]
-    path = write(tmp_path, f"braid{m}.arr", f"affine {m}\n" + "\n".join(rows) + "\n")
-    assert main(["betti", path, "--no-oracle", "--cap", "64", "--json"]) == 0
+    return write(tmp_path, f"braid{m}.arr", f"affine {m}\n" + "\n".join(rows) + "\n")
+
+
+def braid_betti(m: int) -> list:
+    """The coefficients of prod_{j<m} (1 + j t), then b_m = 0."""
     poly = [1]
     for j in range(1, m):
         poly = [a + j * b for a, b in zip(poly + [0], [0] + poly)]
-    return json.loads(capsys.readouterr().out)["betti"], poly + [0]
+    return poly + [0]
+
+
+def braid_poincare(tmp_path, capsys, m: int) -> tuple:
+    """`betti --json` on the braid arrangement on m coordinates, and prod_{j<m} (1 + j t)."""
+    path = braid_file(tmp_path, m)
+    assert main(["betti", path, "--no-oracle", "--cap", "64", "--json"]) == 0
+    return json.loads(capsys.readouterr().out)["betti"], braid_betti(m)
+
+
+def test_check_braid_seven_coordinates_with_oracles(tmp_path, capsys):
+    # r = 21 at the default cap: both oracles run and agree with
+    # prod_{j<7} (1 + j t).
+    code, out, err = run(capsys, ["check", braid_file(tmp_path, 7)])
+    assert (code, err) == (0, "")
+    assert "betti: " + " ".join(map(str, braid_betti(7))) in out
+    assert "poincare: 1 + 21t + 175t^2 + 735t^3 + 1624t^4 + 1764t^5 + 720t^6" in out
+    assert "oracle agreement: yes" in out
 
 
 def test_braid_closed_form(tmp_path, capsys):

@@ -341,17 +341,79 @@ print(count_flats(arr, cap=1000).counts[(3, 0)])
 """
 
 
-def test_count_flats_depth_follows_dimension_not_hyperplanes():
-    # y = 0, z = 0 and 198 slabs x = c: each slab meets the line y = z = 0
-    # in its own point.  Deleting 200 hyperplanes one by one must not
-    # recurse, so a recursion limit far below 200 is enough.
+def _run_script(script: str) -> tuple:
+    """Exit code, stdout and stderr of `script` in a fresh interpreter on this package."""
     root = Path(__file__).parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", DEEP_DELETION], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "198\n", "")
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_count_flats_depth_follows_dimension_not_hyperplanes():
+    # y = 0, z = 0 and 198 slabs x = c: each slab meets the line y = z = 0
+    # in its own point.  Deleting 200 hyperplanes one by one must not
+    # recurse, so a recursion limit far below 200 is enough.
+    assert _run_script(DEEP_DELETION) == (0, "198\n", "")
+
+
+DEEP_PENCIL = """
+import sys
+from mvbetti import build_intersection_poset, mobius_betti, parse_arrangement, whitney_betti
+sys.setrecursionlimit(120)
+arr = parse_arrangement("affine 2\\n" + "".join(f"1 {k} 0\\n" for k in range(200)))
+print(whitney_betti(arr, cap=1000), mobius_betti(build_intersection_poset(arr, cap=1000)))
+"""
+
+
+def test_oracles_depth_does_not_follow_hyperplanes():
+    # 200 lines x + k y = 0 through the origin: every subset of two or more
+    # meets in the origin, so a walk that recurses once per hyperplane of a
+    # subset is 200 calls deep.  The oracles must not recurse at all.
+    assert _run_script(DEEP_PENCIL) == (0, "(1, 200, 199) (1, 200, 199)\n", "")
+
+
+def _lift(rng: Random, arr: Arrangement, n: int) -> Arrangement:
+    """`arr` in n >= its dimension coordinates: zero columns, then a unimodular change of coordinates.
+
+    The lifted arrangement is not essential, and its essential part has
+    the same intersection lattice as `arr`.
+    """
+    m = arr.ambient_dim
+    # x = U y with U unit upper triangular and its columns permuted, so det U = +-1.
+    u = [[1 if i == j else rng.randint(-1, 1) if i < j else 0 for j in range(n)] for i in range(n)]
+    cols = rng.sample(range(n), n)
+    hyperplanes = []
+    for h in arr.hyperplanes:
+        a = list(h.normal) + [0] * (n - m)
+        normal = [sum(a[i] * u[i][j] for i in range(n)) for j in cols]
+        hyperplanes.append(Hyperplane.canonical(normal, h.constant))
+    return Arrangement(n, tuple(hyperplanes), AFFINE)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_oracles_ignore_order_and_inessential_directions(seed):
+    # compute_betti runs both oracles on the affine arrangement as given, so
+    # their vectors must be the essential part's, padded with zeros, in any
+    # hyperplane order.
+    rng = Random(seed)
+    base = random_affine_arrangement(
+        rng, rng.randint(1, 3), rng.randint(1, 7), parallel=0.4, central=0.5, bound=2
+    )
+    n = base.ambient_dim + rng.randint(1, 2)
+    arr = _lift(rng, base, n)
+    shuffled = Arrangement(n, tuple(rng.sample(arr.hyperplanes, arr.r)), AFFINE)
+    essential = essentialize(arr).essential
+    pad = (0,) * (n - essential.ambient_dim)
+    assert whitney_betti(arr) == whitney_betti(shuffled) == whitney_betti(essential) + pad
+    poset, again = build_intersection_poset(arr), build_intersection_poset(shuffled)
+    assert (again.flats, again.codim, again.mobius) == (poset.flats, poset.codim, poset.mobius)
+    ess_mobius = mobius_betti(build_intersection_poset(essential))
+    assert mobius_betti(poset) == mobius_betti(again) == ess_mobius + pad
+    assert mobius_betti(poset) == whitney_betti(arr)
 
 
 @st.composite
