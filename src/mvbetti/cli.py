@@ -53,7 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--infinity", type=int, default=None, metavar="K",
                        help="index (0-based) of the hyperplane at infinity (projective input)")
         p.add_argument("--cap", type=int, default=DEFAULT_CAP, metavar="R",
-                       help=f"subset enumeration cap (default {DEFAULT_CAP})")
+                       help="most hyperplanes given to count_flats and the flat sweeps "
+                       f"(default {DEFAULT_CAP})")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--verbose", action="store_true")
         p.add_argument("--no-oracle", action="store_true", help="skip the oracle cross-checks")
@@ -279,7 +280,8 @@ def main(argv=None) -> int:
         if args.subcommand == "ss":
             return _run_ss(args)
         if args.cap < 1:
-            raise ValidationError("enumeration cap must be at least 1")
+            raise ValidationError("--cap bounds the hyperplanes given to count_flats and "
+                                  "the flat sweeps; it must be at least 1")
         return _run_arrangement(args)
     except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

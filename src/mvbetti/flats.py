@@ -27,8 +27,10 @@ counted.  On top of flats this module builds
   times, and the empty set otherwise.  The count table carries no spectral
   grading (`betti.first_page` places each bucket), and general position is
   read off it,
-* the intersection poset with its Moebius function, ordered by hyperplane
-  masks, and
+* the intersection poset, ordered by hyperplane masks, with its Moebius
+  function summed during the sweep that finds the flats (Weisner: mu(Y) =
+  -sum of mu(X) over the flats X ≠ Y with X ∩ H_i = Y, at the last H_i
+  containing Y); the flats are sorted only when a caller reads them, and
 * two independent combinatorial Betti oracles (Moebius-sum and signed
   inclusion-exclusion over subsets) used to cross-check the pipeline.  Each
   sweeps the hyperplanes once by `_extend`, keeping every nonempty
@@ -39,6 +41,7 @@ counted.  On top of flats this module builds
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb, gcd
 
 from .arrangement import AFFINE, Arrangement
@@ -305,23 +308,45 @@ def count_flats(arr: Arrangement, cap: int = DEFAULT_CAP) -> FlatCounts:
 class IntersectionPoset:
     """Nonempty flats closed under intersection, ordered by reverse inclusion.
 
-    flats[0] is the ambient space (the unique minimum); strictly_below[i]
-    lists the indices of flats strictly containing flats[i].  The Moebius
-    values satisfy mu[0] = 1 and mu[x] = -sum(mu[y] for y strictly below x).
+    `sweep` holds (flat, mask, mu) in the order the sweep found the flats:
+    bit i of mask is set iff hyperplane i contains the flat, and mu is its
+    Moebius value, with mu = 1 on the ambient space and mu[x] = -sum(mu[y]
+    for y strictly containing x).  The views `flats`, `codim`, `mobius` and
+    `masks` sort the flats by codimension, then by their rational echelon
+    entries, and `strictly_below[i]` lists the indices of the flats strictly
+    containing flats[i]; each is built on first access.
     """
 
-    flats: tuple
-    codim: tuple
-    mobius: tuple
-    strictly_below: tuple
+    ambient_dim: int
+    sweep: tuple
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.flats[0].dimension
+    @cached_property
+    def _sorted(self) -> tuple:
+        def key(entry):
+            flat = entry[0]
+            return self.ambient_dim - flat.dimension, rref_entries(flat.rows, flat.pivots)
+
+        return tuple(zip(*sorted(self.sweep, key=key)))
+
+    flats = property(lambda self: self._sorted[0])
+    masks = property(lambda self: self._sorted[1])
+    mobius = property(lambda self: self._sorted[2])
+
+    @cached_property
+    def codim(self) -> tuple:
+        return tuple(self.ambient_dim - f.dimension for f in self.flats)
+
+    @cached_property
+    def strictly_below(self) -> tuple:
+        # Sorted by codimension, so the flats containing flats[i] come before it.
+        masks = self.masks
+        return tuple(
+            tuple(j for j in range(i) if masks[j] & m == masks[j]) for i, m in enumerate(masks)
+        )
 
 
 def build_intersection_poset(arr: Arrangement, cap: int = DEFAULT_CAP) -> IntersectionPoset:
-    """Every nonempty flat, by one sweep over the hyperplanes in input order.
+    """Every nonempty flat with its Moebius value, by one sweep over the hyperplanes in input order.
 
     Each flat X is keyed by the bitmask H_X of the hyperplanes containing it:
     Y contains X iff H_Y is a subset of H_X.  After hyperplanes 0..i-1 the
@@ -331,28 +356,31 @@ def build_intersection_poset(arr: Arrangement, cap: int = DEFAULT_CAP) -> Inters
     hyperplanes containing Y is in the snapshot and X' ∩ H_i = Y, so every
     earlier bit of Y arrives through X', and every later bit arrives when Y
     meets a hyperplane that contains it.
+
+    Moebius values follow Weisner's theorem (Stanley, EC1, Cor. 3.9.3) on the
+    lattice of flats containing Y, with the atom H_i ⊇ Y: mu(Y) = -sum of
+    mu(X) over the flats X ≠ Y with X ∩ H_i = Y.  Step i sums mu(f) over the
+    snapshot flats f with f ∩ H_i = Y ≠ f and sets mu(Y) to minus the sum.
+    The last step that reaches Y is i = max(H_Y), and then each such X has
+    H_X ⊊ H_Y without i, so X is cut out by hyperplanes before i: it is in
+    the snapshot, and its own last step is past, so mu(X) is final.
     """
     rows = _walk_rows(arr, cap)
     n = arr.ambient_dim
     ambient = ambient_flat(n)
-    found = {ambient.rows: (ambient, 0)}
+    found = {ambient.rows: [ambient, 0, 1]}
     for i, row in enumerate(rows):
-        for f, mask in list(found.values()):
+        bit, sums = 1 << i, {}
+        for f, mask, mu in list(found.values()):
             g = _extend(f, row)
-            if not g.is_empty:
-                found[g.rows] = (g, found.get(g.rows, (g, 0))[1] | mask | 1 << i)
-    order = sorted(
-        found.values(), key=lambda fk: (n - fk[0].dimension, rref_entries(fk[0].rows, fk[0].pivots))
-    )
-    flats, keys = zip(*order)
-    # Sorted by codimension, so the flats containing flats[i] come before it.
-    below = tuple(
-        tuple(j for j in range(i) if keys[j] & key == keys[j]) for i, key in enumerate(keys)
-    )
-    mobius = []
-    for i in range(len(flats)):
-        mobius.append(1 if not below[i] else -sum(mobius[j] for j in below[i]))
-    return IntersectionPoset(flats, tuple(n - f.dimension for f in flats), tuple(mobius), below)
+            if g is f:
+                found[f.rows][1] |= bit
+            elif not g.is_empty:
+                found.setdefault(g.rows, [g, 0, 0])[1] |= mask | bit
+                sums[g.rows] = sums.get(g.rows, 0) + mu
+        for key, total in sums.items():
+            found[key][2] = -total
+    return IntersectionPoset(n, tuple(map(tuple, found.values())))
 
 
 def mobius_betti(poset: IntersectionPoset) -> tuple:
@@ -360,12 +388,12 @@ def mobius_betti(poset: IntersectionPoset) -> tuple:
 
     b_k is the sum of |mu(ambient, x)| over flats x of codimension k; this is
     the Orlik-Solomon decomposition of the complement's cohomology, used here
-    purely as an oracle.
+    purely as an oracle.  It reads the sweep as found, without sorting it.
     """
     n = poset.ambient_dim
     betti = [0] * (n + 1)
-    for codim, mu in zip(poset.codim, poset.mobius):
-        betti[codim] += abs(mu)
+    for flat, _, mu in poset.sweep:
+        betti[n - flat.dimension] += abs(mu)
     return tuple(betti)
 
 

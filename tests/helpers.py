@@ -125,5 +125,36 @@ def boolean_arrangement_text(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def difference_arrangement_text(n: int, signs, constants, coordinates: bool = False) -> str:
+    """x_i + s x_j = c for i < j, s in `signs`, c in `constants`; x_i = 0 too if `coordinates`.
+
+    Signs (-1,) give the braid (constants (0,)), Shi ((0, 1)) and Catalan
+    ((-1, 0, 1)) arrangements, signs (-1, 1) with constant 0 the Coxeter
+    arrangement D_n, and B_n with the coordinate hyperplanes added.
+    """
+
+    def unit(i):
+        return ["1" if k == i else "0" for k in range(n)]
+
+    lines = [f"affine {n}"]
+    if coordinates:
+        lines += [" ".join(unit(i)) + " 0" for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for s in signs:
+                coeffs = unit(i)
+                coeffs[j] = str(s)
+                lines += [" ".join(coeffs) + f" {c}" for c in constants]
+    return "\n".join(lines) + "\n"
+
+
+def betti_of_roots(roots) -> list:
+    """b_k of a complement with chi(q) = prod (q - a): the coefficients of prod (1 + a t)."""
+    poly = [1]
+    for a in roots:
+        poly = [x + a * y for x, y in zip(poly + [0], [0] + poly)]
+    return poly
+
+
 BRAID_A3 = "affine 3\n1 -1 0 0\n1 0 -1 0\n0 1 -1 0\n"
 PARALLEL_A2 = "affine 2\n1 0 0\n1 0 1\n"

@@ -13,9 +13,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mvbetti.flats
+from mvbetti import build_intersection_poset, compute_betti, mobius_betti, parse_arrangement
 from mvbetti.cli import main
+from mvbetti.linalg import rref_entries
 
-from helpers import BRAID_A3, PARALLEL_A2, boolean_arrangement_text
+from helpers import (
+    BRAID_A3,
+    PARALLEL_A2,
+    betti_of_roots,
+    boolean_arrangement_text,
+    difference_arrangement_text,
+)
 
 SQUARE_DC = """\
 dims
@@ -206,8 +215,9 @@ def test_poset_on_projective_decones(tmp_path, capsys):
     assert "mobius:  1 2 1" in capsys.readouterr().out
 
 
-def test_cap_must_be_positive(boolean3_file):
+def test_cap_must_be_positive(boolean3_file, capsys):
     assert main(["betti", boolean3_file, "--cap", "0"]) == 1
+    assert "--cap bounds the hyperplanes given to count_flats" in capsys.readouterr().err
 
 
 def test_no_oracle_flag(boolean3_file, capsys):
@@ -352,10 +362,7 @@ def braid_file(tmp_path, m: int) -> str:
 
 def braid_betti(m: int) -> list:
     """The coefficients of prod_{j<m} (1 + j t), then b_m = 0."""
-    poly = [1]
-    for j in range(1, m):
-        poly = [a + j * b for a, b in zip(poly + [0], [0] + poly)]
-    return poly + [0]
+    return betti_of_roots(range(m))
 
 
 def braid_poincare(tmp_path, capsys, m: int) -> tuple:
@@ -373,6 +380,58 @@ def test_check_braid_seven_coordinates_with_oracles(tmp_path, capsys):
     assert "betti: " + " ".join(map(str, braid_betti(7))) in out
     assert "poincare: 1 + 21t + 175t^2 + 735t^3 + 1624t^4 + 1764t^5 + 720t^6" in out
     assert "oracle agreement: yes" in out
+
+
+@pytest.mark.parametrize(
+    "m, constants, roots",
+    [
+        # Catalan, r = 18: chi(q) = q prod_{k=1..m-1} (q - m - k)
+        (4, (-1, 0, 1), (0, 5, 6, 7)),
+        # Shi, r = 20: chi(q) = q (q - m)^(m - 1)
+        (5, (0, 1), (0, 5, 5, 5, 5)),
+    ],
+    ids=["catalan4", "shi5"],
+)
+def test_check_catalan_and_shi_with_oracles(tmp_path, capsys, m, constants, roots):
+    # Both under the default cap, so `check` runs the pipeline and both oracles.
+    path = write(tmp_path, "difference.arr", difference_arrangement_text(m, (-1,), constants))
+    code, out, err = run(capsys, ["check", path, "--json"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    expected = betti_of_roots(roots)
+    assert doc["betti"] == expected
+    assert doc["oracle"] == {"mobius": expected, "whitney": expected}
+    assert doc["agreement"] is True
+
+
+def test_betti_path_does_not_sort_the_poset(tmp_path, capsys, monkeypatch):
+    # The sort key of the poset's sorted view is the only `rref_entries` call
+    # the Betti numbers could reach; `poset` output must still be sorted.
+    def refuse(rows, pivots):
+        raise AssertionError("rref_entries called")
+
+    monkeypatch.setattr(mvbetti.flats, "rref_entries", refuse)
+    path = braid_file(tmp_path, 4)
+    assert compute_betti(parse_arrangement(BRAID_A3), oracles=True).agreement is True
+    assert run(capsys, ["oracle", path]) == (0, "mobius:  1 6 11 6 0\nwhitney: 1 6 11 6 0\n", "")
+    assert run(capsys, ["check", path])[0] == 0
+    with pytest.raises(AssertionError, match="rref_entries called"):
+        main(["poset", path])
+
+
+def test_poset_sorts_on_first_read(monkeypatch):
+    calls = []
+
+    def counted(rows, pivots):
+        calls.append(rows)
+        return rref_entries(rows, pivots)
+
+    monkeypatch.setattr(mvbetti.flats, "rref_entries", counted)
+    poset = build_intersection_poset(parse_arrangement(BRAID_A3))
+    assert mobius_betti(poset) == (1, 3, 2, 0) and not calls
+    assert len(poset.flats) == len(poset.sweep) == len(calls)
+    assert poset.codim == (0, 1, 1, 1, 2) and poset.mobius == (1, -1, -1, -1, 2)
+    assert len(calls) == len(poset.sweep)  # built once, then kept
 
 
 def test_braid_closed_form(tmp_path, capsys):

@@ -29,7 +29,13 @@ from mvbetti.arrangement import AFFINE, Arrangement, Hyperplane, essentialize
 from mvbetti.flats import _extend, ambient_flat, flat_of_subset
 from mvbetti.generate import random_affine_arrangement
 
-from helpers import BRAID_A3, PARALLEL_A2, boolean_arrangement_text
+from helpers import (
+    BRAID_A3,
+    PARALLEL_A2,
+    betti_of_roots,
+    boolean_arrangement_text,
+    difference_arrangement_text,
+)
 
 
 @pytest.fixture
@@ -190,6 +196,59 @@ def test_oracles_agree_and_mobius_signs(seed):
             if not flat.is_empty:
                 seen.add(flat)
     assert len(seen) == len(poset.flats)
+
+
+def _textbook_mobius(arr: Arrangement, poset) -> tuple:
+    """mu of each of `poset.flats` by mu(X) = -sum of mu(Y) over the flats Y strictly containing X.
+
+    Containment is read from hyperplane masks computed here, one
+    elimination per (flat, hyperplane); the flats are visited by the number
+    of hyperplanes containing them, so every Y above X comes first.
+    """
+    rows = [h.equation_row() for h in arr.hyperplanes]
+    masks = [sum(1 << i for i, row in enumerate(rows) if _extend(f, row) is f) for f in poset.flats]
+    assert tuple(masks) == poset.masks
+    mu = {}
+    for x in sorted(range(len(masks)), key=lambda i: bin(masks[i]).count("1")):
+        m = masks[x]
+        mu[x] = -sum(mu[y] for y in mu if masks[y] & m == masks[y]) if m else 1
+    return tuple(mu[x] for x in range(len(masks)))
+
+
+FAMILIES = {
+    # chi(q) = prod_i (q - (2i - 1))
+    "B4": (difference_arrangement_text(4, (-1, 1), (0,), coordinates=True), (1, 3, 5, 7)),
+    # chi(q) = q prod_{k=1..n-1} (q - n - k)
+    "Catalan 4": (difference_arrangement_text(4, (-1,), (-1, 0, 1)), (0, 5, 6, 7)),
+    # chi(q) = q (q - n)^(n - 1)
+    "Shi 5": (difference_arrangement_text(5, (-1,), (0, 1)), (0, 5, 5, 5, 5)),
+    # chi(q) = (q - n + 1) prod_{i=1..n-1} (q - 2i + 1)
+    "D5": (difference_arrangement_text(5, (-1, 1), (0,)), (4, 1, 3, 5, 7)),
+}
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_weisner_mobius_matches_textbook_on_families(name):
+    text, roots = FAMILIES[name]
+    arr = parse_arrangement(text)
+    poset = build_intersection_poset(arr)
+    assert poset.mobius == _textbook_mobius(arr, poset)
+    assert list(mobius_betti(poset)) == betti_of_roots(roots)
+
+
+def test_weisner_mobius_matches_textbook_on_random_arrangements():
+    rng = Random(16)
+    for _ in range(400):
+        arr = random_affine_arrangement(
+            rng,
+            rng.randint(1, 5),
+            rng.randint(1, 9),
+            parallel=rng.choice((0.0, 0.25, 0.6)),
+            central=rng.choice((0.0, 0.25, 0.7)),
+            bound=rng.choice((1, 2, 4)),
+        )
+        poset = build_intersection_poset(arr)
+        assert poset.mobius == _textbook_mobius(arr, poset)
 
 
 def _degenerate_arrangement(rng: Random, kind: str) -> Arrangement:
