@@ -5,37 +5,34 @@ Times `build_intersection_poset` followed by `mobius_betti`, and
 `whitney_betti`, on the Boolean arrangement in 12 coordinates, the Catalan
 arrangement x_i - x_j in {-1, 0, 1} in 6 coordinates (r=45) and one seeded
 random mixed arrangement with n=5, r=16.  None of them is a benchmark
-workload.  Each time is the best of --repeat runs.  Prints one JSON line:
+workload.  Each time is the best of REPEAT runs.  Prints one JSON line:
 
-    PYTHONPATH=src python scripts/time_oracles.py [--repeat K] [--seed S]
+    PYTHONPATH=src python scripts/time_oracles.py
 """
 
-import argparse
 import json
-from itertools import combinations
 from random import Random
 from time import perf_counter
 
-from betti_examples import boolean
+from betti_examples import boolean, braid
 
 from mvbetti import build_intersection_poset, mobius_betti, parse_arrangement, whitney_betti
 from mvbetti.generate import random_affine_arrangement
 
 CAP = 64
+REPEAT = 3
+SEED = 0
 
 
 def catalan(n):
-    lines = [f"affine {n}"]
-    for i, j in combinations(range(n), 2):
-        coeffs = ["0"] * n
-        coeffs[i], coeffs[j] = "1", "-1"
-        lines += [" ".join(coeffs) + f" {c}" for c in (-1, 0, 1)]
-    return "\n".join(lines)
+    """Each braid hyperplane x_i - x_j = 0 with the constants -1, 0 and 1."""
+    header, *rows = braid(n).splitlines()
+    return "\n".join([header] + [row[: -len(" 0")] + f" {c}" for row in rows for c in (-1, 0, 1)])
 
 
-def best(repeat, fn):
+def best(fn):
     times, result = [], None
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         start = perf_counter()
         result = fn()
         times.append(perf_counter() - start)
@@ -43,21 +40,15 @@ def best(repeat, fn):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
     cases = {
         "boolean_n12": parse_arrangement(boolean(12)),
         "catalan_n6": parse_arrangement(catalan(6)),
-        "random_n5_r16": random_affine_arrangement(Random(args.seed), 5, 16),
+        "random_n5_r16": random_affine_arrangement(Random(SEED), 5, 16),
     }
     out = {}
     for name, arr in cases.items():
-        poset_s, mobius = best(
-            args.repeat, lambda: mobius_betti(build_intersection_poset(arr, CAP))
-        )
-        whitney_s, whitney = best(args.repeat, lambda: whitney_betti(arr, CAP))
+        poset_s, mobius = best(lambda: mobius_betti(build_intersection_poset(arr, CAP)))
+        whitney_s, whitney = best(lambda: whitney_betti(arr, CAP))
         out[name] = {
             "r": arr.r,
             "poset_mobius_s": poset_s,
