@@ -2,9 +2,10 @@
 
 Subcommands on arrangement files: `betti`, `e1`, `e2`, `poset`, `oracle`,
 `check`; on double-complex files: `ss`.  Exit codes: 0 success, 1 parse or
-validation error, 2 enumeration cap exceeded or a usage error (argparse
-raises SystemExit(2)), 3 consistency failure (oracle mismatch, negative
-alternating sum, non-unique degree, degeneration or convergence failure).
+validation error, 2 more hyperplanes than the cap on those given to
+`count_flats` and the flat sweeps, or a usage error (argparse raises
+SystemExit(2)), 3 consistency failure (oracle mismatch, negative alternating
+sum, non-unique degree, degeneration or convergence failure).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .arrangement import PROJECTIVE, Hyperplane, _affine_chart, parse_arrangemen
 from .betti import BettiReport, compute_betti
 from .errors import CapExceededError, ConsistencyError, ParseError, ValidationError
 from .flats import DEFAULT_CAP, build_intersection_poset, mobius_betti, whitney_betti
+from .linalg import rref_entries
 from .spectral import (
     HORIZONTAL,
     VERTICAL,
@@ -158,25 +160,24 @@ def _run_arrangement(args) -> int:
         arr = _affine_chart(arr, args.infinity)
 
     if args.subcommand == "poset":
-        poset = build_intersection_poset(arr, args.cap)
+        n = arr.ambient_dim
+        # Sorted by codimension, then by the rational echelon entries.
+        flats = sorted(
+            (n - f.dimension, rref_entries(f.rows, f.pivots), f.dimension, mu)
+            for f, _, mu in build_intersection_poset(arr, args.cap).sweep
+        )
         if args.json:
             flats = [
-                {
-                    "dim": f.dimension,
-                    "codim": poset.codim[i],
-                    "mobius": poset.mobius[i],
-                    "equations": _flat_equations(f, arr.ambient_dim),
-                }
-                for i, f in enumerate(poset.flats)
+                {"dim": dim, "codim": codim, "mobius": mu, "equations": _flat_equations(entries, n)}
+                for codim, entries, dim, mu in flats
             ]
-            doc = {"kind": arr.kind, "n": arr.ambient_dim, "r": arr.r, "flats": flats}
+            doc = {"kind": arr.kind, "n": n, "r": arr.r, "flats": flats}
             print(json.dumps(doc, sort_keys=True))
         else:
-            print(f"{len(poset.flats)} flats:")
-            for i, f in enumerate(poset.flats):
-                eqs = "; ".join(_flat_equations(f, arr.ambient_dim)) or "(ambient space)"
-                mu = poset.mobius[i]
-                print(f"  dim={f.dimension} codim={poset.codim[i]} mu={mu:+d}  {eqs}")
+            print(f"{len(flats)} flats:")
+            for codim, entries, dim, mu in flats:
+                eqs = "; ".join(_flat_equations(entries, n)) or "(ambient space)"
+                print(f"  dim={dim} codim={codim} mu={mu:+d}  {eqs}")
         return 0
 
     if args.subcommand == "oracle":
@@ -214,10 +215,11 @@ def _run_arrangement(args) -> int:
     return 0
 
 
-def _flat_equations(flat, n) -> list:
+def _flat_equations(entries: list, n: int) -> list:
+    # `entries` are a flat's rational echelon rows [a_1 ... a_n | c], row-major.
     # The poset holds only nonempty flats, so every row has a nonzero normal.
-    system = flat.system
-    return [str(Hyperplane(row[:n], row[n])) for row in map(system.row, range(system.rows))]
+    rows = (entries[i : i + n + 1] for i in range(0, len(entries), n + 1))
+    return [str(Hyperplane(tuple(row[:n]), row[n])) for row in rows]
 
 
 def _run_ss(args) -> int:

@@ -22,7 +22,7 @@ class ValidationError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """Subset enumeration would exceed the configured cap."""
+    """More hyperplanes than the cap on those given to `count_flats` and the flat sweeps."""
 
     def __init__(self, r, cap):
         super().__init__(

@@ -27,10 +27,11 @@ counted.  On top of flats this module builds
   times, and the empty set otherwise.  The count table carries no spectral
   grading (`betti.first_page` places each bucket), and general position is
   read off it,
-* the intersection poset, ordered by hyperplane masks, with its Moebius
-  function summed during the sweep that finds the flats (Weisner: mu(Y) =
-  -sum of mu(X) over the flats X ≠ Y with X ∩ H_i = Y, at the last H_i
-  containing Y); the flats are sorted only when a caller reads them, and
+* the intersection poset: the sweep that finds the nonempty flats, each
+  with the mask of the hyperplanes containing it and its Moebius value,
+  summed during that sweep (Weisner: mu(Y) = -sum of mu(X) over the flats
+  X ≠ Y with X ∩ H_i = Y, at the last H_i containing Y); it is kept in the
+  order found, and
 * two independent combinatorial Betti oracles (Moebius-sum and signed
   inclusion-exclusion over subsets) used to cross-check the pipeline.  Each
   sweeps the hyperplanes once by `_extend`, keeping every nonempty
@@ -41,12 +42,11 @@ counted.  On top of flats this module builds
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import comb, gcd
 
 from .arrangement import AFFINE, Arrangement
 from .errors import CapExceededError, ValidationError
-from .linalg import QMatrix, echelon_insert, restrict, rref_entries
+from .linalg import echelon_insert, restrict
 
 DEFAULT_CAP = 24
 
@@ -60,8 +60,7 @@ class Flat:
     to coprime integers with a positive pivot, in pivot order.  `pivots` are
     their pivot columns, derived from `rows` and left out of equality.
     `dimension` is None exactly when the constant column n is a pivot (empty
-    flat).  `system` divides each row by its pivot, which gives the same
-    equations as an exact rational reduced row echelon form.
+    flat).
     """
 
     rows: tuple
@@ -71,12 +70,6 @@ class Flat:
     @property
     def is_empty(self) -> bool:
         return self.dimension is None
-
-    @property
-    def system(self) -> QMatrix:
-        """The stripped reduced row echelon form [A | c] over the rationals."""
-        cols = len(self.rows[0]) if self.rows else self.dimension + 1
-        return QMatrix(len(self.rows), cols, rref_entries(self.rows, self.pivots))
 
 
 def ambient_flat(n: int) -> Flat:
@@ -309,40 +302,15 @@ class IntersectionPoset:
     """Nonempty flats closed under intersection, ordered by reverse inclusion.
 
     `sweep` holds (flat, mask, mu) in the order the sweep found the flats:
-    bit i of mask is set iff hyperplane i contains the flat, and mu is its
-    Moebius value, with mu = 1 on the ambient space and mu[x] = -sum(mu[y]
-    for y strictly containing x).  The views `flats`, `codim`, `mobius` and
-    `masks` sort the flats by codimension, then by their rational echelon
-    entries, and `strictly_below[i]` lists the indices of the flats strictly
-    containing flats[i]; each is built on first access.
+    bit i of mask is set iff hyperplane i contains the flat, so Y contains X
+    iff mask(Y) is a subset of mask(X), and mu is its Moebius value, with
+    mu = 1 on the ambient space and mu[x] = -sum(mu[y] for y strictly
+    containing x).  No order is imposed on the flats; a caller that prints
+    them sorts them itself.
     """
 
     ambient_dim: int
     sweep: tuple
-
-    @cached_property
-    def _sorted(self) -> tuple:
-        def key(entry):
-            flat = entry[0]
-            return self.ambient_dim - flat.dimension, rref_entries(flat.rows, flat.pivots)
-
-        return tuple(zip(*sorted(self.sweep, key=key)))
-
-    flats = property(lambda self: self._sorted[0])
-    masks = property(lambda self: self._sorted[1])
-    mobius = property(lambda self: self._sorted[2])
-
-    @cached_property
-    def codim(self) -> tuple:
-        return tuple(self.ambient_dim - f.dimension for f in self.flats)
-
-    @cached_property
-    def strictly_below(self) -> tuple:
-        # Sorted by codimension, so the flats containing flats[i] come before it.
-        masks = self.masks
-        return tuple(
-            tuple(j for j in range(i) if masks[j] & m == masks[j]) for i, m in enumerate(masks)
-        )
 
 
 def build_intersection_poset(arr: Arrangement, cap: int = DEFAULT_CAP) -> IntersectionPoset:
@@ -388,7 +356,7 @@ def mobius_betti(poset: IntersectionPoset) -> tuple:
 
     b_k is the sum of |mu(ambient, x)| over flats x of codimension k; this is
     the Orlik-Solomon decomposition of the complement's cohomology, used here
-    purely as an oracle.  It reads the sweep as found, without sorting it.
+    purely as an oracle.  It reads the sweep as found.
     """
     n = poset.ambient_dim
     betti = [0] * (n + 1)

@@ -224,32 +224,36 @@ def cohomology_dims(c: Complex) -> dict:
 class PageTable:
     """Dimensions of pages E_r^{p,q} for r = 0..r_max under one filtration.
 
-    stable_at is the least r whose page equals every later computed page
-    (r_max + 1 when stability was not observed within r_max).
+    `pages` is keyed (r, p, q).  stable_at is the least r whose page equals
+    every later computed page (r_max + 1 when stability was not observed
+    within r_max).
     """
 
     filtration: str
     r_max: int
     pages: dict
-    stable_at: int
 
     @cached_property
     def _by_r(self) -> dict:
-        return _group_by_r(self.pages)
+        """{r: {(p, q): dim}}, grouped in one pass."""
+        by_r: dict = {}
+        for (r, p, q), d in self.pages.items():
+            by_r.setdefault(r, {})[(p, q)] = d
+        return by_r
+
+    @cached_property
+    def stable_at(self) -> int:
+        last, r = self._by_r.get(self.r_max, {}), self.r_max
+        while r and self._by_r.get(r - 1, {}) == last:
+            r -= 1
+        # A single terminal page is no evidence of stabilization.
+        return self.r_max + 1 if r == self.r_max else r
 
     def page(self, r: int) -> dict:
         return dict(self._by_r.get(r, {}))
 
     def limit(self) -> dict:
         return self.page(min(self.stable_at, self.r_max))
-
-
-def _group_by_r(table: dict) -> dict:
-    """{r: {(p, q): dim}} from a table keyed (r, p, q), in one pass."""
-    by_r: dict = {}
-    for (r, p, q), d in table.items():
-        by_r.setdefault(r, {})[(p, q)] = d
-    return by_r
 
 
 def _filtration_pages(dc: DoubleComplex, filtration: str, r_max: int) -> dict:
@@ -314,18 +318,7 @@ def pages(dc: DoubleComplex, filtration: str, r_max: int) -> PageTable:
         raise ValidationError("r_max must be at least 2")
     if filtration not in (HORIZONTAL, VERTICAL):
         raise ValidationError(f"unknown filtration {filtration!r}")
-    table = _filtration_pages(dc, filtration, r_max)
-    by_r = _group_by_r(table)
-    last = by_r.get(r_max, {})
-    stable_at = r_max
-    for r in range(r_max - 1, -1, -1):
-        if by_r.get(r, {}) != last:
-            break
-        stable_at = r
-    if stable_at == r_max:
-        # A single terminal page is no evidence of stabilization.
-        stable_at = r_max + 1
-    return PageTable(filtration, r_max, table, stable_at)
+    return PageTable(filtration, r_max, _filtration_pages(dc, filtration, r_max))
 
 
 def verify_convergence(pt: PageTable, h: dict) -> bool:

@@ -33,7 +33,13 @@ from mvbetti.generate import (
     random_projective_arrangement,
 )
 
-from helpers import BRAID_A3, PARALLEL_A2, boolean_arrangement_text
+from helpers import (
+    BRAID_A3,
+    PARALLEL_A2,
+    betti_of_roots,
+    boolean_arrangement_text,
+    difference_arrangement_text,
+)
 
 
 def _first_page_of(text):
@@ -183,6 +189,47 @@ def test_compute_betti_named_examples():
         rep = compute_betti(parse_arrangement(boolean_arrangement_text(n)))
         assert rep.betti == tuple(comb(n, k) for k in range(n + 1))
         assert rep.agreement
+
+
+# (n, arrangement text, roots) of families with chi(q) = prod (q - a) over the
+# roots: B_n and D_n exponents from Orlik and Terao (1992), ch. 6; Shi and
+# Catalan from Athanasiadis, Adv. Math. 122 (1996).
+FACTORED_FAMILIES = [
+    *(pytest.param(n, difference_arrangement_text(n, (-1, 1), (0,), coordinates=True),
+                   range(1, 2 * n, 2), id=f"B{n}") for n in range(3, 9)),
+    *(pytest.param(n, difference_arrangement_text(n, (-1, 1), (0,)),
+                   (*range(1, 2 * n - 2, 2), n - 1), id=f"D{n}") for n in range(4, 9)),
+    *(pytest.param(n, difference_arrangement_text(n, (-1,), (0, 1)),
+                   (0,) + (n,) * (n - 1), id=f"Shi {n}") for n in range(3, 8)),
+    *(pytest.param(n, difference_arrangement_text(n, (-1,), (-1, 0, 1)),
+                   (0, *range(n + 1, 2 * n)), id=f"Catalan {n}") for n in range(3, 8)),
+]
+
+
+def _family_betti(text: str, n: int):
+    # r reaches 64 (B8); both oracles run up to n = 4.
+    oracles = n <= 4
+    report = compute_betti(parse_arrangement(text), cap=64, oracles=oracles)
+    assert report.agreement is (True if oracles else None)
+    return list(report.betti)
+
+
+@pytest.mark.parametrize("n, text, roots", FACTORED_FAMILIES)
+def test_named_families_match_closed_forms(n, text, roots):
+    assert _family_betti(text, n) == betti_of_roots(roots)
+
+
+@pytest.mark.parametrize("n, regions", [(2, 2), (3, 7), (4, 36), (5, 246), (6, 2104)])
+def test_linial_matches_closed_form(n, regions):
+    # chi(q) = q 2^-n sum_k C(n, k) (q - k)^(n - 1) (Postnikov and Stanley,
+    # J. Combin. Theory A 91 (2000)); 2^n chi has the coefficient chi2[j] at q^(j + 1).
+    chi2 = [sum(comb(n, k) * comb(n - 1, j) * (-k) ** (n - 1 - j) for k in range(n + 1))
+            for j in range(n)]
+    assert all(c % 2**n == 0 for c in chi2)
+    expected = [abs(c) // 2**n for c in reversed(chi2)] + [0]
+    betti = _family_betti(difference_arrangement_text(n, (-1,), (1,)), n)
+    assert betti == expected
+    assert sum(betti) == regions  # |chi(-1)|, the number of real regions
 
 
 def test_compute_betti_generic_lines():

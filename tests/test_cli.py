@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import mvbetti.flats
+import mvbetti.cli
 from mvbetti import build_intersection_poset, compute_betti, parse_arrangement
 from mvbetti.cli import main
 from mvbetti.linalg import rref_entries
@@ -405,12 +405,12 @@ def test_check_catalan_and_shi_with_oracles(tmp_path, capsys, m, constants, root
 
 
 def test_betti_path_does_not_sort_the_poset(tmp_path, capsys, monkeypatch):
-    # The sort key of the poset's sorted view is the only `rref_entries` call
+    # The sort key of the `poset` printout is the only `rref_entries` call
     # the Betti numbers could reach; `poset` output must still be sorted.
     def refuse(rows, pivots):
         raise AssertionError("rref_entries called")
 
-    monkeypatch.setattr(mvbetti.flats, "rref_entries", refuse)
+    monkeypatch.setattr(mvbetti.cli, "rref_entries", refuse)
     path = braid_file(tmp_path, 4)
     assert compute_betti(parse_arrangement(BRAID_A3), oracles=True).agreement is True
     assert run(capsys, ["oracle", path]) == (0, "mobius:  1 6 11 6 0\nwhitney: 1 6 11 6 0\n", "")
@@ -420,10 +420,13 @@ def test_betti_path_does_not_sort_the_poset(tmp_path, capsys, monkeypatch):
 
     calls = []
     monkeypatch.setattr(
-        mvbetti.flats, "rref_entries", lambda rows, pivots: calls.append(rows) or rref_entries(rows, pivots)
+        mvbetti.cli, "rref_entries", lambda rows, pivots: calls.append(rows) or rref_entries(rows, pivots)
     )
-    poset = build_intersection_poset(parse_arrangement(BRAID_A3))
-    assert poset.flats == poset.flats and len(calls) == len(poset.sweep)  # sorted once, then kept
+    code, out, _ = run(capsys, ["poset", path])
+    flats = len(build_intersection_poset(parse_arrangement(Path(path).read_text())).sweep)
+    assert code == 0 and out.startswith(f"{flats} flats:")
+    # One sort key per flat, reused for its equations.
+    assert len(calls) == len(set(calls)) == flats
 
 
 def test_braid_closed_form(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Flats, subset counts, the intersection poset and the two oracles."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -28,6 +29,7 @@ from mvbetti import (
 from mvbetti.arrangement import AFFINE, Arrangement, Hyperplane, essentialize
 from mvbetti.flats import _extend, ambient_flat, flat_of_subset
 from mvbetti.generate import random_affine_arrangement
+from mvbetti.linalg import rref_entries
 
 from helpers import (
     BRAID_A3,
@@ -62,7 +64,7 @@ def test_flat_of_full_boolean_subset(boolean2):
 def test_flat_of_empty_subset_is_ambient(boolean2):
     flat = flat_of_subset(boolean2, [])
     assert flat.dimension == 2
-    assert flat.system.rows == 0
+    assert flat.rows == ()
 
 
 def test_flat_of_parallel_pair_is_empty(parallel):
@@ -104,24 +106,32 @@ def test_counts_cap():
         count_flats(parse_arrangement(boolean_arrangement_text(3)), cap=2)
 
 
+def _mobius_of(poset) -> dict:
+    """{flat: mu} of the poset's sweep, which has no order of its own."""
+    return {flat: mu for flat, _, mu in poset.sweep}
+
+
+def _codim_mobius(poset) -> list:
+    """The sorted (codimension, mu) pairs of the poset's flats."""
+    return sorted((poset.ambient_dim - flat.dimension, mu) for flat, _, mu in poset.sweep)
+
+
 def test_poset_boolean(boolean2):
     poset = build_intersection_poset(boolean2)
-    assert len(poset.flats) == 4
-    assert sorted(poset.mobius) == [-1, -1, 1, 1]
-    assert poset.mobius[0] == 1
-    assert poset.codim == (0, 1, 1, 2)
+    assert _codim_mobius(poset) == [(0, 1), (1, -1), (1, -1), (2, 1)]
+    subsets = {(): 1, (0,): -1, (1,): -1, (0, 1): 1}
+    assert _mobius_of(poset) == {flat_of_subset(boolean2, s): mu for s, mu in subsets.items()}
 
 
 def test_poset_single_hyperplane():
-    poset = build_intersection_poset(parse_arrangement("affine 2\n1 0 0\n"))
-    assert poset.mobius == (1, -1)
+    arr = parse_arrangement("affine 2\n1 0 0\n")
+    poset = build_intersection_poset(arr)
+    assert _mobius_of(poset) == {ambient_flat(2): 1, flat_of_subset(arr, [0]): -1}
 
 
 def test_poset_braid_essential(braid_essential):
     poset = build_intersection_poset(braid_essential)
-    assert len(poset.flats) == 5
-    point = poset.codim.index(2)
-    assert poset.mobius[point] == 2
+    assert _codim_mobius(poset) == [(0, 1), (1, -1), (1, -1), (1, -1), (2, 2)]
 
 
 def test_mobius_betti_examples(boolean2, braid_essential):
@@ -158,6 +168,21 @@ def test_general_position():
     assert compute_betti(pair).general_position is True
 
 
+def test_flats_module_imports_no_rational_forms():
+    # Flats stay primitive integer rows; their rational echelon form is built
+    # only where it is printed (`mvbetti poset`), so `flats` imports none of it.
+    source = Path(__file__).parent.parent / "src" / "mvbetti" / "flats.py"
+    modules, names = set(), set()
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+            names.update(alias.name for alias in node.names)
+    assert "fractions" not in modules
+    assert not names & {"Fraction", "QMatrix", "rref_entries", "cached_property"}
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_subset_count_conservation(seed):
@@ -176,15 +201,18 @@ def test_oracles_agree_and_mobius_signs(seed):
     rng = Random(seed)
     arr = random_affine_arrangement(rng, rng.randint(1, 4), rng.randint(0, 6))
     poset = build_intersection_poset(arr)
-    for mu, codim in zip(poset.mobius, poset.codim):
+    for codim, mu in _codim_mobius(poset):
         assert mu * (-1) ** codim > 0
-    # containment by hyperplane masks agrees with elimination
-    for i, x in enumerate(poset.flats):
-        for j, y in enumerate(poset.flats):
-            a, b = x.system, y.system
+    # containment by hyperplane masks agrees with elimination on the rational rref
+    n = arr.ambient_dim
+    systems = [
+        QMatrix(len(f.rows), n + 1, rref_entries(f.rows, f.pivots)) for f, _, _ in poset.sweep
+    ]
+    for (x, mx, _), a in zip(poset.sweep, systems):
+        for (y, my, _), b in zip(poset.sweep, systems):
             stacked = QMatrix(a.rows + b.rows, a.cols, a.entries + b.entries)
             contains = stacked.rank() == a.rows
-            assert (j in poset.strictly_below[i]) == (j != i and contains)
+            assert (x != y and my & mx == my) == (x != y and contains)
     betti = mobius_betti(poset)
     assert betti == whitney_betti(arr)
     assert betti[0] == 1
@@ -195,24 +223,27 @@ def test_oracles_agree_and_mobius_signs(seed):
             flat = flat_of_subset(arr, subset)
             if not flat.is_empty:
                 seen.add(flat)
-    assert len(seen) == len(poset.flats)
+    assert len(seen) == len(poset.sweep)
+    assert seen == set(_mobius_of(poset))
 
 
-def _textbook_mobius(arr: Arrangement, poset) -> tuple:
-    """mu of each of `poset.flats` by mu(X) = -sum of mu(Y) over the flats Y strictly containing X.
+def _textbook_mobius(arr: Arrangement, poset) -> dict:
+    """{flat: mu} by mu(X) = -sum of mu(Y) over the flats Y strictly containing X.
 
     Containment is read from hyperplane masks computed here, one
-    elimination per (flat, hyperplane); the flats are visited by the number
-    of hyperplanes containing them, so every Y above X comes first.
+    elimination per (flat, hyperplane), which must equal the sweep's masks;
+    the flats are visited by the number of hyperplanes containing them, so
+    every Y above X comes first.
     """
     rows = [h.equation_row() for h in arr.hyperplanes]
-    masks = [sum(1 << i for i, row in enumerate(rows) if _extend(f, row) is f) for f in poset.flats]
-    assert tuple(masks) == poset.masks
+    flats = [f for f, _, _ in poset.sweep]
+    masks = [sum(1 << i for i, row in enumerate(rows) if _extend(f, row) is f) for f in flats]
+    assert masks == [mask for _, mask, _ in poset.sweep]
     mu = {}
     for x in sorted(range(len(masks)), key=lambda i: bin(masks[i]).count("1")):
         m = masks[x]
         mu[x] = -sum(mu[y] for y in mu if masks[y] & m == masks[y]) if m else 1
-    return tuple(mu[x] for x in range(len(masks)))
+    return {flats[x]: mu[x] for x in range(len(masks))}
 
 
 FAMILIES = {
@@ -232,7 +263,7 @@ def test_weisner_mobius_matches_textbook_on_families(name):
     text, roots = FAMILIES[name]
     arr = parse_arrangement(text)
     poset = build_intersection_poset(arr)
-    assert poset.mobius == _textbook_mobius(arr, poset)
+    assert _mobius_of(poset) == _textbook_mobius(arr, poset)
     assert list(mobius_betti(poset)) == betti_of_roots(roots)
 
 
@@ -248,7 +279,7 @@ def test_weisner_mobius_matches_textbook_on_random_arrangements():
             bound=rng.choice((1, 2, 4)),
         )
         poset = build_intersection_poset(arr)
-        assert poset.mobius == _textbook_mobius(arr, poset)
+        assert _mobius_of(poset) == _textbook_mobius(arr, poset)
 
 
 def _degenerate_arrangement(rng: Random, kind: str) -> Arrangement:
@@ -469,7 +500,7 @@ def test_oracles_ignore_order_and_inessential_directions(seed):
     pad = (0,) * (n - essential.ambient_dim)
     assert whitney_betti(arr) == whitney_betti(shuffled) == whitney_betti(essential) + pad
     poset, again = build_intersection_poset(arr), build_intersection_poset(shuffled)
-    assert (again.flats, again.codim, again.mobius) == (poset.flats, poset.codim, poset.mobius)
+    assert len(again.sweep) == len(poset.sweep) and _mobius_of(again) == _mobius_of(poset)
     ess_mobius = mobius_betti(build_intersection_poset(essential))
     assert mobius_betti(poset) == mobius_betti(again) == ess_mobius + pad
     assert mobius_betti(poset) == whitney_betti(arr)
@@ -520,4 +551,4 @@ def test_integer_elimination_matches_rational_rref(system):
         assert flat.pivots == pivots
         assert flat.is_empty == (n in pivots)
         assert flat.dimension == (None if n in pivots else n - rank)
-        assert flat.system == reduced
+        assert QMatrix(len(flat.rows), n + 1, rref_entries(flat.rows, flat.pivots)) == reduced
