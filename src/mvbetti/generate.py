@@ -102,7 +102,8 @@ def random_complex(rng: Random, *, max_terms: int = 5, max_dim: int = 4) -> Comp
         else:
             # rows of `left` span the left kernel of prev: left @ prev = 0
             scale, basis = integer_kernel_basis(*prev.transpose().echelon(), prev.rows)
-            left = QMatrix(len(basis), prev.rows, [Fraction(x, scale) for w in basis for x in w])
+            nums = [x for w in basis for x in w]
+            left = QMatrix.from_integers(len(basis), prev.rows, nums, scale)
             d = random_matrix(rng, tgt, left.rows) @ left
         diff[degrees[k]] = d
         prev = d

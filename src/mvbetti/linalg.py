@@ -1,8 +1,13 @@
 """Exact dense linear algebra over the rationals, and the integer row steps.
 
-Scalars are `fractions.Fraction`, so every rank and kernel in this package is
-exact; there is no floating point anywhere.  Matrices are immutable and
-degenerate shapes (0xk, kx0) are legal, behaving as rank-0 maps.
+Every rank and kernel in this package is exact; there is no floating point
+anywhere.  A `QMatrix` is stored as integer numerators over one positive
+denominator in lowest terms (the storage form of fraction-free elimination,
+Bareiss, Math. Comp. 22, 1968), takes only `int` and `Fraction` entries,
+and hands out `Fraction`s on demand.  Products, Kronecker products, scaling
+and transposition run on the integers and reduce the denominator once.
+Matrices are immutable and degenerate shapes (0xk, kx0) are legal, behaving
+as rank-0 maps.
 
 Hyperplanes, flats and the elimination all live on integer rows.  A row is
 canonical when it is `primitive`: divided by the gcd of its entries and
@@ -14,9 +19,10 @@ echelon rows of a row space (its rref rows scaled to coprime integers with
 positive pivots, a unique form) by the same cross-multiplication.
 `pivot_profile` folds rows over it and records the pivot column each row
 adds, which gives the rank of every leading corner block at once.
-`QMatrix.echelon` and `QMatrix.rank` fold a matrix's rows, cleared of
-denominators, that way; `rref_entries` and `integer_kernel_basis` read the
-reduced rows and an integer kernel basis off the result.
+`QMatrix.echelon` and `QMatrix.rank` fold a matrix's stored integer rows
+(`QMatrix.integer_rows`, which span its row space) that way; `rref_entries`
+and `integer_kernel_basis` read the reduced rows and an integer kernel basis
+off the result.
 """
 
 from __future__ import annotations
@@ -25,31 +31,67 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-def _frac(x) -> Fraction:
-    return x if type(x) is Fraction else Fraction(x)
+def _lowest(nums: tuple, den: int) -> tuple[tuple, int]:
+    """nums / den in lowest terms: both divided by gcd(den, *nums)."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            return tuple([x // g for x in nums]), den // g
+    return nums, den
 
 
 class QMatrix:
-    """Immutable dense matrix of rationals, stored row-major."""
+    """Immutable dense matrix of rationals: integer numerators over one denominator.
 
-    __slots__ = ("rows", "cols", "entries")
+    `nums` is the row-major tuple of `int` numerators and `den` the positive
+    `int` denominator, in lowest terms: gcd(den, *nums) == 1, so a zero
+    matrix has den == 1.  That form is unique, so equal matrices have equal
+    fields.  `entries`, `row` and `at` build `Fraction`s on demand;
+    `integer_rows` gives the rows of den times the matrix, which is what the
+    elimination folds.
+    """
+
+    __slots__ = ("rows", "cols", "nums", "den")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
-        entries = tuple(_frac(x) for x in entries)
-        if rows < 0 or cols < 0:
-            raise ValueError(f"negative shape {rows}x{cols}")
-        if len(entries) != rows * cols:
-            raise ValueError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
+        """The matrix with the given row-major entries, each an `int` or a `Fraction`."""
+        entries = tuple(entries)
+        _check_shape(rows, cols, len(entries))
+        for k, x in enumerate(entries):
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(
+                    f"entry {k} (row {k // cols}, column {k % cols}) is a "
+                    f"{type(x).__name__}, not an int or Fraction"
+                )
+        # The lcm of reduced denominators leaves the numerators coprime to it.
+        den = lcm(*(x.denominator for x in entries))
+        nums = tuple([x.numerator * (den // x.denominator) for x in entries])
+        self._set(rows, cols, nums, den)
+
+    def _set(self, rows: int, cols: int, nums: tuple, den: int) -> None:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, nums: tuple, den: int = 1) -> "QMatrix":
+        """The matrix nums / den, both already checked and in lowest terms."""
+        m = cls.__new__(cls)
+        m._set(rows, cols, nums, den)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("QMatrix is immutable")
+
+    @classmethod
+    def from_integers(cls, rows: int, cols: int, nums: Iterable, den: int = 1) -> "QMatrix":
+        """The matrix with row-major entries nums[k] / den: `int` numerators, `den` > 0."""
+        nums = tuple(nums)
+        _check_shape(rows, cols, len(nums))
+        if den < 1:
+            raise ValueError(f"denominator {den} is not positive")
+        return cls._of(rows, cols, *_lowest(nums, den))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "QMatrix":
@@ -61,53 +103,68 @@ class QMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "QMatrix":
-        return cls(rows, cols, [ZERO] * (rows * cols))
+        return cls.from_integers(rows, cols, (0,) * (rows * cols))
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
+        return cls.from_integers(n, n, [int(i == j) for i in range(n) for j in range(n)])
+
+    @property
+    def entries(self) -> tuple:
+        """The entries as `Fraction`s, row-major."""
+        den = self.den
+        return tuple([Fraction(x, den) for x in self.nums])
 
     def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
+        return Fraction(self.nums[i * self.cols + j], self.den)
 
     def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        den = self.den
+        return tuple([Fraction(x, den) for x in self.nums[i * self.cols : (i + 1) * self.cols]])
+
+    def integer_rows(self) -> list:
+        """The rows of den times the matrix, as tuples of `int`s."""
+        nums, cols = self.nums, self.cols
+        return [nums[i * cols : (i + 1) * cols] for i in range(self.rows)]
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, QMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self.nums, self.den))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
         return f"QMatrix({self.rows}x{self.cols}: [{body}])"
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
+        return not any(self.nums)
 
     def transpose(self) -> "QMatrix":
-        return QMatrix(
-            self.cols,
-            self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
+        nums, cols = self.nums, self.cols
+        return QMatrix._of(
+            cols, self.rows, tuple([x for j in range(cols) for x in nums[j::cols]]), self.den
         )
 
     def scale(self, k) -> "QMatrix":
-        k = _frac(k)
-        return QMatrix(self.rows, self.cols, [k * x for x in self.entries])
+        if not isinstance(k, (int, Fraction)):
+            raise TypeError(f"scale factor is a {type(k).__name__}, not an int or Fraction")
+        a, b = k.numerator, k.denominator
+        nums = tuple([a * x for x in self.nums])
+        return QMatrix._of(self.rows, self.cols, *_lowest(nums, self.den * b))
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         n, m, p = self.rows, self.cols, other.cols
-        out = [ZERO] * (n * p)
-        a, b = self.entries, other.entries
+        out = [0] * (n * p)
+        a, b = self.nums, other.nums
         for i in range(n):
             ia = i * m
             io = i * p
@@ -119,15 +176,22 @@ class QMatrix:
                         y = b[kb + j]
                         if y:
                             out[io + j] += x * y
-        return QMatrix(n, p, out)
+        return QMatrix._of(n, p, *_lowest(tuple(out), self.den * other.den))
 
     def echelon(self) -> tuple[tuple, tuple]:
         """Primitive integer echelon rows of the row space and their pivot columns."""
-        rows, pivots, _ = pivot_profile(integer_row(self.row(i)) for i in range(self.rows))
+        rows, pivots, _ = pivot_profile(self.integer_rows())
         return rows, pivots
 
     def rank(self) -> int:
         return len(self.echelon()[1])
+
+
+def _check_shape(rows: int, cols: int, count: int) -> None:
+    if rows < 0 or cols < 0:
+        raise ValueError(f"negative shape {rows}x{cols}")
+    if count != rows * cols:
+        raise ValueError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {count}")
 
 
 def integer_row(row) -> list:
@@ -262,16 +326,13 @@ def rref_entries(rows: tuple, pivots: tuple) -> list:
 def kron(a: QMatrix, b: QMatrix) -> QMatrix:
     """Kronecker product; basis vector e_i (x) f_k maps to index i*b.rows + k."""
     rows, cols = a.rows * b.rows, a.cols * b.cols
-    out = [ZERO] * (rows * cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            x = a.at(i, j)
+    out = [0] * (rows * cols)
+    b_rows = b.integer_rows()
+    for i, a_row in enumerate(a.integer_rows()):
+        for j, x in enumerate(a_row):
             if not x:
                 continue
-            for k in range(b.rows):
+            for k, b_row in enumerate(b_rows):
                 base = (i * b.rows + k) * cols + j * b.cols
-                for l in range(b.cols):
-                    y = b.at(k, l)
-                    if y:
-                        out[base + l] = x * y
-    return QMatrix(rows, cols, out)
+                out[base : base + b.cols] = [x * y for y in b_row]
+    return QMatrix._of(rows, cols, *_lowest(tuple(out), a.den * b.den))

@@ -36,7 +36,10 @@ columns and the complement of F^b a suffix of the rows.  Reversing the
 columns in the first case, and the rows in the second, makes every such
 block a leading corner.  `linalg.pivot_profile` folds the rows in that
 order and records the pivot column each row adds; the rank of a leading
-corner is the number of its rows whose pivot lies inside its columns.
+corner is the number of its rows whose pivot lies inside its columns.  The
+rows folded are the integer rows d(n) stores (`QMatrix.integer_rows`, d(n)
+times its one denominator), which have the same corner ranks, and the D^2
+check is an integer product, so no `Fraction` is built on the way.
 """
 
 from __future__ import annotations
@@ -44,10 +47,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import lcm
 
 from .arrangement import MAX_DIMENSION, parse_integer, parse_rational
 from .errors import ParseError, ValidationError
-from .linalg import QMatrix, integer_row, kron, pivot_profile
+from .linalg import QMatrix, kron, pivot_profile
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
@@ -81,9 +85,11 @@ class Complex:
                 raise ValidationError(f"differential at degree {p} has shape {m.rows}x{m.cols}")
         for p, m in diff.items():
             nxt = diff.get(p + 1)
-            nonzero = [] if nxt is None else [k for k, x in enumerate((nxt @ m).entries) if x]
-            if nonzero:
-                entry = (p, *divmod(nonzero[0], m.cols))
+            if nxt is None:
+                continue
+            first = next((k for k, x in enumerate((nxt @ m).nums) if x), None)
+            if first is not None:
+                entry = (p, *divmod(first, m.cols))
                 raise ValidationError(f"d o d != 0 at degree {p}", entry=entry)
 
     def dim(self, p: int) -> int:
@@ -172,8 +178,13 @@ class _Layout:
             total[n] = pos
             self._firsts[n] = [p for p, _ in cells]
             self._starts[n] = [*(offsets[cell] for cell in cells), pos]
-        # Entries of D(n): Tot^n -> Tot^{n+1}, row-major, block by block.  Stored
-        # blocks are nonzero, so D(n) is zero exactly when no block starts in degree n.
+        # Numerators of D(n): Tot^n -> Tot^{n+1}, row-major, block by block, over
+        # den[n], the lcm of the denominators of the blocks starting in degree n.
+        # Stored blocks are nonzero, so D(n) is zero exactly when no block starts there.
+        den = {}
+        for maps in (dc.d_horiz, dc.d_vert):
+            for (p, q), block in maps.items():
+                den[p + q] = lcm(den.get(p + q, 1), block.den)
         flat = {}
         for maps, (dp, dq) in ((dc.d_horiz, (1, 0)), (dc.d_vert, (0, 1))):
             for (p, q), block in maps.items():
@@ -181,10 +192,13 @@ class _Layout:
                 width = total[n]
                 if n not in flat:
                     flat[n] = [0] * (width * total[n + 1])
-                for i in range(block.rows):
+                k = den[n] // block.den
+                for i, row in enumerate(block.integer_rows()):
                     at = (base + i) * width + src
-                    flat[n][at : at + block.cols] = block.row(i)
-        diff = {n: QMatrix(total[n + 1], total[n], flat[n]) for n in sorted(flat)}
+                    flat[n][at : at + block.cols] = row if k == 1 else [k * x for x in row]
+        diff = {
+            n: QMatrix.from_integers(total[n + 1], total[n], flat[n], den[n]) for n in sorted(flat)
+        }
         try:
             self.complex = Complex(total, diff)
         except ValidationError as err:
@@ -293,7 +307,7 @@ def _filtration_pages(dc: DoubleComplex, filtration: str, r_max: int) -> dict:
             added = profiles.get(n)
             if added is None:
                 d = total.diff.get(n)
-                ints = [integer_row(d.row(i)) for i in range(d.rows)] if d is not None else []
+                ints = d.integer_rows() if d is not None else []
                 ints = [row[::-1] for row in ints] if vertical else ints[::-1]
                 added = profiles[n] = pivot_profile(ints)[2]
             rank = ranks[key] = sum(1 for j in added[:height] if j is not None and j < width)

@@ -5,9 +5,24 @@ rows/columns comes straight from ranks of the stored differentials, never
 from the page calculator.
 """
 
+import ast
 from functools import cache
+from pathlib import Path
 
 from mvbetti import HORIZONTAL, DoubleComplex, QMatrix
+
+
+def module_imports(name: str) -> tuple[set, set]:
+    """(modules, names) that `src/mvbetti/<name>.py` imports, read with `ast`."""
+    source = Path(__file__).parent.parent / "src" / "mvbetti" / f"{name}.py"
+    modules, names = set(), set()
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+            names.update(alias.name for alias in node.names)
+    return modules, names
 
 
 def row_cohomology(dc: DoubleComplex) -> dict:

@@ -1,6 +1,5 @@
 """Flats, subset counts, the intersection poset and the two oracles."""
 
-import ast
 import os
 import subprocess
 import sys
@@ -37,6 +36,7 @@ from helpers import (
     betti_of_roots,
     boolean_arrangement_text,
     difference_arrangement_text,
+    module_imports,
 )
 
 
@@ -171,14 +171,7 @@ def test_general_position():
 def test_flats_module_imports_no_rational_forms():
     # Flats stay primitive integer rows; their rational echelon form is built
     # only where it is printed (`mvbetti poset`), so `flats` imports none of it.
-    source = Path(__file__).parent.parent / "src" / "mvbetti" / "flats.py"
-    modules, names = set(), set()
-    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Import):
-            modules.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            modules.add(node.module)
-            names.update(alias.name for alias in node.names)
+    modules, names = module_imports("flats")
     assert "fractions" not in modules
     assert not names & {"Fraction", "QMatrix", "rref_entries", "cached_property"}
 

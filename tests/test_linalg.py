@@ -1,7 +1,10 @@
 """Exact rational matrix arithmetic: echelon forms, rank, kernels, Kronecker products."""
 
+from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +35,67 @@ def kernel_basis(m: QMatrix) -> QMatrix:
     scale, basis = integer_kernel_basis(*m.echelon(), m.cols)
     entries = [Fraction(w[i], scale) for i in range(m.cols) for w in basis]
     return QMatrix(m.cols, len(basis), entries)
+
+
+@pytest.mark.parametrize("bad", [0.1, "3/4", "1e3", Decimal("0.5")])
+def test_rejects_non_rational_entries(bad):
+    # A float would be stored as its binary expansion and a string parsed by
+    # `Fraction`, exponents included; neither is an exact input.
+    name = type(bad).__name__
+    with pytest.raises(TypeError, match=rf"entry 4 \(row 1, column 1\) is a {name}"):
+        QMatrix(2, 3, [1, Fraction(1, 2), 0, 2, bad, 3])
+    with pytest.raises(TypeError, match=f"scale factor is a {name}"):
+        QMatrix.identity(2).scale(bad)
+
+
+def stored_entries(m: QMatrix) -> tuple:
+    """m.entries, once its stored form is checked: ints over a positive den, in lowest terms."""
+    assert all(type(x) is int for x in m.nums) and type(m.den) is int
+    assert m.den > 0 and gcd(m.den, *m.nums) == 1
+    return m.entries
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_integer_form_matches_fraction_reference(data):
+    rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    xs = data.draw(st.lists(rationals, min_size=rows * cols, max_size=rows * cols))
+    a = QMatrix(rows, cols, xs)
+    assert stored_entries(a) == tuple(xs) and all(type(x) is Fraction for x in a.entries)
+    for i in range(rows):
+        assert a.row(i) == tuple(xs[i * cols : (i + 1) * cols])
+        assert all(a.at(i, j) == xs[i * cols + j] for j in range(cols))
+    transposed = tuple(xs[i * cols + j] for j in range(cols) for i in range(rows))
+    assert stored_entries(a.transpose()) == transposed
+    k = data.draw(rationals)
+    assert stored_entries(a.scale(k)) == tuple(k * x for x in xs)
+    b = data.draw(matrices(min_rows=cols, max_rows=cols, max_cols=4))
+    ys, p = b.entries, b.cols
+    product = [
+        sum((xs[i * cols + t] * ys[t * p + j] for t in range(cols)), Fraction(0))
+        for i in range(rows)
+        for j in range(p)
+    ]
+    assert stored_entries(a @ b) == tuple(product)
+    c = data.draw(matrices(max_rows=3, max_cols=3))
+    zs = c.entries
+    blocks = [
+        xs[i * cols + j] * zs[r * c.cols + s]
+        for i in range(rows)
+        for r in range(c.rows)
+        for j in range(cols)
+        for s in range(c.cols)
+    ]
+    assert stored_entries(kron(a, c)) == tuple(blocks)
+
+
+@given(matrices(), rationals.filter(bool))
+@settings(max_examples=60, deadline=None)
+def test_integer_form_is_canonical(m, k):
+    for same in (m.scale(k).scale(1 / k), m @ QMatrix.identity(m.cols)):
+        assert same == m and hash(same) == hash(m)
+    zero = QMatrix.zeros(m.rows, m.cols)
+    assert m.scale(0) == zero and hash(m.scale(0)) == hash(zero) and zero.den == 1
 
 
 def test_rref_identity():

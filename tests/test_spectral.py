@@ -26,6 +26,7 @@ from mvbetti.generate import random_complex
 from helpers import (
     column_cohomology,
     kunneth_product,
+    module_imports,
     reference_pages,
     row_cohomology,
     square_defects,
@@ -41,6 +42,15 @@ def two_term_identity():
 
 def exact_square():
     return tensor_double_complex(two_term_identity(), two_term_identity())
+
+
+def test_spectral_module_imports_no_rational_forms():
+    # The engine assembles, checks and folds each D(n) on the integer
+    # numerators that `QMatrix` stores, so it needs no `Fraction` and no
+    # per-row conversion to integers.
+    modules, names = module_imports("spectral")
+    assert "fractions" not in modules
+    assert not names & {"Fraction", "integer_row"}
 
 
 def test_total_single_object():
@@ -310,6 +320,28 @@ def test_pages_match_reference_on_zigzag_sums(seed):
         pt = pages(dc, filtration, r_max)
         assert pt.pages == reference_pages(dc, filtration, r_max)
         assert verify_convergence(pt, h)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_total_differential_is_the_blockwise_sum(seed):
+    # D(n) is assembled from the blocks' integer rows over the lcm of their
+    # denominators; the reference places the blocks' Fraction entries.
+    dc = zigzag_sum(Random(seed))
+    total = total_complex(dc)
+    for n in {p + q for p, q in dc.dims}:
+        sources = sorted(cell for cell in dc.dims if sum(cell) == n)
+        targets = sorted(cell for cell in dc.dims if sum(cell) == n + 1)
+        rows = []
+        for target in targets:
+            for i in range(dc.dims[target]):
+                row = []
+                for a, b in sources:
+                    maps = {(a + 1, b): dc.dh(a, b), (a, b + 1): dc.dv(a, b)}
+                    row += maps[target].row(i) if target in maps else [0] * dc.dims[(a, b)]
+                rows.append(row)
+        width = sum(dc.dims[cell] for cell in sources)
+        assert total.d(n) == QMatrix(len(rows), width, [x for row in rows for x in row])
 
 
 def _perturb_one_entry(rng: Random, dc: DoubleComplex) -> dict:
