@@ -6,33 +6,15 @@ generic arrangements and a few degenerate configurations, each with the
 essential rank, the shift and the oracle verdict.
 """
 
-from itertools import combinations
-
 from mvbetti import compute_betti, parse_arrangement
-
-
-def boolean(n):
-    lines = [f"affine {n}"] + [
-        " ".join("1" if j == i else "0" for j in range(n)) + " 0" for i in range(n)
-    ]
-    return "\n".join(lines)
-
-
-def braid(n):
-    lines = [f"affine {n}"]
-    for i, j in combinations(range(n), 2):
-        coeffs = ["0"] * n
-        coeffs[i], coeffs[j] = "1", "-1"
-        lines.append(" ".join(coeffs) + " 0")
-    return "\n".join(lines)
-
+from mvbetti.generate import boolean_arrangement_text, difference_arrangement_text
 
 GALLERY = {
-    "boolean A^2": boolean(2),
-    "boolean A^3": boolean(3),
-    "boolean A^4": boolean(4),
-    "braid A^3": braid(3),
-    "braid A^4": braid(4),
+    "boolean A^2": boolean_arrangement_text(2),
+    "boolean A^3": boolean_arrangement_text(3),
+    "boolean A^4": boolean_arrangement_text(4),
+    "braid A^3": difference_arrangement_text(3, (-1,), (0,)),
+    "braid A^4": difference_arrangement_text(4, (-1,), (0,)),
     "two parallel lines": "affine 2\n1 0 0\n1 0 1\n",
     "five generic lines": "affine 2\n1 0 0\n0 1 0\n1 1 1\n1 -1 2\n2 1 5\n",
     "generic planes A^3": "affine 3\n1 0 0 0\n0 1 0 0\n0 0 1 0\n1 1 1 1\n1 2 3 5\n",

@@ -3,9 +3,10 @@
 
 Times `build_intersection_poset` followed by `mobius_betti`, and
 `whitney_betti`, on the Boolean arrangement in 12 coordinates, the Catalan
-arrangement x_i - x_j in {-1, 0, 1} in 6 coordinates (r=45) and one seeded
-random mixed arrangement with n=5, r=16.  None of them is a benchmark
-workload.  Each time is the best of REPEAT runs.  Prints one JSON line:
+arrangement x_i - x_j in {-1, 0, 1} in 6 coordinates (r=45), both built by
+`mvbetti.generate`, and one seeded random mixed arrangement with n=5, r=16.
+None of them is a benchmark workload.  Each time is the best of REPEAT runs.
+Prints one JSON line:
 
     PYTHONPATH=src python scripts/time_oracles.py
 """
@@ -14,20 +15,16 @@ import json
 from random import Random
 from time import perf_counter
 
-from betti_examples import boolean, braid
-
 from mvbetti import build_intersection_poset, mobius_betti, parse_arrangement, whitney_betti
-from mvbetti.generate import random_affine_arrangement
+from mvbetti.generate import (
+    boolean_arrangement_text,
+    difference_arrangement_text,
+    random_affine_arrangement,
+)
 
 CAP = 64
 REPEAT = 3
 SEED = 0
-
-
-def catalan(n):
-    """Each braid hyperplane x_i - x_j = 0 with the constants -1, 0 and 1."""
-    header, *rows = braid(n).splitlines()
-    return "\n".join([header] + [row[: -len(" 0")] + f" {c}" for row in rows for c in (-1, 0, 1)])
 
 
 def best(fn):
@@ -41,8 +38,8 @@ def best(fn):
 
 def main():
     cases = {
-        "boolean_n12": parse_arrangement(boolean(12)),
-        "catalan_n6": parse_arrangement(catalan(6)),
+        "boolean_n12": parse_arrangement(boolean_arrangement_text(12)),
+        "catalan_n6": parse_arrangement(difference_arrangement_text(6, (-1,), (-1, 0, 1))),
         "random_n5_r16": random_affine_arrangement(Random(SEED), 5, 16),
     }
     out = {}

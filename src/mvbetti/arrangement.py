@@ -41,6 +41,14 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]*[1-9][0-9]*)?")
 
 
+def content_lines(text: str):
+    """(line number from 1, text) of each line with its `#` comment cut, stripped and not blank."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_integer(field: str, message: str, line: int, column: int | None = None) -> int:
     """The integer a field spells in ASCII digits, or a ParseError with `message`."""
     if _INTEGER.fullmatch(field):
@@ -185,7 +193,8 @@ def parse_arrangement(text: str) -> Arrangement:
     non-comment line lists one hyperplane as whitespace-separated rationals
     (`parse_rational`: integers or `p/q`, with no decimals or exponents):
     n+1 fields a_1 ... a_n c for affine input, n+1 homogeneous fields for
-    projective input.  `#` starts a comment, blank lines are ignored.  n
+    projective input.  `#` starts a comment, blank lines are ignored
+    (`content_lines`).  n
     (`parse_integer`: optionally signed ASCII digits) must lie between 1 and
     `MAX_DIMENSION`.
     """
@@ -193,10 +202,7 @@ def parse_arrangement(text: str) -> Arrangement:
     dim = 0
     hyperplanes = []
     first_line = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         fields = line.split()
         if kind is None:
             if len(fields) != 2 or fields[0] not in (AFFINE, PROJECTIVE):

@@ -32,11 +32,13 @@ counted.  On top of flats this module builds
   summed during that sweep (Weisner: mu(Y) = -sum of mu(X) over the flats
   X ≠ Y with X ∩ H_i = Y, at the last H_i containing Y); it is kept in the
   order found, and
-* two independent combinatorial Betti oracles (Moebius-sum and signed
+* two combinatorial Betti oracles (Moebius-sum and signed
   inclusion-exclusion over subsets) used to cross-check the pipeline.  Each
   sweeps the hyperplanes once by `_extend`, keeping every nonempty
-  intersection of the hyperplanes seen so far; they share no code with
-  each other or with `count_flats`, so each is a second route.
+  intersection of the hyperplanes seen so far.  Each is a second route to
+  `count_flats`, but not to the other: after every step the Whitney weight
+  w(X) equals the Weisner value mu(X) (Whitney's theorem), so their
+  agreement checks only that mu(X) has the sign (-1)^codim X.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ def _extend(flat: Flat, row) -> Flat:
     step = echelon_insert(flat.rows, flat.pivots, row)
     if step is None:
         return flat
-    rows, pivots = step
+    rows, pivots, _ = step
     empty = pivots[-1] == len(row) - 1
     return Flat(rows, None if empty else flat.dimension - 1, pivots)
 

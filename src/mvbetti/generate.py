@@ -1,8 +1,12 @@
-"""Random arrangements and complexes for stress tests and experiments.
+"""Named and random arrangements, and random complexes, for tests and experiments.
 
-All generators take an explicit `random.Random` so runs are reproducible.
-Random bounded complexes are built so the squared differential vanishes by
-construction: each map factors through the left kernel of its predecessor.
+The named families with closed forms (Orlik and Terao, 1992) come as
+arrangement text from `boolean_arrangement_text` and
+`difference_arrangement_text`: Boolean, braid, Shi, Catalan, Linial, D_n and
+B_n.  All random generators take an explicit `random.Random` so runs are
+reproducible.  Random bounded complexes are built so the squared
+differential vanishes by construction: each map factors through the left
+kernel of its predecessor.
 """
 
 from __future__ import annotations
@@ -21,6 +25,36 @@ PROJECTIVE_BOUND = 4
 GENERAL_POSITION_BOUND = 30
 MATRIX_BOUND = 2
 START_RANGE = 2
+
+
+def boolean_arrangement_text(n: int) -> str:
+    lines = [f"affine {n}"]
+    for i in range(n):
+        lines.append(" ".join("1" if j == i else "0" for j in range(n)) + " 0")
+    return "\n".join(lines) + "\n"
+
+
+def difference_arrangement_text(n: int, signs, constants, coordinates: bool = False) -> str:
+    """x_i + s x_j = c for i < j, s in `signs`, c in `constants`; x_i = 0 too if `coordinates`.
+
+    Signs (-1,) give the braid (constants (0,)), Shi ((0, 1)) and Catalan
+    ((-1, 0, 1)) arrangements, signs (-1, 1) with constant 0 the Coxeter
+    arrangement D_n, and B_n with the coordinate hyperplanes added.
+    """
+
+    def unit(i):
+        return ["1" if k == i else "0" for k in range(n)]
+
+    lines = [f"affine {n}"]
+    if coordinates:
+        lines += [" ".join(unit(i)) + " 0" for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for s in signs:
+                coeffs = unit(i)
+                coeffs[j] = str(s)
+                lines += [" ".join(coeffs) + f" {c}" for c in constants]
+    return "\n".join(lines) + "\n"
 
 
 def random_fraction(rng: Random, bound: int = 4) -> Fraction:

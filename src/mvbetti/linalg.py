@@ -17,8 +17,8 @@ cross-multiplication; deconing and the flat count both restrict that way.
 The one row elimination, `echelon_insert`, adds a row to the primitive
 echelon rows of a row space (its rref rows scaled to coprime integers with
 positive pivots, a unique form) by the same cross-multiplication.
-`pivot_profile` folds rows over it and records the pivot column each row
-adds, which gives the rank of every leading corner block at once.
+It returns the pivot column the row adds, which `pivot_profile` records
+for each row it folds, giving the rank of every leading corner block at once.
 `QMatrix.echelon` and `QMatrix.rank` fold a matrix's stored integer rows
 (`QMatrix.integer_rows`, which span its row space) that way; `rref_entries`
 and `integer_kernel_basis` read the reduced rows and an integer kernel basis
@@ -232,14 +232,15 @@ def restrict(row, h, pivot: int) -> tuple:
     return primitive(v)
 
 
-def echelon_insert(rows: tuple, pivots: tuple, row) -> tuple[tuple, tuple] | None:
+def echelon_insert(rows: tuple, pivots: tuple, row) -> tuple[tuple, tuple, int] | None:
     """Add the integer `row` to primitive echelon `rows` with pivot columns `pivots`.
 
     The row is reduced against each pivot row by integer cross-multiplication.
     If it reduces to zero it lies in their span and None is returned;
     otherwise it is made primitive and becomes a pivot row, and its pivot
     column is cleared from the other rows, which keeps the form canonical.
-    Returns the new rows and pivot columns, in pivot order.
+    Returns the new rows and pivot columns, in pivot order, and the pivot
+    column the row adds.
     """
     v = row
     for other, j in zip(rows, pivots):
@@ -265,7 +266,7 @@ def echelon_insert(rows: tuple, pivots: tuple, row) -> tuple[tuple, tuple] | Non
                 other = _primitive([b * oi - y * vi for oi, vi in zip(other, v)], 1)
         out.append(other)
     out.insert(at, v)
-    return tuple(out), pivots[:at] + (q,) + pivots[at:]
+    return tuple(out), pivots[:at] + (q,) + pivots[at:], q
 
 
 def pivot_profile(rows: Iterable) -> tuple[tuple, tuple, list]:
@@ -286,10 +287,8 @@ def pivot_profile(rows: Iterable) -> tuple[tuple, tuple, list]:
         if step is None:
             added.append(None)
             continue
-        # The new pivot is the first place where the sorted pivots differ.
-        new = step[1]
-        added.append(next((j for j, old in zip(new, pivots) if j != old), new[-1]))
-        echelon, pivots = step
+        echelon, pivots, q = step
+        added.append(q)
     return echelon, pivots, added
 
 

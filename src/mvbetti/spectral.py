@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
 
-from .arrangement import MAX_DIMENSION, parse_integer, parse_rational
+from .arrangement import MAX_DIMENSION, content_lines, parse_integer, parse_rational
 from .errors import ParseError, ValidationError
 from .linalg import QMatrix, kron, pivot_profile
 
@@ -374,14 +374,10 @@ def parse_double_complex(text: str) -> DoubleComplex:
     by the dense rational matrix of that block, one row per line (target
     dimension rows of source dimension entries), each entry an integer or
     `p/q` (`arrangement.parse_rational`).  Omitted differentials are zero.
-    `#` starts a comment.  The dimensions may add up to at most
-    `MAX_DIMENSION`.
+    `#` starts a comment, blank lines are ignored (`arrangement.content_lines`).
+    The dimensions may add up to at most `MAX_DIMENSION`.
     """
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append((lineno, line))
+    lines = list(content_lines(text))
     if not lines or lines[0][1] != "dims":
         raise ParseError("expected `dims` header", line=lines[0][0] if lines else 1)
     dims = {}

@@ -133,36 +133,6 @@ def kunneth_product(ha: dict, hb: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def boolean_arrangement_text(n: int) -> str:
-    lines = [f"affine {n}"]
-    for i in range(n):
-        lines.append(" ".join("1" if j == i else "0" for j in range(n)) + " 0")
-    return "\n".join(lines) + "\n"
-
-
-def difference_arrangement_text(n: int, signs, constants, coordinates: bool = False) -> str:
-    """x_i + s x_j = c for i < j, s in `signs`, c in `constants`; x_i = 0 too if `coordinates`.
-
-    Signs (-1,) give the braid (constants (0,)), Shi ((0, 1)) and Catalan
-    ((-1, 0, 1)) arrangements, signs (-1, 1) with constant 0 the Coxeter
-    arrangement D_n, and B_n with the coordinate hyperplanes added.
-    """
-
-    def unit(i):
-        return ["1" if k == i else "0" for k in range(n)]
-
-    lines = [f"affine {n}"]
-    if coordinates:
-        lines += [" ".join(unit(i)) + " 0" for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for s in signs:
-                coeffs = unit(i)
-                coeffs[j] = str(s)
-                lines += [" ".join(coeffs) + f" {c}" for c in constants]
-    return "\n".join(lines) + "\n"
-
-
 def betti_of_roots(roots) -> list:
     """b_k of a complement with chi(q) = prod (q - a): the coefficients of prod (1 + a t)."""
     poly = [1]

@@ -23,6 +23,7 @@ from mvbetti import (
 )
 from mvbetti.betti import degeneration_check, last_cohomology_dim, punctured_space_cohomology
 from mvbetti.generate import (
+    boolean_arrangement_text,
     random_affine_arrangement,
     random_complex,
     random_general_position_arrangement,
@@ -32,7 +33,6 @@ from mvbetti.generate import (
 from helpers import (
     BRAID_A3,
     PARALLEL_A2,
-    boolean_arrangement_text,
     column_cohomology,
     row_cohomology,
 )

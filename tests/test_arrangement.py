@@ -18,9 +18,13 @@ from mvbetti.arrangement import (
     decone,
     essentialize,
 )
-from mvbetti.generate import random_affine_arrangement, random_projective_arrangement
+from mvbetti.generate import (
+    boolean_arrangement_text,
+    random_affine_arrangement,
+    random_projective_arrangement,
+)
 
-from helpers import BRAID_A3, boolean_arrangement_text
+from helpers import BRAID_A3
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=8)
 

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from itertools import combinations
 from math import comb
 from pathlib import Path
 from random import Random
@@ -16,15 +15,10 @@ from hypothesis import strategies as st
 import mvbetti.cli
 from mvbetti import build_intersection_poset, compute_betti, parse_arrangement
 from mvbetti.cli import main
+from mvbetti.generate import boolean_arrangement_text, difference_arrangement_text
 from mvbetti.linalg import rref_entries
 
-from helpers import (
-    BRAID_A3,
-    PARALLEL_A2,
-    betti_of_roots,
-    boolean_arrangement_text,
-    difference_arrangement_text,
-)
+from helpers import BRAID_A3, PARALLEL_A2, betti_of_roots
 
 SQUARE_DC = """\
 dims
@@ -353,11 +347,7 @@ def test_huge_coefficients_parallel_pair(tmp_path, capsys):
 
 def braid_file(tmp_path, m: int) -> str:
     """The braid arrangement x_i = x_j (i < j) on m coordinates, written to a file."""
-    rows = [
-        " ".join("1" if k == i else "-1" if k == j else "0" for k in range(m)) + " 0"
-        for i, j in combinations(range(m), 2)
-    ]
-    return write(tmp_path, f"braid{m}.arr", f"affine {m}\n" + "\n".join(rows) + "\n")
+    return write(tmp_path, f"braid{m}.arr", difference_arrangement_text(m, (-1,), (0,)))
 
 
 def braid_betti(m: int) -> list:

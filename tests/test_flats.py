@@ -27,17 +27,14 @@ from mvbetti import (
 )
 from mvbetti.arrangement import AFFINE, Arrangement, Hyperplane, essentialize
 from mvbetti.flats import _extend, ambient_flat, flat_of_subset
-from mvbetti.generate import random_affine_arrangement
-from mvbetti.linalg import rref_entries
-
-from helpers import (
-    BRAID_A3,
-    PARALLEL_A2,
-    betti_of_roots,
+from mvbetti.generate import (
     boolean_arrangement_text,
     difference_arrangement_text,
-    module_imports,
+    random_affine_arrangement,
 )
+from mvbetti.linalg import rref_entries
+
+from helpers import BRAID_A3, PARALLEL_A2, betti_of_roots, module_imports
 
 
 @pytest.fixture

@@ -1,17 +1,22 @@
-"""The seeded generators the benchmark builds its input pools from, pinned by digest.
+"""The seeded generators, pinned by digest, and the named family builders.
 
-Each digest is the sha256 of the coefficient strings (`str` of every entry,
-so an `int` and an integral `Fraction` read alike) that a few fixed seeds
-produce.  A change that moves any generated input changes its digest, so no
-benchmark workload can move silently.
+The benchmark builds its input pools from the seeded generators.  Each
+digest is the sha256 of the coefficient strings (`str` of every entry, so an
+`int` and an integral `Fraction` read alike) that a few fixed seeds produce.
+A change that moves any generated input changes its digest, so no benchmark
+workload can move silently.
 """
 
 import hashlib
+from math import comb
 from random import Random
 
 import pytest
 
+from mvbetti import parse_arrangement
 from mvbetti.generate import (
+    boolean_arrangement_text,
+    difference_arrangement_text,
     random_affine_arrangement,
     random_complex,
     random_general_position_arrangement,
@@ -88,6 +93,33 @@ def _digest(name: str, seed: int) -> str:
 @pytest.mark.parametrize("name", sorted(GENERATORS))
 def test_seeded_generators_are_pinned(name):
     assert [_digest(name, seed) for seed in SEEDS] == DIGESTS[name]
+
+
+FAMILIES = {
+    # name: (text of the family on n coordinates, its number of hyperplanes)
+    "boolean": (boolean_arrangement_text, lambda n: n),
+    "braid": (lambda n: difference_arrangement_text(n, (-1,), (0,)), lambda n: comb(n, 2)),
+    "linial": (lambda n: difference_arrangement_text(n, (-1,), (1,)), lambda n: comb(n, 2)),
+    "shi": (lambda n: difference_arrangement_text(n, (-1,), (0, 1)), lambda n: 2 * comb(n, 2)),
+    "d_n": (lambda n: difference_arrangement_text(n, (-1, 1), (0,)), lambda n: 2 * comb(n, 2)),
+    "catalan": (
+        lambda n: difference_arrangement_text(n, (-1,), (-1, 0, 1)),
+        lambda n: 3 * comb(n, 2),
+    ),
+    "b_n": (
+        lambda n: difference_arrangement_text(n, (-1, 1), (0,), coordinates=True),
+        lambda n: n * n,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_family_builders_parse_with_expected_counts(name):
+    # `parse_arrangement` rejects duplicate hyperplanes, so each count is of distinct ones.
+    text, count = FAMILIES[name]
+    for n in range(2, 7):
+        arr = parse_arrangement(text(n))
+        assert (arr.ambient_dim, arr.r) == (n, count(n))
 
 
 if __name__ == "__main__":

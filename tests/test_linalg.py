@@ -189,15 +189,6 @@ def test_kron_rank_multiplies(a, b):
     assert kron(a, b).rank() == a.rank() * b.rank()
 
 
-@given(rationals, rationals)
-def test_scalar_arithmetic_exact(a, b):
-    assert (a + b) - b == a
-    assert a.denominator > 0
-    from math import gcd
-
-    assert gcd(abs(a.numerator), a.denominator) == 1
-
-
 @st.composite
 def matrices_with_zero_lines(draw):
     """Matrices up to 6x8 with some rows and columns zeroed and some rows repeated."""
