@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Wall time of the two combinatorial Betti oracles on three larger arrangements.
+"""Wall time of the oracle sweep and of the two Betti folds on three larger arrangements.
 
-Times `build_intersection_poset` followed by `mobius_betti`, and
-`whitney_betti`, on the Boolean arrangement in 12 coordinates, the Catalan
-arrangement x_i - x_j in {-1, 0, 1} in 6 coordinates (r=45), both built by
-`mvbetti.generate`, and one seeded random mixed arrangement with n=5, r=16.
+Times the one sweep, `build_intersection_poset`, and then the two folds
+over its poset, `mobius_betti` and `whitney_betti`, on the Boolean
+arrangement in 12 coordinates, the Catalan arrangement x_i - x_j in
+{-1, 0, 1} in 6 coordinates (r=45), both built by `mvbetti.generate`, and
+one seeded random mixed arrangement with n=5, r=16.
 None of them is a benchmark workload.  Each time is the best of REPEAT runs.
 Prints one JSON line:
 
@@ -44,11 +45,14 @@ def main():
     }
     out = {}
     for name, arr in cases.items():
-        poset_s, mobius = best(lambda: mobius_betti(build_intersection_poset(arr, CAP)))
-        whitney_s, whitney = best(lambda: whitney_betti(arr, CAP))
+        poset_s, poset = best(lambda: build_intersection_poset(arr, CAP))
+        mobius_s, mobius = best(lambda: mobius_betti(poset))
+        whitney_s, whitney = best(lambda: whitney_betti(poset))
         out[name] = {
             "r": arr.r,
-            "poset_mobius_s": poset_s,
+            "flats": len(poset.sweep),
+            "poset_s": poset_s,
+            "mobius_s": mobius_s,
             "whitney_s": whitney_s,
             "betti": list(mobius),
             "agree": mobius == whitney,

@@ -3,8 +3,8 @@
 The pipeline runs a relative Mayer-Vietoris spectral sequence on counting
 data extracted from the intersection lattice, whose flats are found by exact
 fraction-free integer elimination, and cross-checks the result against two
-independent combinatorial oracles.  A generic page calculator for bounded
-double complexes of rational vector spaces is included.
+combinatorial oracles read off one intersection-poset sweep.  A generic page
+calculator for bounded double complexes of rational vector spaces is included.
 
 The names below are the documented library API; everything else is
 imported from its submodule.

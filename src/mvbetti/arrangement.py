@@ -273,6 +273,8 @@ def decone(arr: Arrangement, infinity_index: int) -> Arrangement:
 def _affine_chart(arr: Arrangement, infinity_index: int | None) -> Arrangement:
     """Projective input deconed (by default at its last hyperplane); affine input as is."""
     if arr.kind == PROJECTIVE:
+        if not arr.r:
+            raise ValidationError("projective input needs a hyperplane to put at infinity")
         return decone(arr, arr.r - 1 if infinity_index is None else infinity_index)
     if infinity_index is not None:
         raise ValidationError("infinity index only applies to projective input")

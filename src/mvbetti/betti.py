@@ -230,9 +230,9 @@ def compute_betti(
     one listed).  The affine arrangement is essentialized, the count table of
     its flats feeds the two spectral pages, degeneration is checked, and the
     graded limit is shifted back to the original ambient dimension.  With
-    `oracles` the Moebius and inclusion-exclusion Betti numbers of the affine
-    arrangement itself, not of its essential part, are computed as well and
-    compared.  When the count table shows general position the
+    `oracles` one poset sweep of the affine arrangement itself, not of its
+    essential part, gives the Moebius and Whitney Betti numbers to compare
+    with.  When the count table shows general position the
     binomial formula b_k = C(r, k) is verified against the result.
     """
     affine = _affine_chart(arr, infinity_index)
@@ -266,8 +266,8 @@ def compute_betti(
     oracle_mobius = oracle_whitney = None
     agreement = None
     if oracles:
-        oracle_mobius = mobius_betti(build_intersection_poset(affine, cap))
-        oracle_whitney = whitney_betti(affine, cap)
+        poset = build_intersection_poset(affine, cap)
+        oracle_mobius, oracle_whitney = mobius_betti(poset), whitney_betti(poset)
         agreement = betti == oracle_mobius == oracle_whitney
 
     poincare = list(betti)

@@ -3,7 +3,7 @@
 Subcommands on arrangement files: `betti`, `e1`, `e2`, `poset`, `oracle`,
 `check`; on double-complex files: `ss`.  Exit codes: 0 success, 1 parse or
 validation error, 2 more hyperplanes than the cap on those given to
-`count_flats` and the flat sweeps, or a usage error (argparse raises
+`count_flats` and the poset sweep, or a usage error (argparse raises
 SystemExit(2)), 3 consistency failure (oracle mismatch, negative alternating
 sum, non-unique degree, degeneration or convergence failure).
 """
@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--infinity", type=int, default=None, metavar="K",
                        help="index (0-based) of the hyperplane at infinity (projective input)")
         p.add_argument("--cap", type=int, default=DEFAULT_CAP, metavar="R",
-                       help="most hyperplanes given to count_flats and the flat sweeps "
+                       help="most hyperplanes given to count_flats and the poset sweep "
                        f"(default {DEFAULT_CAP})")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--verbose", action="store_true")
@@ -149,9 +149,18 @@ def _print_report(args, report: BettiReport):
             print(_format_page(page.dims))
 
 
+def _read_input(path: str) -> str:
+    """An input file's text; bytes that are not UTF-8 are a ParseError on their line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError("not UTF-8 text", line=data.count(b"\n", 0, exc.start) + 1) from None
+
+
 def _run_arrangement(args) -> int:
-    with open(args.input, encoding="utf-8") as fh:
-        arr = parse_arrangement(fh.read())
+    arr = parse_arrangement(_read_input(args.input))
     if args.infinity is not None and arr.kind != PROJECTIVE:
         raise ValidationError("--infinity is only valid for projective input")
 
@@ -181,8 +190,8 @@ def _run_arrangement(args) -> int:
         return 0
 
     if args.subcommand == "oracle":
-        mobius = mobius_betti(build_intersection_poset(arr, args.cap))
-        whitney = whitney_betti(arr, args.cap)
+        poset = build_intersection_poset(arr, args.cap)
+        mobius, whitney = mobius_betti(poset), whitney_betti(poset)
         agree = mobius == whitney
         if args.json:
             doc = {
@@ -223,8 +232,7 @@ def _flat_equations(entries: list, n: int) -> list:
 
 
 def _run_ss(args) -> int:
-    with open(args.input, encoding="utf-8") as fh:
-        dc = parse_double_complex(fh.read())
+    dc = parse_double_complex(_read_input(args.input))
     tc = total_complex(dc)
     h = cohomology_dims(tc)
     box = dc.support_box()
@@ -283,7 +291,7 @@ def main(argv=None) -> int:
             return _run_ss(args)
         if args.cap < 1:
             raise ValidationError("--cap bounds the hyperplanes given to count_flats and "
-                                  "the flat sweeps; it must be at least 1")
+                                  "the poset sweep; it must be at least 1")
         return _run_arrangement(args)
     except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ class ValidationError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """More hyperplanes than the cap on those given to `count_flats` and the flat sweeps."""
+    """More hyperplanes than the cap on those given to `count_flats` and the poset sweep."""
 
     def __init__(self, r, cap):
         super().__init__(

@@ -27,18 +27,15 @@ counted.  On top of flats this module builds
   times, and the empty set otherwise.  The count table carries no spectral
   grading (`betti.first_page` places each bucket), and general position is
   read off it,
-* the intersection poset: the sweep that finds the nonempty flats, each
-  with the mask of the hyperplanes containing it and its Moebius value,
-  summed during that sweep (Weisner: mu(Y) = -sum of mu(X) over the flats
-  X ≠ Y with X ∩ H_i = Y, at the last H_i containing Y); it is kept in the
-  order found, and
-* two combinatorial Betti oracles (Moebius-sum and signed
-  inclusion-exclusion over subsets) used to cross-check the pipeline.  Each
-  sweeps the hyperplanes once by `_extend`, keeping every nonempty
-  intersection of the hyperplanes seen so far.  Each is a second route to
-  `count_flats`, but not to the other: after every step the Whitney weight
-  w(X) equals the Weisner value mu(X) (Whitney's theorem), so their
-  agreement checks only that mu(X) has the sign (-1)^codim X.
+* the intersection poset: the one sweep over the hyperplanes (by
+  `_extend`) that finds the nonempty flats, each with the mask of the
+  hyperplanes containing it and its Moebius value, summed during that sweep
+  (Weisner: mu(Y) = -sum of mu(X) over the flats X ≠ Y with X ∩ H_i = Y, at
+  the last H_i containing Y); it is kept in the order found, and
+* two combinatorial Betti oracles read off that poset to cross-check the
+  pipeline: the Moebius sum of |mu(X)| and Whitney's signed sum of mu(X)
+  by codimension, which agree exactly when every mu(X) has the sign
+  (-1)^codim X; the sweep is their one route to `count_flats`.
 """
 
 from __future__ import annotations
@@ -367,28 +364,19 @@ def mobius_betti(poset: IntersectionPoset) -> tuple:
     return tuple(betti)
 
 
-def whitney_betti(arr: Arrangement, cap: int = DEFAULT_CAP) -> tuple:
+def whitney_betti(poset: IntersectionPoset) -> tuple:
     """Betti numbers by signed inclusion-exclusion over hyperplane subsets.
 
     b_k = (-1)^k * sum over subsets I with nonempty intersection of
-    codimension k of (-1)^|I|, the empty subset contributing to k = 0.  One
-    sweep over the hyperplanes in input order keeps, for every nonempty
-    intersection X of hyperplanes 0..i-1, the weight w(X), the sum of
-    (-1)^|I| over the subsets I of them that cut out X.  Step i extends a
-    snapshot of the weights by H_i: the subsets with i add -w(X) to X ∩ H_i.
+    codimension k of (-1)^|I|, the empty subset contributing to k = 0.  The
+    subsets that cut out a flat X add up to mu(X) (Whitney's theorem), so
+    b_k is (-1)^k times the sum of mu(X) over the flats of codimension k,
+    read off the sweep as found.
     """
-    rows = _walk_rows(arr, cap)
-    n = arr.ambient_dim
-    ambient = ambient_flat(n)
-    weights = {ambient.rows: (ambient, 1)}
-    for row in rows:
-        for f, w in list(weights.values()):
-            g = _extend(f, row)
-            if not g.is_empty:
-                weights[g.rows] = (g, weights.get(g.rows, (g, 0))[1] - w)
+    n = poset.ambient_dim
     acc = [0] * (n + 1)
-    for f, w in weights.values():
-        acc[n - f.dimension] += w
+    for flat, _, mu in poset.sweep:
+        acc[n - flat.dimension] += mu
     return tuple(-a if k % 2 else a for k, a in enumerate(acc))
 
 

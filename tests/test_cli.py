@@ -12,9 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mvbetti.betti
 import mvbetti.cli
-from mvbetti import build_intersection_poset, compute_betti, parse_arrangement
+import mvbetti.flats
+from mvbetti import build_intersection_poset, compute_betti, parse_arrangement, whitney_betti
+from mvbetti.arrangement import _affine_chart
 from mvbetti.cli import main
+from mvbetti.flats import DEFAULT_CAP, IntersectionPoset
 from mvbetti.generate import boolean_arrangement_text, difference_arrangement_text
 from mvbetti.linalg import rref_entries
 
@@ -97,6 +101,26 @@ def test_duplicate_exit_code(tmp_path):
 
 def test_missing_file_exit_code(tmp_path):
     assert main(["betti", str(tmp_path / "nope.arr")]) == 1
+
+
+def test_non_utf8_input_exit_code(tmp_path, capsys):
+    for name, data, command in (
+        ("bad.arr", b"affine 1\n1 0\n\xff\n", "betti"),
+        ("bad.dc", b"dims\n0 0 1\n\xfe 0 1\n", "ss"),
+    ):
+        path = tmp_path / name
+        path.write_bytes(data)
+        code, out, err = run(capsys, [command, str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: line 3: not UTF-8 text") and err.count("\n") == 1
+
+
+def test_projective_without_hyperplanes_exit_code(tmp_path, capsys):
+    # No hyperplane can go to infinity; the default index r - 1 is never named.
+    path = write(tmp_path, "empty.arr", "projective 2\n")
+    message = "error: projective input needs a hyperplane to put at infinity\n"
+    for command in ("betti", "oracle", "poset"):
+        assert run(capsys, [command, path]) == (1, "", message)
 
 
 def test_cap_exceeded_exit_code(boolean3_file):
@@ -392,6 +416,54 @@ def test_check_catalan_and_shi_with_oracles(tmp_path, capsys, m, constants, root
     assert doc["betti"] == expected
     assert doc["oracle"] == {"mobius": expected, "whitney": expected}
     assert doc["agreement"] is True
+
+
+def poset_with_one_sign_flipped(arr, cap=DEFAULT_CAP):
+    """The intersection poset with the first Moebius value after the ambient one negated."""
+    poset = build_intersection_poset(arr, cap)
+    ambient, (flat, mask, mu), *rest = poset.sweep
+    return IntersectionPoset(poset.ambient_dim, (ambient, (flat, mask, -mu), *rest))
+
+
+def test_oracles_catch_a_mobius_sign_defect(boolean3_file, capsys, monkeypatch):
+    # |mu| hides the flipped sign from the Moebius sum, not from Whitney's signed sum.
+    for module in (mvbetti.cli, mvbetti.betti):
+        monkeypatch.setattr(module, "build_intersection_poset", poset_with_one_sign_flipped)
+    expected = "mobius:  1 3 3 1\nwhitney: 1 1 3 1\n"
+    assert run(capsys, ["oracle", boolean3_file]) == (3, expected, "")
+    for command in ("betti", "check"):
+        code, out, err = run(capsys, [command, boolean3_file])
+        assert code == 3
+        assert "oracle agreement: NO\n  mobius:  1 3 3 1\n  whitney: 1 1 3 1\n" in out
+        assert err == (
+            "inconsistency: pipeline (1, 3, 3, 1) disagrees with oracles "
+            "(mobius (1, 3, 3, 1), whitney (1, 1, 3, 1))\n"
+        )
+
+
+def test_oracles_share_one_sweep(tmp_path, capsys, monkeypatch):
+    # Both oracle vectors are read off one intersection-poset sweep, so the
+    # pipeline and `oracle` extend flats exactly as often as that sweep.
+    calls = []
+    extend = mvbetti.flats._extend
+    monkeypatch.setattr(
+        mvbetti.flats, "_extend", lambda flat, row: calls.append(row) or extend(flat, row)
+    )
+
+    def extensions(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    for text in (difference_arrangement_text(4, (-1,), (-1, 0, 1)), BRAID_A3, PENCIL_P2):
+        arr = parse_arrangement(text)
+        affine = _affine_chart(arr, None)
+        sweep = extensions(build_intersection_poset, affine)
+        assert sweep >= affine.r
+        assert extensions(compute_betti, arr) == sweep
+        assert extensions(main, ["oracle", write(tmp_path, "input.arr", text)]) == sweep
+        assert extensions(whitney_betti, build_intersection_poset(affine)) == 0
+    capsys.readouterr()
 
 
 def test_betti_path_does_not_sort_the_poset(tmp_path, capsys, monkeypatch):

@@ -142,9 +142,9 @@ def test_mobius_betti_empty_arrangement():
 
 
 def test_whitney_examples(boolean2, braid_essential, parallel):
-    assert whitney_betti(boolean2) == (1, 2, 1)
-    assert whitney_betti(parallel) == (1, 2, 0)
-    assert whitney_betti(braid_essential) == (1, 3, 2)
+    assert whitney_betti(build_intersection_poset(boolean2)) == (1, 2, 1)
+    assert whitney_betti(build_intersection_poset(parallel)) == (1, 2, 0)
+    assert whitney_betti(build_intersection_poset(braid_essential)) == (1, 3, 2)
 
 
 def test_general_position():
@@ -204,17 +204,21 @@ def test_oracles_agree_and_mobius_signs(seed):
             contains = stacked.rank() == a.rows
             assert (x != y and my & mx == my) == (x != y and contains)
     betti = mobius_betti(poset)
-    assert betti == whitney_betti(arr)
+    assert betti == whitney_betti(poset)
     assert betti[0] == 1
-    # distinct flats reachable as intersections = poset size
+    # distinct flats reachable as intersections = poset size, and the signed
+    # count of the subsets by codimension is the Whitney vector
     seen = set()
+    signed = [0] * (n + 1)
     for size in range(0, arr.r + 1):
         for subset in combinations(range(arr.r), size):
             flat = flat_of_subset(arr, subset)
             if not flat.is_empty:
                 seen.add(flat)
+                signed[n - flat.dimension] += (-1) ** size
     assert len(seen) == len(poset.sweep)
     assert seen == set(_mobius_of(poset))
+    assert whitney_betti(poset) == tuple((-1) ** k * w for k, w in enumerate(signed))
 
 
 def _textbook_mobius(arr: Arrangement, poset) -> dict:
@@ -444,7 +448,8 @@ import sys
 from mvbetti import build_intersection_poset, mobius_betti, parse_arrangement, whitney_betti
 sys.setrecursionlimit(120)
 arr = parse_arrangement("affine 2\\n" + "".join(f"1 {k} 0\\n" for k in range(200)))
-print(whitney_betti(arr, cap=1000), mobius_betti(build_intersection_poset(arr, cap=1000)))
+poset = build_intersection_poset(arr, cap=1000)
+print(whitney_betti(poset), mobius_betti(poset))
 """
 
 
@@ -476,9 +481,9 @@ def _lift(rng: Random, arr: Arrangement, n: int) -> Arrangement:
 @given(st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_oracles_ignore_order_and_inessential_directions(seed):
-    # compute_betti runs both oracles on the affine arrangement as given, so
-    # their vectors must be the essential part's, padded with zeros, in any
-    # hyperplane order.
+    # compute_betti reads both oracles off the poset of the affine
+    # arrangement as given, so their vectors must be the essential part's,
+    # padded with zeros, in any hyperplane order.
     rng = Random(seed)
     base = random_affine_arrangement(
         rng, rng.randint(1, 3), rng.randint(1, 7), parallel=0.4, central=0.5, bound=2
@@ -488,12 +493,12 @@ def test_oracles_ignore_order_and_inessential_directions(seed):
     shuffled = Arrangement(n, tuple(rng.sample(arr.hyperplanes, arr.r)), AFFINE)
     essential = essentialize(arr).essential
     pad = (0,) * (n - essential.ambient_dim)
-    assert whitney_betti(arr) == whitney_betti(shuffled) == whitney_betti(essential) + pad
     poset, again = build_intersection_poset(arr), build_intersection_poset(shuffled)
+    ess_poset = build_intersection_poset(essential)
+    assert whitney_betti(poset) == whitney_betti(again) == whitney_betti(ess_poset) + pad
     assert len(again.sweep) == len(poset.sweep) and _mobius_of(again) == _mobius_of(poset)
-    ess_mobius = mobius_betti(build_intersection_poset(essential))
-    assert mobius_betti(poset) == mobius_betti(again) == ess_mobius + pad
-    assert mobius_betti(poset) == whitney_betti(arr)
+    assert mobius_betti(poset) == mobius_betti(again) == mobius_betti(ess_poset) + pad
+    assert mobius_betti(poset) == whitney_betti(poset)
 
 
 @st.composite
