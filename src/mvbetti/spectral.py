@@ -2,21 +2,42 @@
 
 The two usual filtrations of the total complex both converge to its
 cohomology for bounded (single-quadrant-translatable) support.  Page
-dimensions are computed exactly from ranks of blocks of the total
-differential.  With decreasing filtration F on T = Tot, let
+dimensions are counted exactly from one elimination of each differential.
+With decreasing filtration F on T = Tot, n = p + q and s the filtration
+index of (p, q) (p for `vertical`, q for `horizontal`), let
 
-    rho(n, a, b) = rank(F^a T^n --d--> T^{n+1} / F^b T^{n+1}).
+    rho(n, a, b) = rank(F^a T^n --d--> T^{n+1} / F^b T^{n+1}),
+    dim E_r^{p,q} = dim C^{p,q} - rho(n, s, s+r) + rho(n, s+1, s+r)
+                    - rho(n-1, s-r+1, s+1) + rho(n-1, s-r+1, s),
 
-Then, with n = p + q,
+since Z_r^a = {x in F^a : d x in F^{a+r}} is the kernel of the map ranked
+by rho(n, a, a+r), and B_r^s mod F^{s+1} is the image of F^{s-r+1} mod
+F^{s+1} meeting F^s.
 
-    dim E_r^{p,q} = dim C^{p,q} - rho(n, p, p+r) + rho(n, p+1, p+r)
-                    - rho(n-1, p-r+1, p+1) + rho(n-1, p-r+1, p).
+Both Tot^n and Tot^{n+1} list their cells by first index.  So for
+`vertical`, F^a is a suffix of the columns of d(n) and the complement of
+F^b a prefix of its rows; for `horizontal`, F^a is a prefix of the columns
+and the complement of F^b a suffix of the rows.  Reversing the columns in
+the first case, and the rows in the second, makes every block ranked by rho
+a leading corner.  `linalg.pivot_profile` folds the rows in that order and
+records the pivot column each row adds; by the rank profile theorem it
+cites, a leading corner's rank is the number of pivots (row, column) inside
+it.  A pivot's column lies in a cell of filtration index s and its row in
+one of index s', so rho(n, a, b) counts the pivots of d(n) with s >= a and
+s' < b.  That is zero for b <= a, because d preserves the filtration, so
+s' >= s: the pivot is a bar of length L = s' - s, a persistence pair
+(Zomorodian and Carlsson, 2005).  The two differences of rho count the bars
+of d(n) leaving (p,q) and those of d(n-1) arriving there, each with L < r,
+so
 
-The first two ranks give dim Z_r^p mod F^{p+1}, since Z_r^a = {x in F^a :
-d x in F^{a+r}} is the kernel of the map ranked by rho(n, a, a+r).  The
-last two give dim B_r^p mod F^{p+1}: the image of Z_{r-1}^{p-r+1} mod
-F^{p+1} is the image of F^{p-r+1} mod F^{p+1} meeting F^p.  Only dimensions
-are exposed, not bases or induced differentials.
+    dim E_r^{p,q} = dim C^{p,q} - #{bars at (p,q), either end, with L < r}:
+
+a bar records a nonzero d_L, and both its cells lose one dimension from
+page L + 1 on.  Only dimensions are exposed, not bases or induced
+differentials.  The rows folded are the integer rows d(n) stores
+(`QMatrix.integer_rows`, d(n) times its one denominator), which have the
+same pivots, and the D^2 check is an integer product, so no `Fraction` is
+built on the way.
 
 A `DoubleComplex` assembles Tot and D = d_h + d_v once, at construction,
 and the `Complex` constructor checks D^2 = 0, the only d o d check.  D^2
@@ -27,24 +48,12 @@ maps (p, q) to (p+2, q) by d_h^2, to (p+1, q+1) by d_h d_v + d_v d_h and to
 Conventions: `vertical` filters by column (first index); its first page is
 the columnwise cohomology H^q(C^{p,*}).  `horizontal` filters by row (second
 index); its first page is the rowwise cohomology H^p(C^{*,q}).
-
-Every rho of one degree is read off a single exact elimination of d(n).
-Both Tot^n and Tot^{n+1} list their cells by first index.  So for
-`vertical`, F^a is a suffix of the columns and the complement of F^b a
-prefix of the rows; for `horizontal` (q = n - p), F^a is a prefix of the
-columns and the complement of F^b a suffix of the rows.  Reversing the
-columns in the first case, and the rows in the second, makes every such
-block a leading corner.  `linalg.pivot_profile` folds the rows in that
-order and records the pivot column each row adds; the rank of a leading
-corner is the number of its rows whose pivot lies inside its columns.  The
-rows folded are the integer rows d(n) stores (`QMatrix.integer_rows`, d(n)
-times its one denominator), which have the same corner ranks, and the D^2
-check is an integer product, so no `Fraction` is built on the way.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
@@ -160,13 +169,17 @@ _DEFECTS = ("d_vert o d_vert != 0", "differentials do not anticommute", "d_horiz
 
 
 class _Layout:
-    """The total complex of a double complex, each degree's cells sorted by first index."""
+    """The total complex of a double complex, each degree's cells sorted by first index.
+
+    `cell(n, offset)` names the cell of Tot^n that holds a coordinate; the
+    page engine maps its pivots back to cells through it, and so does the
+    D^2 error below.
+    """
 
     def __init__(self, dc: DoubleComplex):
         total = {}
-        # Per degree: the sorted first indices of the cells, and the offsets
-        # of those cells followed by the total.
-        self._firsts = {}
+        # Per degree: the cells in order, and their offsets.
+        self._cells = {}
         self._starts = {}
         offsets = {}
         for n in sorted({p + q for p, q in dc.dims}):
@@ -176,8 +189,8 @@ class _Layout:
                 offsets[cell] = pos
                 pos += dc.dims[cell]
             total[n] = pos
-            self._firsts[n] = [p for p, _ in cells]
-            self._starts[n] = [*(offsets[cell] for cell in cells), pos]
+            self._cells[n] = cells
+            self._starts[n] = [offsets[cell] for cell in cells]
         # Numerators of D(n): Tot^n -> Tot^{n+1}, row-major, block by block, over
         # den[n], the lcm of the denominators of the blocks starting in degree n.
         # Stored blocks are nonzero, so D(n) is zero exactly when no block starts there.
@@ -205,14 +218,13 @@ class _Layout:
             # Column j lies in the source cell (p, q), row i in (p + k, q + 2 - k),
             # and that block of D^2 is the identity _DEFECTS[k].
             n, i, j = err.entry
-            p = self._firsts[n][bisect_right(self._starts[n], j) - 1]
-            k = self._firsts[n + 2][bisect_right(self._starts[n + 2], i) - 1] - p
+            p = self.cell(n, j)[0]
+            k = self.cell(n + 2, i)[0] - p
             raise ValidationError(f"{_DEFECTS[k]} at ({p},{n - p})") from None
 
-    def start(self, n: int, a: int) -> int:
-        """Offset of the first cell of Tot^n whose first index is at least a."""
-        firsts = self._firsts.get(n)
-        return self._starts[n][bisect_left(firsts, a)] if firsts else 0
+    def cell(self, n: int, offset: int) -> tuple:
+        """The cell (p, q) of Tot^n whose coordinates include `offset`."""
+        return self._cells[n][bisect_right(self._starts[n], offset) - 1]
 
 
 def total_complex(dc: DoubleComplex) -> Complex:
@@ -271,56 +283,34 @@ class PageTable:
 
 
 def _filtration_pages(dc: DoubleComplex, filtration: str, r_max: int) -> dict:
-    """Pages of `filtration`, keyed (r, p, q).
+    """Pages of `filtration`, keyed (r, p, q), from the bars of each D(n).
 
-    Each page entry is the signed sum of four ranks of the module docstring,
-    taken at the cell's filtration index s: p for vertical, q for
-    horizontal.  rho(n, a, b) is zero for b <= a, because d preserves the
-    filtration.  Otherwise it is the rank of a leading corner of d(n), whose
-    rows are folded once per degree by `linalg.pivot_profile`:
-    - vertical: rows top-down, each row reversed.  The corner is the rows of
-      the cells with p < b by the last columns, those of the cells with
-      p >= a.
-    - horizontal: rows bottom-up, columns in order.  The corner is the last
-      rows, those of the cells with q < b, by the columns of the cells with
-      q >= a, which come first.
-    The rank is the number of the corner's rows whose pivot lies inside its
-    columns, memoized by degree and corner shape.
+    The rows of D(n) are folded once, vertical top-down with each row
+    reversed, horizontal bottom-up (module docstring).  A pivot (i, j) is
+    mapped back to its coordinates and cells; its bar of length L takes one
+    dimension from both cells from page L + 1 on.
     """
     layout = dc._layout
-    total = layout.complex
     vertical = filtration == VERTICAL
-    profiles = {}
-    ranks = {}
-
-    def rho(n: int, a: int, b: int) -> int:
-        if b <= a:
-            return 0
-        if vertical:
-            height, width = layout.start(n + 1, b), total.dim(n) - layout.start(n, a)
-        else:
-            height = total.dim(n + 1) - layout.start(n + 1, n + 2 - b)
-            width = layout.start(n, n + 1 - a)
-        key = (n, height, width)
-        rank = ranks.get(key)
-        if rank is None:
-            added = profiles.get(n)
-            if added is None:
-                d = total.diff.get(n)
-                ints = d.integer_rows() if d is not None else []
-                ints = [row[::-1] for row in ints] if vertical else ints[::-1]
-                added = profiles[n] = pivot_profile(ints)[2]
-            rank = ranks[key] = sum(1 for j in added[:height] if j is not None and j < width)
-        return rank
-
+    axis = 0 if vertical else 1
+    deaths = Counter()
+    for n, d in layout.complex.diff.items():
+        ints = d.integer_rows()
+        ints = [row[::-1] for row in ints] if vertical else ints[::-1]
+        for i, j in enumerate(pivot_profile(ints)[2]):
+            if j is None:
+                continue
+            if vertical:
+                src, tgt = layout.cell(n, d.cols - 1 - j), layout.cell(n + 1, i)
+            else:
+                src, tgt = layout.cell(n, j), layout.cell(n + 1, d.rows - 1 - i)
+            r = tgt[axis] - src[axis] + 1
+            deaths[(*src, r)] += 1
+            deaths[(*tgt, r)] += 1
     pages = {}
-    for (p, q), dim_pq in dc.dims.items():
-        n = p + q
-        s = p if vertical else q
+    for (p, q), dim in dc.dims.items():
         for r in range(r_max + 1):
-            cycles = dim_pq - rho(n, s, s + r) + rho(n, s + 1, s + r)
-            boundaries = rho(n - 1, s - r + 1, s + 1) - rho(n - 1, s - r + 1, s)
-            dim = cycles - boundaries
+            dim -= deaths[(p, q, r)]
             if dim:
                 pages[(r, p, q)] = dim
     return pages
@@ -373,7 +363,10 @@ def parse_double_complex(text: str) -> DoubleComplex:
     (`arrangement.parse_integer`); each `dh p q` or `dv p q` line is followed
     by the dense rational matrix of that block, one row per line (target
     dimension rows of source dimension entries), each entry an integer or
-    `p/q` (`arrangement.parse_rational`).  Omitted differentials are zero.
+    `p/q` (`arrangement.parse_rational`).  A block from a zero-dimensional
+    cell has no rows: its empty rows would be blank lines, which are
+    skipped, so the next line starts a new block.  Omitted differentials
+    are zero.
     `#` starts a comment, blank lines are ignored (`arrangement.content_lines`).
     The dimensions may add up to at most `MAX_DIMENSION`.
     """
@@ -414,7 +407,7 @@ def parse_double_complex(text: str) -> DoubleComplex:
         tgt = dims.get((p + 1, q) if fields[0] == "dh" else (p, q + 1), 0)
         idx += 1
         rows = []
-        for _ in range(tgt):
+        for _ in range(tgt if src else 0):
             if idx >= len(lines):
                 raise ParseError(f"matrix block for {line!r} is truncated", line=lineno)
             row_line, row_text = lines[idx]

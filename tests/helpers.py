@@ -48,13 +48,25 @@ def column_cohomology(dc: DoubleComplex) -> dict:
 def reference_pages(dc: DoubleComplex, filtration: str, r_max: int) -> dict:
     """Page table {(r, p, q): dim} from ranks of explicitly assembled blocks.
 
-    This is the column filtration taken from the definition: rho(n, a, b)
-    is the rank of the block of the total differential from the cells of
+    This is the column filtration taken from the definition.  Let
+
+        rho(n, a, b) = rank(F^a T^n --d--> T^{n+1} / F^b T^{n+1}),
+
+    the rank of the block of the total differential from the cells of
     degree n with first index >= a to the cells of degree n+1 with first
-    index < b, built cell by cell from d_horiz and d_vert, and the four-rank
-    formula of `mvbetti.spectral` gives each entry.  The horizontal
-    filtration is the column filtration of the transpose: cells (q, p), with
-    d_horiz and d_vert swapped.
+    index < b, built cell by cell from d_horiz and d_vert.  Then, with
+    n = p + q,
+
+        dim E_r^{p,q} = dim C^{p,q} - rho(n, p, p+r) + rho(n, p+1, p+r)
+                        - rho(n-1, p-r+1, p+1) + rho(n-1, p-r+1, p).
+
+    The first two ranks give dim Z_r^p mod F^{p+1}, since Z_r^a = {x in
+    F^a : d x in F^{a+r}} is the kernel of the map ranked by rho(n, a, a+r).
+    The last two give dim B_r^p mod F^{p+1}: the image of Z_{r-1}^{p-r+1}
+    mod F^{p+1} is the image of F^{p-r+1} mod F^{p+1} meeting F^p.  Each
+    block is ranked on its own, so no pivot or bar of `mvbetti.spectral` is
+    reused.  The horizontal filtration is the column filtration of the
+    transpose: cells (q, p), with d_horiz and d_vert swapped.
     """
     dims, dh, dv = dc.dims, dc.d_horiz, dc.d_vert
     if filtration == HORIZONTAL:

@@ -311,7 +311,7 @@ def _r_max(dc: DoubleComplex) -> int:
 
 
 @given(st.integers(0, 10_000))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_pages_match_reference_on_zigzag_sums(seed):
     dc = zigzag_sum(Random(seed))
     r_max = _r_max(dc)
@@ -419,6 +419,16 @@ def test_parse_round_trip():
     assert dc.dv(1, 0) == ONE.scale(-1)
     pt = pages(dc, VERTICAL, 3)
     assert pt.page(2) == {}
+
+
+@pytest.mark.parametrize("blocks", ["dv 0 0\n", "dv 0 0\ndh 0 0\ndv 1 0\n"])
+def test_parse_block_from_zero_dimensional_cell(blocks):
+    # A tgt x 0 block has no rows to write (each would be a blank line), as
+    # the last block or followed by another header.
+    dc = parse_double_complex("dims\n0 0 0\n0 1 1\n1 0 1\n" + blocks)
+    assert dc.dims == {(0, 1): 1, (1, 0): 1}
+    assert not dc.d_horiz and not dc.d_vert
+    assert pages(dc, VERTICAL, 2).page(2) == {(0, 1): 1, (1, 0): 1}
 
 
 def test_parse_errors():
