@@ -9,9 +9,10 @@ and a zero constant.  `Fraction` is used only to read `p/q` input.
 The two reductions applied before any Betti computation also live here, and
 both are integer row operations: deconing (declaring one hyperplane of a
 projective arrangement to be at infinity) restricts every other hyperplane
-to the affine chart by `linalg.restrict`, and essentialization (splitting off
-the trivial affine factor so that the normals span the ambient space) keeps
-the pivot columns of one `linalg.pivot_profile` fold of the normals.
+to the affine chart by `linalg.restrict_rows`, and essentialization
+(splitting off the trivial affine factor so that the normals span the
+ambient space) keeps the pivot columns of one `linalg.pivot_profile` fold
+of the normals.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError, ValidationError
-from .linalg import integer_row, pivot_profile, primitive, restrict
+from .linalg import integer_row, pivot_profile, primitive, restrict_rows
 
 AFFINE = "affine"
 PROJECTIVE = "projective"
@@ -245,8 +246,9 @@ def decone(arr: Arrangement, infinity_index: int) -> Arrangement:
 
     The selected hyperplane a.X = 0 becomes the hyperplane at infinity and
     every other one is read in the affine chart a.X = 1: the homogeneous row
-    (b, 0) restricted to (a, 1) (`linalg.restrict`), which is the integer form
-    of the normal b - (b_j/a_j) a without column j and the constant -b_j/a_j.
+    (b, 0) restricted to (a, 1) (one `linalg.restrict_rows` call for all the
+    rows), which is the integer form of the normal b - (b_j/a_j) a without
+    column j and the constant -b_j/a_j.
     The eliminated homogeneous coordinate j is the largest-index one with a
     nonzero coefficient in a, which makes the construction deterministic;
     downstream Betti numbers do not depend on the choice.  A restricted
@@ -261,13 +263,9 @@ def decone(arr: Arrangement, infinity_index: int) -> Arrangement:
     n = arr.ambient_dim
     chart = arr.hyperplanes[infinity_index].normal + (1,)
     j_star = max(j for j in range(n + 1) if chart[j])
-    out = []
-    for idx, h in enumerate(arr.hyperplanes):
-        if idx == infinity_index:
-            continue
-        row = restrict(h.equation_row(), chart, j_star)
-        out.append(Hyperplane(row[:-1], row[-1]))
-    return Arrangement(n, tuple(out), AFFINE)
+    others = (h.equation_row() for idx, h in enumerate(arr.hyperplanes) if idx != infinity_index)
+    out = tuple(Hyperplane(row[:-1], row[-1]) for row in restrict_rows(others, chart, j_star))
+    return Arrangement(n, out, AFFINE)
 
 
 def _affine_chart(arr: Arrangement, infinity_index: int | None) -> Arrangement:

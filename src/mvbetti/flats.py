@@ -5,28 +5,23 @@ primitive integer echelon rows of its augmented linear system (see
 `linalg`), a unique form, so two flats are equal exactly when their rows
 are identical.  Flats are built one hyperplane at a time from the
 hyperplanes' primitive integer rows (`Hyperplane.equation_row`) by
-`linalg.echelon_insert`, the package's one elimination; a hyperplane is
+`linalg.echelon_insert`, the package's one elimination; hyperplanes are
 restricted to another by the same integer cross-multiplication
-(`linalg.restrict`).  No rational arithmetic runs while subsets are
+(`linalg.restrict_rows`).  No rational arithmetic runs while subsets are
 counted.  On top of flats this module builds
 
 * the count table: how many subsets of each size cut out a flat of each
-  dimension, with empty intersections tallied separately.  It is counted
-  by deletion and restriction on the restricted equations: the subsets of
-  a flat X's hyperplanes without the first one h, plus, one size up, those
-  with h, which are the subsets of the others restricted to the flat
-  X ∩ h.  Two hyperplanes that cut X in the same place restrict to the
-  same primitive key, so the count below X depends only on X's dimension
-  and the multiset of keys, and is memoized on them.  The recursion stops
-  at planes.  Restricted to a plane X, each hyperplane contains X (z of
-  them), misses it, or cuts a line l of X (c_l of them per line); two lines
-  meet in a point P or are parallel.  With m_P the hyperplanes on the lines
-  through P and p_l the points on l, adding k of them leaves X C(z, k)
-  times, a line sum_l [C(z + c_l, k) - C(z, k)] times, a point
-  sum_P C(z + m_P, k) - sum_l p_l [C(z + c_l, k) - C(z, k)] - #P C(z, k)
-  times, and the empty set otherwise.  The count table carries no spectral
-  grading (`betti.first_page` places each bucket), and general position is
-  read off it,
+  dimension, with empty intersections tallied separately, as one
+  polynomial in x per dimension (its coefficient of x^s counts size-s
+  subsets) packed in one integer.  Deletion and restriction give the table
+  of a flat X as T(rest) + x T(cut): the subsets of X's hyperplanes
+  without the first one h, and those with h, which are the subsets of the
+  rest restricted to the flat X ∩ h.  Two hyperplanes that cut X in the
+  same place restrict to the same primitive key, so T depends only on X's
+  dimension and the multiset of keys, and is memoized on them.  The
+  recursion stops at planes, where powers of (1 + x) give T in closed
+  form.  The count table carries no spectral grading (`betti.first_page`
+  places each bucket), and general position is read off it,
 * the intersection poset: the one sweep over the hyperplanes (by
   `_extend`) that finds the nonempty flats, each with the mask of the
   hyperplanes containing it and its Moebius value, summed during that sweep
@@ -45,7 +40,7 @@ from math import comb, gcd
 
 from .arrangement import AFFINE, Arrangement
 from .errors import CapExceededError, ValidationError
-from .linalg import echelon_insert, restrict
+from .linalg import echelon_insert, restrict_rows
 
 DEFAULT_CAP = 24
 
@@ -136,10 +131,10 @@ class FlatCounts:
 def _cross(a, b):
     """The point where the lines a and b of a plane meet, or None if they are parallel.
 
-    Lines are keys (a_1, a_2, b) of `linalg.restrict` on a plane, that is the
-    equations a_1 t_1 + a_2 t_2 + b w = 0 in the plane's coordinates.  Their
-    cross product (t_1, t_2, w) is divided by its gcd and signed with w > 0,
-    so every pair of lines through one point gives the same key.
+    Lines are keys (a_1, a_2, b) of `linalg.restrict_rows` on a plane, that
+    is the equations a_1 t_1 + a_2 t_2 + b w = 0 in the plane's coordinates.
+    Their cross product (t_1, t_2, w) is divided by its gcd and signed with
+    w > 0, so every pair of lines through one point gives the same key.
     """
     w = a[0] * b[1] - a[1] * b[0]
     if not w:
@@ -152,25 +147,23 @@ def _cross(a, b):
     return (t1 // g, t2 // g, w // g)
 
 
-def _closed_table(keys, d: int) -> dict:
-    """`_subset_table` of a flat X of dimension d <= 2, from binomials.
+def _closed_table(keys, d: int, w: int, powers: list) -> dict:
+    """`_subset_table` of a flat X of dimension d <= 2, from powers of (1 + x).
 
-    `keys` are the `linalg.restrict` keys of the S hyperplanes that may
-    still be added.  For the subsets of k of them the result counts how many
-    leave X itself, a flat of dimension d - 1, one of dimension d - 2 and the
-    empty set, keyed (k, dimension) with dimension None for the empty set.
+    `keys` are the `linalg.restrict_rows` keys of the S hyperplanes that may
+    still be added, and powers[N] is (1 + x)^N packed in slots of w bits.
     With z hyperplanes containing X and classes of c_l hyperplanes cutting
-    X in the same hyperplane l of X:
+    X in the same hyperplane l of X, the subsets of the keys leave
 
-    * X itself: C(z, k);
-    * l: C(z + c_l, k) - C(z, k), summed over l;
-    * on a plane, a point P where the lines through P carry m_P hyperplanes
-      and p_l points lie on l: sum_P C(z + m_P, k)
-      - sum_l p_l [C(z + c_l, k) - C(z, k)] - #P C(z, k);
-    * empty: the rest of C(S, k).
+    * X itself: (1 + x)^z;
+    * l: (1 + x)^(z + c_l) - (1 + x)^z, summed over l;
+    * on a plane, a point P where the lines through P carry m_P hyperplanes:
+      (1 + x)^(z + m_P) - (1 + x)^z less the terms of those lines, summed
+      over P;
+    * the empty set: the rest of (1 + x)^S.
 
-    The sums run over histograms of c_l and m_P, not over single lines and
-    points.
+    A line takes at least one key and a point two, so their polynomials are
+    divisible by x and x^2, and are stored divided (see `_subset_table`).
     """
     tally: dict = {}
     for key in keys:
@@ -185,65 +178,50 @@ def _closed_table(keys, d: int) -> dict:
                 p = _cross(a, b)
                 if p is not None:
                     points.setdefault(p, set()).update((a, b))
-    on_points = dict.fromkeys(tally, 0)
-    multiplicities: dict = {}  # m -> number of points P with m_P = m
+    base = powers[z]
+    extra = {line: powers[z + c] - base for line, c in tally.items()}
+    low = 0
     for through in points.values():
-        m = 0
+        m, known = z, base
         for line in through:
-            on_points[line] += 1
             m += tally[line]
-        multiplicities[m] = multiplicities.get(m, 0) + 1
-    classes: dict = {}  # c -> [number of classes l with c_l = c, sum of their p_l]
-    for line, c in tally.items():
-        entry = classes.setdefault(c, [0, 0])
-        entry[0] += 1
-        entry[1] += on_points[line]
-    s = len(keys)
-    # Past z plus the largest class or point multiplicity only the empty set is left.
-    top = min(s, z + max((*classes, *multiplicities), default=0))
-    table = {(0, d): 1}
-    for k in range(1, top + 1):
-        base = comb(z, k)
-        cut = low = 0
-        for c, (count, incidences) in classes.items():
-            extra = comb(z + c, k) - base
-            cut += count * extra
-            low -= incidences * extra
-        for m, count in multiplicities.items():
-            low += count * comb(z + m, k)
-        low -= len(points) * base
-        for dim, c in zip((d, d - 1, d - 2, None), (base, cut, low, comb(s, k) - base - cut - low)):
-            if c:
-                table[(k, dim)] = c
-    table.update(((k, None), comb(s, k)) for k in range(top + 1, s + 1))
-    return table
+            known += extra[line]
+        low += powers[m] - known
+    cut = sum(extra.values())
+    empty = powers[len(keys)] - base - cut - low
+    return {d: base, d - 1: cut >> w, d - 2: low >> 2 * w, None: empty}
 
 
-def _subset_table(d: int, keys: tuple, memo: dict) -> dict:
+def _subset_table(d: int, keys: tuple, memo: dict, w: int, powers: list) -> dict:
     """T(d, keys): the subsets of `keys` counted by size and by the dimension of their flat.
 
-    `keys` are the sorted `linalg.restrict` keys of hyperplanes restricted to a
-    flat X of dimension d, in X's own coordinates (d direction columns,
-    then the affine column).  The result maps (size, dimension) to a count,
-    with dimension None for an empty intersection; the empty subset gives
-    X itself.  With h = keys[0] and the rest after it, T(d, keys) is
-    T(d, rest) plus, one size up, what the subsets holding h add:
-    T(d, rest) itself if h contains X (all zero), every subset of the rest
-    as empty if h misses X (0, ..., 0, 1), and otherwise T(d - 1, rest
-    restricted to the hyperplane h of X).
+    `keys` are the sorted `linalg.restrict_rows` keys of hyperplanes
+    restricted to a flat X of dimension d, in X's own coordinates (d
+    direction columns, then the affine column).  T maps a dimension e to
+    the polynomial whose coefficient of x^s counts the size-s subsets with
+    a flat of dimension e, divided by x^(d - e), as such a subset has at
+    least d - e members, and None to that of the empty intersections,
+    undivided; the empty subset gives X itself.  Packed in slots of w bits
+    (see `count_flats`), a factor x is a shift by one slot.  With h =
+    keys[0] and the rest after it, deletion and restriction read
+    T(d, keys) = T(d, rest) + x T(cut), where T(cut) is T(d, rest) if h
+    contains X (all zero), (1 + x)^len(rest) at None if h misses X
+    (0, ..., 0, 1), and otherwise T(d - 1, rest restricted to the
+    hyperplane h of X), one `restrict_rows` call for the whole rest, whose
+    one power of x less absorbs the x on every dimension but None.
 
     The table depends only on d and the multiset of keys, so it is memoized
     on (d, keys).  The deletions run as a loop, from the longest memoized
     suffix of `keys` to the front; only restrictions recurse, so the depth
-    is at most d - 2.
+    is at most d - 2.  A run of equal keys restricts once.
     """
     if d <= 2:
         table = memo.get((d, keys))
         if table is None:
-            table = memo[(d, keys)] = _closed_table(keys, d)
+            table = memo[(d, keys)] = _closed_table(keys, d, w, powers)
         return table
     start = len(keys)
-    table = {(0, d): 1}
+    table = {d: 1}
     for i in range(len(keys)):
         known = memo.get((d, keys[i:]))
         if known is not None:
@@ -251,19 +229,25 @@ def _subset_table(d: int, keys: tuple, memo: dict) -> dict:
             break
     contains = (0,) * (d + 1)
     misses = (0,) * d + (1,)
+    below = None
     for i in range(start - 1, -1, -1):
         h, rest = keys[i], keys[i + 1:]
         if h == contains:
-            below = table
+            table = {dim: poly + (poly << w) for dim, poly in table.items()}
         elif h == misses:
-            below = {(k, None): comb(len(rest), k) for k in range(len(rest) + 1)}
+            table = dict(table)
+            table[None] = table.get(None, 0) + (powers[len(rest)] << w)
         else:
-            pivot = next(j for j, x in enumerate(h) if x)
-            cut = tuple(sorted(restrict(row, h, pivot) for row in rest))
-            below = _subset_table(d - 1, cut, memo)
-        table = dict(table)
-        for (size, dim), c in below.items():
-            table[(size + 1, dim)] = table.get((size + 1, dim), 0) + c
+            if below is not None and h == rest[0]:
+                # The cut of the step before plus h's own zero key: one more factor 1 + x.
+                below = {dim: poly + (poly << w) for dim, poly in below.items()}
+            else:
+                pivot = next(j for j, x in enumerate(h) if x)
+                cut = tuple(sorted(restrict_rows(rest, h, pivot)))
+                below = _subset_table(d - 1, cut, memo, w, powers)
+            table = dict(table)
+            for dim, poly in below.items():
+                table[dim] = table.get(dim, 0) + (poly if dim is not None else poly << w)
         memo[(d, keys[i:])] = table
     return table
 
@@ -272,27 +256,39 @@ def count_flats(arr: Arrangement, cap: int = DEFAULT_CAP) -> FlatCounts:
     """Count the nonempty hyperplane subsets by size and by the dimension of their flat.
 
     By deletion and restriction (Orlik and Terao, Arrangements of
-    Hyperplanes, 1992, section 2.3), applied to the whole table: the
-    subsets without a hyperplane h are those of the arrangement with h
-    deleted, and the subsets with h are, one size up, those of the other
-    hyperplanes restricted to h.  `_subset_table` runs that recursion on
-    the restricted equations, each in its flat's own coordinates, from the
-    root state (n, the sorted canonical hyperplane rows).  Restricted to a
-    flat, two hyperplanes that cut it in the same place have the same key,
-    so the count below a flat depends only on its dimension and the
-    multiset of keys, and equal multisets, such as every coordinate
+    Hyperplanes, 1992, section 2.3) on the whole table, which
+    `_subset_table` runs on the restricted equations, each in its flat's
+    own coordinates, from the root state (n, the sorted canonical
+    hyperplane rows).  Equal key multisets, such as every coordinate
     subspace of a Boolean arrangement or the braid flats that show the same
-    smaller arrangement, are counted once.  Flats of dimension 2 or less
-    are counted from binomials by `_closed_table`; so no flat of dimension
-    1 or 0 is ever built, and for n <= 2 the whole table comes from the
-    root.
+    smaller arrangement, are counted once, and flats of dimension 2 or less
+    by `_closed_table`; so no flat of dimension 1 or 0 is ever built, and
+    for n <= 2 the whole table comes from the root.
+
+    A polynomial is packed in one integer, its coefficient of x^s in the w
+    bits from bit s w on.  A final coefficient counts subsets of one size
+    among r, so it is at most C(r, r // 2) < 2^w for w the bit length of
+    C(r, r // 2), and no slot carries into the next; partial sums may be
+    negative, which exact integers carry through.  The table is unpacked
+    once, at the end.
     """
     rows = _walk_rows(arr, cap)
     r, n = arr.r, arr.ambient_dim
+    w, powers = comb(r, r // 2).bit_length(), [1]
+    for _ in range(r):
+        powers.append(powers[-1] + (powers[-1] << w))
     # Hyperplane rows are primitive with the first nonzero entry positive: keys already.
-    table = _subset_table(n, tuple(sorted(rows)), {})
-    counts = {key: c for key, c in table.items() if key[0] and key[1] is not None}
-    empty = {size: c for (size, dim), c in table.items() if dim is None}
+    table = _subset_table(n, tuple(sorted(rows)), {}, w, powers)
+    counts, empty, mask = {}, {}, (1 << w) - 1
+    for dim, poly in table.items():
+        for size in range(0 if dim is None else n - dim, r + 1):
+            c = poly & mask
+            if c and size:
+                if dim is None:
+                    empty[size] = c
+                else:
+                    counts[(size, dim)] = c
+            poly >>= w
     return FlatCounts(counts, empty, n, r)
 
 

@@ -11,9 +11,10 @@ as rank-0 maps.
 
 Hyperplanes, flats and the elimination all live on integer rows.  A row is
 canonical when it is `primitive`: divided by the gcd of its entries and
-signed so that its first nonzero entry is positive.  `restrict` writes a row
-in the coordinates of another row's hyperplane by integer
-cross-multiplication; deconing and the flat count both restrict that way.
+signed so that its first nonzero entry is positive.  `restrict_rows` writes
+a list of rows in the coordinates of another row's hyperplane by integer
+cross-multiplication, one pivot for the whole list; deconing and the flat
+count both restrict through it.
 The one row elimination, `echelon_insert`, adds a row to the primitive
 echelon rows of a row space (its rref rows scaled to coprime integers with
 positive pivots, a unique form) by the same cross-multiplication.
@@ -214,22 +215,41 @@ def primitive(v) -> tuple:
     return tuple(v)
 
 
-def restrict(row, h, pivot: int) -> tuple:
-    """`row` restricted to the hyperplane of the row `h`, which is nonzero at `pivot`.
+def restrict_rows(rows: Iterable, h, pivot: int) -> list:
+    """Each of `rows` restricted to the hyperplane of the row `h`, which is nonzero at `pivot`.
 
-    Both rows are read as homogeneous equations, the last column the affine
+    Every row is read as a homogeneous equation, the last column the affine
     one.  The integer kernel basis of h has one vector per column f other
     than the pivot p, h[p] at f and -h[f] at p (`integer_kernel_basis`), so
-    the restricted equation has the entries h[p] row[f] - row[p] h[f],
-    column p left out, made `primitive`.  All zero means the hyperplane of
-    `row` contains that of h, a zero direction part (0, ..., 0, 1) that it
-    misses it, and otherwise it cuts it in a hyperplane; two rows cut it in
-    the same place exactly when their restrictions are equal.
+    a restricted equation has the entries h[p] row[f] - row[p] h[f],
+    column p left out, made `primitive`.  When row[p] is 0 that is the row
+    without column p, which is primitive already.  All zero means the
+    hyperplane of `row` contains that of h, a zero direction part
+    (0, ..., 0, 1) that it misses it, and otherwise it cuts it in a
+    hyperplane; two rows cut it in the same place exactly when their
+    restrictions are equal.  The rows are primitive tuples, and so are the
+    restrictions, returned in order.
     """
-    a, b = h[pivot], row[pivot]
-    v = [a * x - b * y for x, y in zip(row, h)]
-    del v[pivot]
-    return primitive(v)
+    a, q = h[pivot], pivot + 1
+    out = []
+    for row in rows:
+        b = row[pivot]
+        if not b:
+            out.append(row[:pivot] + row[q:])
+            continue
+        v = [a * x - b * y for x, y in zip(row, h)]
+        del v[pivot]
+        g = gcd(*v)
+        if g:
+            for x in v:
+                if x:
+                    if x < 0:
+                        g = -g
+                    break
+            if g != 1:
+                v = [x // g for x in v]
+        out.append(tuple(v))
+    return out
 
 
 def echelon_insert(rows: tuple, pivots: tuple, row) -> tuple[tuple, tuple, int] | None:

@@ -26,7 +26,7 @@ from mvbetti import (
     whitney_betti,
 )
 from mvbetti.arrangement import AFFINE, Arrangement, Hyperplane, essentialize
-from mvbetti.flats import _extend, ambient_flat, flat_of_subset
+from mvbetti.flats import FlatCounts, _extend, ambient_flat, flat_of_subset
 from mvbetti.generate import (
     boolean_arrangement_text,
     difference_arrangement_text,
@@ -413,6 +413,21 @@ def test_count_flats_boolean_24():
     table = count_flats(parse_arrangement(boolean_arrangement_text(24)))
     assert table.counts == {(s, 24 - s): comb(24, s) for s in range(1, 25)}
     assert table.empty == {}
+
+
+def test_count_flats_wide_counts():
+    # Counts reach C(100, 50), a 97-bit number, so counts packed in 96-bit
+    # slots, or in 64-bit words, would carry into the next size.
+    points = parse_arrangement("affine 1\n" + "".join(f"1 {c}\n" for c in range(100)))
+    empty = {s: comb(100, s) for s in range(2, 101)}
+    assert count_flats(points, cap=100) == FlatCounts({(1, 0): 100}, empty, 1, 100)
+    # y = 0, z = 0 and 98 slabs x = c: a subset of a of {y, z} and b slabs is
+    # empty iff b >= 2, and otherwise cuts out a flat of dimension 3 - a - b.
+    slabs = "affine 3\n0 1 0 0\n0 0 1 0\n" + "".join(f"1 0 0 {c}\n" for c in range(98))
+    counts = {(s, 3 - s): sum(comb(2, s - b) * comb(98, b) for b in range(2)) for s in range(1, 4)}
+    empty = {s: sum(comb(2, a) * comb(98, s - a) for a in range(3) if s - a >= 2)
+             for s in range(2, 101)}
+    assert count_flats(parse_arrangement(slabs), cap=100) == FlatCounts(counts, empty, 3, 100)
 
 
 DEEP_DELETION = """

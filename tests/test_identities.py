@@ -9,7 +9,7 @@ Hyperplanes, 1992, Thm. 2.56 and Prop. 2.51):
 * coning: P(cA, t) = (1 + t) P(A, t).
 
 The restriction A^H is built here in `Fraction`s, by substituting the pivot
-variable of H, not by `linalg.restrict`.
+variable of H, not by `linalg.restrict_rows`.
 """
 
 from fractions import Fraction

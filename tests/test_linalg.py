@@ -2,7 +2,7 @@
 
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvbetti import QMatrix
-from mvbetti.linalg import integer_kernel_basis, integer_row, kron, pivot_profile, rref_entries
+from mvbetti.linalg import (
+    integer_kernel_basis,
+    integer_row,
+    kron,
+    pivot_profile,
+    restrict_rows,
+    rref_entries,
+)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -243,3 +250,40 @@ def test_pivot_profile_gives_every_leading_corner_rank(m, flip_rows, flip_cols):
         for j in range(m.cols + 1):
             ours = sum(1 for q in added[:i] if q is not None and q < j)
             assert ours == theirs[:i, :j].rank(), (i, j)
+
+
+def _coprime_signed(v) -> tuple:
+    """Rationals scaled to coprime integers, the first nonzero one positive."""
+    scale = lcm(*(x.denominator for x in v))
+    ints = [int(x * scale) for x in v]
+    g = gcd(*ints)
+    if g and next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints) if g else tuple(ints)
+
+
+@st.composite
+def restriction_cases(draw):
+    """(primitive rows, a nonzero row h, a column where h is nonzero); rows often vanish there."""
+    width = draw(st.integers(2, 6))
+    entries = st.lists(st.integers(-4, 4), min_size=width, max_size=width)
+    h = tuple(draw(entries.filter(any)))
+    pivot = draw(st.sampled_from([j for j, x in enumerate(h) if x]))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        row = draw(entries)
+        if draw(st.booleans()):
+            row[pivot] = 0
+        rows.append(_coprime_signed([Fraction(x) for x in row]))
+    return rows, h, pivot
+
+
+@given(restriction_cases())
+@settings(max_examples=300, deadline=None)
+def test_restrict_rows_matches_fraction_restriction(case):
+    # Read each row on the kernel basis e_f - (h[f] / h[p]) e_p (f != p) of h.
+    rows, h, p = case
+    basis = [[Fraction(i == f) - (Fraction(h[f], h[p]) if i == p else 0) for i in range(len(h))]
+             for f in range(len(h)) if f != p]
+    on_basis = ([sum(x * y for x, y in zip(row, k)) for k in basis] for row in rows)
+    assert restrict_rows(rows, h, p) == [_coprime_signed(v) for v in on_basis]
