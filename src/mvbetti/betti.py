@@ -243,7 +243,7 @@ def compute_betti(
         e1 = e2 = None
         shift = n
         essential_rank = 0
-        general = False
+        general = True
     else:
         reduction = essentialize(affine)
         essential_rank = reduction.essential.ambient_dim

@@ -33,11 +33,12 @@ so
     dim E_r^{p,q} = dim C^{p,q} - #{bars at (p,q), either end, with L < r}:
 
 a bar records a nonzero d_L, and both its cells lose one dimension from
-page L + 1 on.  Only dimensions are exposed, not bases or induced
-differentials.  The rows folded are the integer rows d(n) stores
-(`QMatrix.integer_rows`, d(n) times its one denominator), which have the
-same pivots, and the D^2 check is an integer product, so no `Fraction` is
-built on the way.
+page L + 1 on.  A `PageTable` stores just E_0 and those death pages, and
+reads any page off them, so nothing is stored per r.  Only dimensions are
+exposed, not bases or induced differentials.  The rows folded are the
+integer rows d(n) stores (`QMatrix.integer_rows`, d(n) times its one
+denominator), which have the same pivots, and the D^2 check is an integer
+product, so no `Fraction` is built on the way.
 
 A `DoubleComplex` assembles Tot and D = d_h + d_v once, at construction,
 and the `Complex` constructor checks D^2 = 0, the only d o d check.  D^2
@@ -53,9 +54,7 @@ index); its first page is the rowwise cohomology H^p(C^{*,q}).
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import lcm
 
 from .arrangement import MAX_DIMENSION, content_lines, parse_integer, parse_rational
@@ -248,42 +247,43 @@ def cohomology_dims(c: Complex) -> dict:
 
 @dataclass(frozen=True)
 class PageTable:
-    """Dimensions of pages E_r^{p,q} for r = 0..r_max under one filtration.
+    """Dimensions of pages E_r^{p,q} for r = 0..r_max under one filtration, as bars.
 
-    `pages` is keyed (r, p, q).  stable_at is the least r whose page equals
-    every later computed page (r_max + 1 when stability was not observed
-    within r_max).
+    `dims` is E_0 and `bars[(p, q)]` lists, sorted, the page L + 1 from which
+    each bar of length L with an end at (p, q) takes one dimension (module
+    docstring), so a page costs one pass over the cells whatever r_max is.
+    stable_at is the least r whose page equals every later computed page
+    (r_max + 1 when stability was not observed within r_max).
     """
 
     filtration: str
     r_max: int
-    pages: dict
+    dims: dict
+    bars: dict
 
-    @cached_property
-    def _by_r(self) -> dict:
-        """{r: {(p, q): dim}}, grouped in one pass."""
-        by_r: dict = {}
-        for (r, p, q), d in self.pages.items():
-            by_r.setdefault(r, {})[(p, q)] = d
-        return by_r
-
-    @cached_property
+    @property
     def stable_at(self) -> int:
-        last, r = self._by_r.get(self.r_max, {}), self.r_max
-        while r and self._by_r.get(r - 1, {}) == last:
-            r -= 1
-        # A single terminal page is no evidence of stabilization.
-        return self.r_max + 1 if r == self.r_max else r
+        # Pages change exactly at the death pages; the last one <= r_max is
+        # where they settle.  A single terminal page is no evidence of it.
+        last = max((r for rs in self.bars.values() for r in rs if r <= self.r_max), default=0)
+        return self.r_max + 1 if last == self.r_max else last
 
     def page(self, r: int) -> dict:
-        return dict(self._by_r.get(r, {}))
+        if not 0 <= r <= self.r_max:
+            return {}
+        out = {}
+        for cell, dim in self.dims.items():
+            dim -= bisect_right(self.bars.get(cell, ()), r)
+            if dim:
+                out[cell] = dim
+        return out
 
     def limit(self) -> dict:
         return self.page(min(self.stable_at, self.r_max))
 
 
-def _filtration_pages(dc: DoubleComplex, filtration: str, r_max: int) -> dict:
-    """Pages of `filtration`, keyed (r, p, q), from the bars of each D(n).
+def _filtration_bars(dc: DoubleComplex, filtration: str) -> dict:
+    """{(p, q): sorted death pages} of `filtration`, from the bars of each D(n).
 
     The rows of D(n) are folded once, vertical top-down with each row
     reversed, horizontal bottom-up (module docstring).  A pivot (i, j) is
@@ -293,7 +293,7 @@ def _filtration_pages(dc: DoubleComplex, filtration: str, r_max: int) -> dict:
     layout = dc._layout
     vertical = filtration == VERTICAL
     axis = 0 if vertical else 1
-    deaths = Counter()
+    bars: dict = {}
     for n, d in layout.complex.diff.items():
         ints = d.integer_rows()
         ints = [row[::-1] for row in ints] if vertical else ints[::-1]
@@ -305,15 +305,9 @@ def _filtration_pages(dc: DoubleComplex, filtration: str, r_max: int) -> dict:
             else:
                 src, tgt = layout.cell(n, j), layout.cell(n + 1, d.rows - 1 - i)
             r = tgt[axis] - src[axis] + 1
-            deaths[(*src, r)] += 1
-            deaths[(*tgt, r)] += 1
-    pages = {}
-    for (p, q), dim in dc.dims.items():
-        for r in range(r_max + 1):
-            dim -= deaths[(p, q, r)]
-            if dim:
-                pages[(r, p, q)] = dim
-    return pages
+            bars.setdefault(src, []).append(r)
+            bars.setdefault(tgt, []).append(r)
+    return {cell: sorted(rs) for cell, rs in bars.items()}
 
 
 def pages(dc: DoubleComplex, filtration: str, r_max: int) -> PageTable:
@@ -322,7 +316,7 @@ def pages(dc: DoubleComplex, filtration: str, r_max: int) -> PageTable:
         raise ValidationError("r_max must be at least 2")
     if filtration not in (HORIZONTAL, VERTICAL):
         raise ValidationError(f"unknown filtration {filtration!r}")
-    return PageTable(filtration, r_max, _filtration_pages(dc, filtration, r_max))
+    return PageTable(filtration, r_max, dc.dims, _filtration_bars(dc, filtration))
 
 
 def verify_convergence(pt: PageTable, h: dict) -> bool:

@@ -15,7 +15,7 @@ from mvbetti import (
     count_flats,
     parse_arrangement,
 )
-from mvbetti.arrangement import essentialize
+from mvbetti.arrangement import _affine_chart, essentialize
 from mvbetti.betti import (
     MVPage,
     degeneration_check,
@@ -27,7 +27,7 @@ from mvbetti.betti import (
     punctured_space_cohomology,
     second_page,
 )
-from mvbetti.flats import flat_of_subset
+from mvbetti.flats import flat_of_subset, is_general_position
 from mvbetti.generate import (
     boolean_arrangement_text,
     difference_arrangement_text,
@@ -258,6 +258,13 @@ def test_compute_betti_empty_arrangement():
     assert rep.betti == (1, 0, 0, 0)
     assert rep.e1 is None and rep.e2 is None
     assert rep.agreement
+    # The empty arrangement, also as the decone of one projective
+    # hyperplane, is vacuously in general position: b = C(0, k).
+    for text in ("affine 3\n", "projective 2\n1 2 3\n"):
+        arr = parse_arrangement(text)
+        rep = compute_betti(arr)
+        assert rep.general_position == is_general_position(_affine_chart(arr, None))
+        assert rep.general_position
 
 
 def test_compute_betti_single_projective_hyperplane():

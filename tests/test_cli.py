@@ -214,6 +214,19 @@ def test_ss_far_apart_positions(tmp_path, capsys):
         assert len(doc["filtrations"][name]["pages"]) == 2003
 
 
+def test_ss_text_independent_of_the_spread(tmp_path, capsys):
+    # Cells 10^9 columns apart: r_max = 10^9 + 2, but text mode prints pages
+    # 1, 2 and the limit, and no page is stored per r, so this is immediate.
+    path = write(tmp_path, "wide.dc", "dims\n0 0 1\n1000000000 0 1\n")
+    page = "     q\\p           0  1000000000\n       0           1           1\n"
+    pages = "".join(f"  {name}:\n{page}" for name in ("E_1", "E_2", "E_inf"))
+    expected = "total cohomology: H^0=1 H^1000000000=1\n" + "".join(
+        f"filtration {name}: stable at r=0, converges: yes\n{pages}"
+        for name in ("horizontal", "vertical")
+    )
+    assert run(capsys, ["ss", path]) == (0, expected, "")
+
+
 def test_ss_parse_error(tmp_path, capsys):
     path = write(tmp_path, "bad.dc", "dims\n0 0 1\n1 0 1\ndh 0 0\n")
     assert main(["ss", path]) == 1

@@ -160,19 +160,34 @@ def test_pages_exact_square_vanish():
         assert verify_convergence(pt, {})
 
 
-def test_pages_staircase_d2():
+@pytest.mark.parametrize("r_max, stable_at", [(2, 1), (3, 4), (4, 3)])
+def test_pages_staircase_d2(r_max, stable_at):
     # (0,1) -dh-> (1,1) <-dv- (1,0) -dh-> (2,0): the vertical d1 kills the
-    # middle pair, and d2 from (0,1) to (2,0) kills the rest
+    # middle pair, and d2 from (0,1) to (2,0) kills the rest on page 3.  With
+    # r_max = 2 that death lies past the table, so the pages look stable
+    # from 1; with r_max = 3 it is the terminal page, which proves nothing.
     cells = {(0, 1): 1, (1, 1): 1, (1, 0): 1, (2, 0): 1}
     dc = DoubleComplex(cells, {(0, 1): ONE, (1, 0): ONE}, {(1, 0): ONE})
-    pt = pages(dc, VERTICAL, 4)
+    pt = pages(dc, VERTICAL, r_max)
     assert pt.page(0) == cells
     assert pt.page(1) == pt.page(2) == {(0, 1): 1, (2, 0): 1}
-    assert pt.page(3) == pt.page(4) == {}
-    assert pt.stable_at == 3
-    horizontal = pages(dc, HORIZONTAL, 4)
+    for r in range(3, r_max + 1):
+        assert pt.page(r) == {}
+    assert pt.page(-1) == pt.page(r_max + 1) == {}
+    assert pt.stable_at == stable_at
+    horizontal = pages(dc, HORIZONTAL, r_max)
     assert horizontal.page(1) == {} and horizontal.stable_at == 1
     assert cohomology_dims(total_complex(dc)) == {}
+
+
+def test_pages_independent_of_the_spread():
+    # Two cells 10^9 apart and no differential: no bar, so every page is E_0,
+    # and nothing is stored or scanned per r.
+    dims = {(0, 0): 1, (10**9, 0): 1}
+    for filtration in (HORIZONTAL, VERTICAL):
+        pt = pages(DoubleComplex(dims, {}, {}), filtration, 10**9 + 2)
+        assert pt.stable_at == 0
+        assert pt.page(1) == pt.limit() == dims
 
 
 def test_pages_zero_differentials_degenerate_at_one():
@@ -318,7 +333,8 @@ def test_pages_match_reference_on_zigzag_sums(seed):
     h = cohomology_dims(total_complex(dc))
     for filtration in (HORIZONTAL, VERTICAL):
         pt = pages(dc, filtration, r_max)
-        assert pt.pages == reference_pages(dc, filtration, r_max)
+        table = {(r, *cell): d for r in range(r_max + 1) for cell, d in pt.page(r).items()}
+        assert table == reference_pages(dc, filtration, r_max)
         assert verify_convergence(pt, h)
 
 
