@@ -166,9 +166,9 @@ class Arrangement:
         return len(_normal_pivots(self))
 
 
-def _normal_pivots(arr: Arrangement) -> tuple:
+def _normal_pivots(arr: Arrangement) -> list:
     """Pivot columns of the echelon form of the normals: a basis of their column space."""
-    return pivot_profile(h.normal for h in arr.hyperplanes)[1]
+    return sorted(q for q in pivot_profile(h.normal for h in arr.hyperplanes) if q is not None)
 
 
 @dataclass(frozen=True)

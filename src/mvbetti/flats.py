@@ -5,7 +5,7 @@ primitive integer echelon rows of its augmented linear system (see
 `linalg`), a unique form, so two flats are equal exactly when their rows
 are identical.  Flats are built one hyperplane at a time from the
 hyperplanes' primitive integer rows (`Hyperplane.equation_row`) by
-`linalg.echelon_insert`, the package's one elimination; hyperplanes are
+`linalg.echelon_insert`, the canonical elimination step; hyperplanes are
 restricted to another by the same integer cross-multiplication
 (`linalg.restrict_rows`).  No rational arithmetic runs while subsets are
 counted.  On top of flats this module builds

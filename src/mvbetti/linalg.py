@@ -15,15 +15,15 @@ signed so that its first nonzero entry is positive.  `restrict_rows` writes
 a list of rows in the coordinates of another row's hyperplane by integer
 cross-multiplication, one pivot for the whole list; deconing and the flat
 count both restrict through it.
-The one row elimination, `echelon_insert`, adds a row to the primitive
-echelon rows of a row space (its rref rows scaled to coprime integers with
-positive pivots, a unique form) by the same cross-multiplication.
-It returns the pivot column the row adds, which `pivot_profile` records
-for each row it folds, giving the rank of every leading corner block at once.
-`QMatrix.echelon` and `QMatrix.rank` fold a matrix's stored integer rows
-(`QMatrix.integer_rows`, which span its row space) that way; `rref_entries`
-and `integer_kernel_basis` read the reduced rows and an integer kernel basis
-off the result.
+The one row reduction, `_reduce`, clears the pivot columns of echelon rows
+from a row by the same cross-multiplication and makes it primitive.
+`pivot_profile` folds it forward only and records the pivot column each
+row adds: the rank of every leading corner block at once.  `echelon_insert`
+adds back-substitution, keeping the primitive echelon rows of a row space
+(its rref rows scaled to coprime integers with positive pivots, a unique
+form) that flats and kernels need.  `QMatrix.rank` and `QMatrix.echelon`
+fold a matrix's `integer_rows` those two ways; `rref_entries` and
+`integer_kernel_basis` read the reduced rows and a kernel basis off the latter.
 """
 
 from __future__ import annotations
@@ -181,11 +181,15 @@ class QMatrix:
 
     def echelon(self) -> tuple[tuple, tuple]:
         """Primitive integer echelon rows of the row space and their pivot columns."""
-        rows, pivots, _ = pivot_profile(self.integer_rows())
+        rows = pivots = ()
+        for row in self.integer_rows():
+            step = echelon_insert(rows, pivots, row)
+            if step is not None:
+                rows, pivots, _ = step
         return rows, pivots
 
     def rank(self) -> int:
-        return len(self.echelon()[1])
+        return sum(q is not None for q in pivot_profile(self.integer_rows()))
 
 
 def _check_shape(rows: int, cols: int, count: int) -> None:
@@ -252,15 +256,12 @@ def restrict_rows(rows: Iterable, h, pivot: int) -> list:
     return out
 
 
-def echelon_insert(rows: tuple, pivots: tuple, row) -> tuple[tuple, tuple, int] | None:
-    """Add the integer `row` to primitive echelon `rows` with pivot columns `pivots`.
+def _reduce(rows, pivots, row) -> tuple[tuple, int] | None:
+    """The integer `row` reduced against echelon `rows`, made primitive, and its pivot column.
 
-    The row is reduced against each pivot row by integer cross-multiplication.
-    If it reduces to zero it lies in their span and None is returned;
-    otherwise it is made primitive and becomes a pivot row, and its pivot
-    column is cleared from the other rows, which keeps the form canonical.
-    Returns the new rows and pivot columns, in pivot order, and the pivot
-    column the row adds.
+    Each of `rows` must be zero in the pivot columns of the rows before it,
+    so clearing the columns in that order refills none already cleared.
+    None if the row lies in their span.
     """
     v = row
     for other, j in zip(rows, pivots):
@@ -270,10 +271,23 @@ def echelon_insert(rows: tuple, pivots: tuple, row) -> tuple[tuple, tuple, int] 
             v = [a * vi - x * oi for vi, oi in zip(v, other)]
     for q, x in enumerate(v):
         if x:
-            break
-    else:
+            return _primitive(v, -1 if x < 0 else 1), q
+    return None
+
+
+def echelon_insert(rows: tuple, pivots: tuple, row) -> tuple[tuple, tuple, int] | None:
+    """Add the integer `row` to primitive echelon `rows` with pivot columns `pivots`.
+
+    The row is reduced (`_reduce`); None if it lies in their span.
+    Otherwise it becomes a pivot row and its pivot column is cleared from
+    the other rows (back-substitution), which keeps the form canonical.
+    Returns the new rows and pivot columns, in pivot order, and the pivot
+    column the row adds.
+    """
+    step = _reduce(rows, pivots, row)
+    if step is None:
         return None
-    v = primitive(v)
+    v, q = step
     b = v[q]
     out = []
     at = 0
@@ -289,27 +303,27 @@ def echelon_insert(rows: tuple, pivots: tuple, row) -> tuple[tuple, tuple, int] 
     return tuple(out), pivots[:at] + (q,) + pivots[at:], q
 
 
-def pivot_profile(rows: Iterable) -> tuple[tuple, tuple, list]:
-    """Fold integer `rows`, in order, over `echelon_insert`.
+def pivot_profile(rows: Iterable) -> list:
+    """For each integer row, the pivot column it adds to the rows before it, or None.
 
-    Returns the primitive echelon rows and pivot columns of their span, and
-    for each row the pivot column it adds to the echelon form of the rows
-    before it, or None if it lies in their span.  The pivot columns of a row
-    space are where its rref pivots, so the rank of every leading corner
-    rows[:i] x columns[:j] is the number of rows before i whose pivot lies
-    left of column j (the rank profile of Dumas, Pernet and Sultan, ISSAC
-    2015).
+    Every echelon form of a row space has the same pivot columns, so the
+    fold keeps the rows as `_reduce` leaves them, with no back-substitution:
+    in pivot order they are an echelon form of the rows so far.  The rank
+    of every leading corner rows[:i] x columns[:j] is the number of rows
+    before i whose pivot lies left of column j (the rank profile of Dumas,
+    Pernet and Sultan, ISSAC 2015).
     """
-    echelon = pivots = ()
-    added = []
+    echelon, pivots, added = [], [], []
     for row in rows:
-        step = echelon_insert(echelon, pivots, row)
+        step = _reduce(echelon, pivots, row)
         if step is None:
             added.append(None)
             continue
-        echelon, pivots, q = step
+        v, q = step
+        echelon.append(v)
+        pivots.append(q)
         added.append(q)
-    return echelon, pivots, added
+    return added
 
 
 def integer_kernel_basis(rows: tuple, pivots: tuple, width: int) -> tuple[int, list]:

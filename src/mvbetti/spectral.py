@@ -19,16 +19,16 @@ Both Tot^n and Tot^{n+1} list their cells by first index.  So for
 F^b a prefix of its rows; for `horizontal`, F^a is a prefix of the columns
 and the complement of F^b a suffix of the rows.  Reversing the columns in
 the first case, and the rows in the second, makes every block ranked by rho
-a leading corner.  `linalg.pivot_profile` folds the rows in that order and
-records the pivot column each row adds; by the rank profile theorem it
-cites, a leading corner's rank is the number of pivots (row, column) inside
-it.  A pivot's column lies in a cell of filtration index s and its row in
-one of index s', so rho(n, a, b) counts the pivots of d(n) with s >= a and
-s' < b.  That is zero for b <= a, because d preserves the filtration, so
-s' >= s: the pivot is a bar of length L = s' - s, a persistence pair
-(Zomorodian and Carlsson, 2005).  The two differences of rho count the bars
-of d(n) leaving (p,q) and those of d(n-1) arriving there, each with L < r,
-so
+a leading corner.  `linalg.pivot_profile` folds the rows in that order
+(forward only) and records the pivot column each row adds; by the rank
+profile theorem it cites, a leading corner's rank is the number of pivots
+(row, column) inside it.  A pivot's column lies in a cell of filtration
+index s and its row in one of index s', so rho(n, a, b) counts the pivots
+of d(n) with s >= a and s' < b.  That is zero for b <= a, because d
+preserves the filtration, so s' >= s: the pivot is a bar of length
+L = s' - s, a persistence pair (Zomorodian and Carlsson, 2005).  The two
+differences of rho count the bars of d(n) leaving (p,q) and those of
+d(n-1) arriving there, each with L < r, so
 
     dim E_r^{p,q} = dim C^{p,q} - #{bars at (p,q), either end, with L < r}:
 
@@ -38,7 +38,8 @@ reads any page off them, so nothing is stored per r.  Only dimensions are
 exposed, not bases or induced differentials.  The rows folded are the
 integer rows d(n) stores (`QMatrix.integer_rows`, d(n) times its one
 denominator), which have the same pivots, and the D^2 check is an integer
-product, so no `Fraction` is built on the way.
+product, so no `Fraction` is built on the way.  `cohomology_dims` ranks D(n)
+by a fold of its own, not by its bars, which `verify_convergence` checks.
 
 A `DoubleComplex` assembles Tot and D = d_h + d_v once, at construction,
 and the `Complex` constructor checks D^2 = 0, the only d o d check.  D^2
@@ -82,15 +83,14 @@ class Complex:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", _clean_dims(self.dims))
-        diff = {
-            p: m
-            for p, m in self.diff.items()
-            if self.dims.get(p, 0) and self.dims.get(p + 1, 0)
-        }
+        for p, m in self.diff.items():
+            tgt, src = self.dim(p + 1), self.dim(p)
+            if (m.rows, m.cols) != (tgt, src):
+                raise ValidationError(
+                    f"differential at degree {p} has shape {m.rows}x{m.cols}, expected {tgt}x{src}"
+                )
+        diff = {p: m for p, m in self.diff.items() if m.rows and m.cols}
         object.__setattr__(self, "diff", diff)
-        for p, m in diff.items():
-            if (m.rows, m.cols) != (self.dims[p + 1], self.dims[p]):
-                raise ValidationError(f"differential at degree {p} has shape {m.rows}x{m.cols}")
         for p, m in diff.items():
             nxt = diff.get(p + 1)
             if nxt is None:
@@ -297,7 +297,7 @@ def _filtration_bars(dc: DoubleComplex, filtration: str) -> dict:
     for n, d in layout.complex.diff.items():
         ints = d.integer_rows()
         ints = [row[::-1] for row in ints] if vertical else ints[::-1]
-        for i, j in enumerate(pivot_profile(ints)[2]):
+        for i, j in enumerate(pivot_profile(ints)):
             if j is None:
                 continue
             if vertical:

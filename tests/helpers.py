@@ -2,7 +2,9 @@
 
 These deliberately avoid the code paths they are checking: cohomology of
 rows/columns comes straight from ranks of the stored differentials, never
-from the page calculator.
+from the page calculator, and those ranks come from `gauss_jordan_rank`
+here, not from `QMatrix.rank`, which is the fold the page engine reads its
+bars from.
 """
 
 import ast
@@ -25,11 +27,29 @@ def module_imports(name: str) -> tuple[set, set]:
     return modules, names
 
 
+def gauss_jordan_rank(m: QMatrix) -> int:
+    """Rank of m by Gauss-Jordan elimination on its `Fraction` entries."""
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    rank = 0
+    for j in range(m.cols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        top = [x / rows[pivot][j] for x in rows[pivot]]
+        rows[pivot] = rows[rank]
+        rows[rank] = top
+        for i, row in enumerate(rows):
+            if i != rank and row[j]:
+                rows[i] = [x - row[j] * y for x, y in zip(row, top)]
+        rank += 1
+    return rank
+
+
 def row_cohomology(dc: DoubleComplex) -> dict:
     """dim H^p(C^{*,q}) at each support position, from horizontal ranks."""
     out = {}
     for (p, q) in dc.dims:
-        h = dc.dim(p, q) - dc.dh(p, q).rank() - dc.dh(p - 1, q).rank()
+        h = dc.dim(p, q) - gauss_jordan_rank(dc.dh(p, q)) - gauss_jordan_rank(dc.dh(p - 1, q))
         if h:
             out[(p, q)] = h
     return out
@@ -39,7 +59,7 @@ def column_cohomology(dc: DoubleComplex) -> dict:
     """dim H^q(C^{p,*}) at each support position, from vertical ranks."""
     out = {}
     for (p, q) in dc.dims:
-        h = dc.dim(p, q) - dc.dv(p, q).rank() - dc.dv(p, q - 1).rank()
+        h = dc.dim(p, q) - gauss_jordan_rank(dc.dv(p, q)) - gauss_jordan_rank(dc.dv(p, q - 1))
         if h:
             out[(p, q)] = h
     return out
@@ -88,7 +108,7 @@ def reference_pages(dc: DoubleComplex, filtration: str, r_max: int) -> dict:
                     m = component(src, tgt)
                     entries.extend(m.row(i) if m is not None else [0] * dims[src])
         height = sum(dims[tgt] for tgt in rows)
-        return QMatrix(height, sum(dims[src] for src in cols), entries).rank()
+        return gauss_jordan_rank(QMatrix(height, sum(dims[src] for src in cols), entries))
 
     out = {}
     for (p, q), d in dims.items():

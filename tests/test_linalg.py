@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from mvbetti import QMatrix
 from mvbetti.linalg import (
+    echelon_insert,
     integer_kernel_basis,
     integer_row,
     kron,
@@ -18,6 +19,8 @@ from mvbetti.linalg import (
     restrict_rows,
     rref_entries,
 )
+
+from helpers import gauss_jordan_rank
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -220,6 +223,7 @@ def test_rref_against_sympy(m):
     assert pivots == tuple(their_pivots)
     assert rank == theirs.rank()
     assert m.rank() == theirs.rank()
+    assert gauss_jordan_rank(m) == theirs.rank()
     assert [sympy.Rational(x) for x in reduced.entries] == list(their_rref)
     kernel = kernel_basis(m)
     their_kernel = theirs.nullspace()
@@ -228,28 +232,60 @@ def test_rref_against_sympy(m):
         assert [sympy.Rational(x) for x in kernel.transpose().row(j)] == list(column)
 
 
+def flipped_integer_rows(m: QMatrix, flip_rows: bool, flip_cols: bool) -> list:
+    """The rows of m as integers, with the rows, the columns or both reversed."""
+    ints = [integer_row(m.row(i)) for i in range(m.rows)]
+    if flip_cols:
+        ints = [row[::-1] for row in ints]
+    return ints[::-1] if flip_rows else ints
+
+
 @given(matrices_with_zero_lines(), st.booleans(), st.booleans())
 @settings(max_examples=100, deadline=None)
 def test_pivot_profile_gives_every_leading_corner_rank(m, flip_rows, flip_cols):
     # Reversing the rows, the columns or both turns the other three corners
     # of m into leading corners.
-    ints = [integer_row(m.row(i)) for i in range(m.rows)]
-    if flip_cols:
-        ints = [row[::-1] for row in ints]
-    if flip_rows:
-        ints = ints[::-1]
-    _, pivots, added = pivot_profile(ints)
+    added = pivot_profile(flipped_integer_rows(m, flip_rows, flip_cols))
     assert len(added) == m.rows
-    assert sorted(j for j in added if j is not None) == list(pivots)
     theirs = sympy.Matrix(m.rows, m.cols, [sympy.Rational(x) for x in m.entries])
     if flip_cols:
         theirs = theirs[:, ::-1]
     if flip_rows:
         theirs = theirs[::-1, :]
+    assert sorted(j for j in added if j is not None) == list(theirs.rref()[1])
     for i in range(m.rows + 1):
         for j in range(m.cols + 1):
             ours = sum(1 for q in added[:i] if q is not None and q < j)
             assert ours == theirs[:i, :j].rank(), (i, j)
+
+
+def near_2_200(x: int) -> int:
+    """A nonzero x moved out to about +-2^200, keeping its sign; 0 stays 0."""
+    return x + 2**200 if x > 0 else x - 2**200 if x < 0 else 0
+
+
+@given(matrices_with_zero_lines(), st.booleans(), st.booleans(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_pivot_profile_matches_the_canonical_fold(m, flip_rows, flip_cols, huge):
+    # The forward-only fold adds the same pivot per row as folding the
+    # canonical (back-substituted) `echelon_insert`, and the canonical rows
+    # it ends with are those of `QMatrix.echelon`.
+    ints = flipped_integer_rows(m, flip_rows, flip_cols)
+    if huge:
+        ints = [[near_2_200(x) for x in row] for row in ints]
+    rows = pivots = ()
+    added = []
+    for row in ints:
+        step = echelon_insert(rows, pivots, row)
+        if step is None:
+            added.append(None)
+            continue
+        rows, pivots, q = step
+        added.append(q)
+    assert pivot_profile(ints) == added
+    big = QMatrix.from_rows(ints)
+    assert big.echelon() == (rows, pivots)
+    assert big.rank() == len(pivots)
 
 
 def _coprime_signed(v) -> tuple:

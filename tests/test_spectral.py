@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mvbetti.linalg
 from mvbetti import (
     HORIZONTAL,
     VERTICAL,
@@ -80,7 +81,8 @@ def block_sum(x: Complex, y: Complex) -> Complex:
         dx, dy = x.d(n), y.d(n)
         top = [list(dx.row(i)) + [0] * y.dim(n) for i in range(dx.rows)]
         bottom = [[0] * x.dim(n) + list(dy.row(i)) for i in range(dy.rows)]
-        diff[n] = QMatrix.from_rows(top + bottom)
+        entries = [e for row in top + bottom for e in row]
+        diff[n] = QMatrix(dx.rows + dy.rows, dims[n], entries)
     return Complex(dims, diff)
 
 
@@ -138,10 +140,42 @@ def test_double_complex_invariants_enforced():
         DoubleComplex(dims, d_horiz, d_vert)
     with pytest.raises(ValidationError, match="shape"):
         DoubleComplex({(0, 0): 2, (1, 0): 1}, {(0, 0): ONE}, {})
+    # A plain complex checks every map's shape, also where an end has
+    # dimension 0 or no dimension is given, before it drops such a map.
+    for dims, diff, shape in (
+        ({0: 2}, {0: QMatrix.from_rows([[1, 0], [0, 1], [1, 1]])}, "3x2, expected 0x2"),
+        ({0: 2, 1: 0}, {0: QMatrix.zeros(3, 2)}, "3x2, expected 0x2"),
+        ({1: 1}, {3: QMatrix.zeros(1, 2)}, "1x2, expected 0x0"),
+        ({0: 1, 1: 1}, {0: ONE, 1: ONE}, "1x1, expected 0x1"),
+        ({0: 2, 1: 1}, {0: ONE}, "1x1, expected 1x2"),
+    ):
+        with pytest.raises(ValidationError, match=rf"^differential at degree \d has shape {shape}$"):
+            Complex(dims, diff)
+    # Maps with a zero-dimensional end pass and are dropped.
+    c = Complex({0: 2, 1: 0}, {0: QMatrix.zeros(0, 2), -1: QMatrix.zeros(2, 0)})
+    assert c.diff == {} and c.d(0) == QMatrix.zeros(0, 2)
     # A plain complex locates the first nonzero entry of d(p+1) d(p).
     with pytest.raises(ValidationError, match=r"^d o d != 0 at degree 0$") as err:
         Complex({0: 1, 1: 2, 2: 1}, {0: QMatrix.from_rows([[0], [1]]), 1: ONE_ONE})
     assert err.value.entry == (0, 0, 0)
+
+
+def test_engine_folds_forward_only(monkeypatch):
+    # Ranks and bars come from `pivot_profile`'s forward-only fold; the
+    # back-substituting `echelon_insert` is for canonical forms only.
+    calls = []
+    insert = mvbetti.linalg.echelon_insert
+    monkeypatch.setattr(
+        mvbetti.linalg, "echelon_insert", lambda *args: calls.append(args) or insert(*args)
+    )
+    dc = tensor_double_complex(*(random_complex(Random(seed)) for seed in (1, 2)))
+    assert cohomology_dims(total_complex(dc))
+    for filtration in (HORIZONTAL, VERTICAL):
+        assert pages(dc, filtration, _r_max(dc)).bars
+    assert calls == []
+    # The counter is live: the canonical form does go through it.
+    dc.dh(*next(iter(dc.d_horiz))).echelon()
+    assert calls
 
 
 def test_pages_single_object():
