@@ -13,15 +13,15 @@ counted.  On top of flats this module builds
 * the count table: how many subsets of each size cut out a flat of each
   dimension, with empty intersections tallied separately, as one
   polynomial in x per dimension (its coefficient of x^s counts size-s
-  subsets) packed in one integer.  Deletion and restriction give the table
-  of a flat X as T(rest) + x T(cut): the subsets of X's hyperplanes
-  without the first one h, and those with h, which are the subsets of the
-  rest restricted to the flat X ∩ h.  Two hyperplanes that cut X in the
-  same place restrict to the same primitive key, so T depends only on X's
-  dimension and the multiset of keys, and is memoized on them.  The
-  recursion stops at planes, where powers of (1 + x) give T in closed
-  form.  The count table carries no spectral grading (`betti.first_page`
-  places each bucket), and general position is read off it,
+  subsets) packed in one integer.  Hyperplanes that contain a flat X or
+  miss it enter X's table in closed form; over those that cut X, deletion
+  and restriction give T(rest) + x T(cut), the subsets without the first
+  one h and those with h, the subsets of the rest restricted to X ∩ h.
+  Two hyperplanes cut X in the same place exactly when they restrict to
+  the same primitive key, so T depends only on dim X and the multiset of
+  cutting keys, and is memoized on them.  Planes are closed forms in
+  powers of (1 + x).  The table carries no spectral grading
+  (`betti.first_page` places each bucket); general position is read off it,
 * the intersection poset: the one sweep over the hyperplanes (by
   `_extend`) that finds the nonempty flats, each with the mask of the
   hyperplanes containing it and its Moebius value, summed during that sweep
@@ -35,6 +35,7 @@ counted.  On top of flats this module builds
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import comb, gcd
 
@@ -151,15 +152,14 @@ def _closed_table(keys, d: int, w: int, powers: list) -> dict:
     """`_subset_table` of a flat X of dimension d <= 2, from powers of (1 + x).
 
     `keys` are the `linalg.restrict_rows` keys of the S hyperplanes that may
-    still be added, and powers[N] is (1 + x)^N packed in slots of w bits.
-    With z hyperplanes containing X and classes of c_l hyperplanes cutting
-    X in the same hyperplane l of X, the subsets of the keys leave
+    still be added, all cutting X (`_subset_table` peels the rest), and
+    powers[N] is (1 + x)^N packed in slots of w bits.  With classes of c_l
+    of them cutting X in the same hyperplane l of X, the subsets leave
 
-    * X itself: (1 + x)^z;
-    * l: (1 + x)^(z + c_l) - (1 + x)^z, summed over l;
+    * X itself: 1;
+    * l: (1 + x)^c_l - 1, summed over l;
     * on a plane, a point P where the lines through P carry m_P hyperplanes:
-      (1 + x)^(z + m_P) - (1 + x)^z less the terms of those lines, summed
-      over P;
+      (1 + x)^m_P - 1 less the terms of those lines, summed over P;
     * the empty set: the rest of (1 + x)^S.
 
     A line takes at least one key and a point two, so their polynomials are
@@ -168,8 +168,6 @@ def _closed_table(keys, d: int, w: int, powers: list) -> dict:
     tally: dict = {}
     for key in keys:
         tally[key] = tally.get(key, 0) + 1
-    z = tally.pop((0,) * (d + 1), 0)
-    tally.pop((0,) * d + (1,), None)
     points: dict = {}
     if d == 2:
         lines = list(tally)
@@ -178,18 +176,17 @@ def _closed_table(keys, d: int, w: int, powers: list) -> dict:
                 p = _cross(a, b)
                 if p is not None:
                     points.setdefault(p, set()).update((a, b))
-    base = powers[z]
-    extra = {line: powers[z + c] - base for line, c in tally.items()}
+    extra = {line: powers[c] - 1 for line, c in tally.items()}
     low = 0
     for through in points.values():
-        m, known = z, base
+        m, known = 0, 1
         for line in through:
             m += tally[line]
             known += extra[line]
         low += powers[m] - known
     cut = sum(extra.values())
-    empty = powers[len(keys)] - base - cut - low
-    return {d: base, d - 1: cut >> w, d - 2: low >> 2 * w, None: empty}
+    empty = powers[len(keys)] - 1 - cut - low
+    return {d: 1, d - 1: cut >> w, d - 2: low >> 2 * w, None: empty}
 
 
 def _subset_table(d: int, keys: tuple, memo: dict, w: int, powers: list) -> dict:
@@ -202,42 +199,40 @@ def _subset_table(d: int, keys: tuple, memo: dict, w: int, powers: list) -> dict
     a flat of dimension e, divided by x^(d - e), as such a subset has at
     least d - e members, and None to that of the empty intersections,
     undivided; the empty subset gives X itself.  Packed in slots of w bits
-    (see `count_flats`), a factor x is a shift by one slot.  With h =
-    keys[0] and the rest after it, deletion and restriction read
-    T(d, keys) = T(d, rest) + x T(cut), where T(cut) is T(d, rest) if h
-    contains X (all zero), (1 + x)^len(rest) at None if h misses X
-    (0, ..., 0, 1), and otherwise T(d - 1, rest restricted to the
-    hyperplane h of X), one `restrict_rows` call for the whole rest, whose
-    one power of x less absorbs the x on every dimension but None.
+    (see `count_flats`), a factor x is a shift by one slot.
 
-    The table depends only on d and the multiset of keys, so it is memoized
-    on (d, keys).  The deletions run as a loop, from the longest memoized
-    suffix of `keys` to the front; only restrictions recurse, so the depth
+    Sorted keys start with the z that contain X (all zero), then the m that
+    miss it (0, ..., 0, 1), peeled at once: with T the table of the S keys
+    that cut X, the misses add (1 + x)^(S + m) - (1 + x)^S at None, and the
+    contains multiply all of T by (1 + x)^z, a packed product that is exact
+    because its inputs and output are nonnegative subset counts below 2^w,
+    so no slot carries.  With h = keys[0] cutting X, deletion and
+    restriction read T(d, keys) = T(d, rest) + x T(d - 1, rest restricted
+    to the hyperplane h of X), one `restrict_rows` call for the whole rest,
+    whose one power of x less absorbs the x on every dimension but None.
+    T of the cutting keys depends only on d and their multiset, so it is
+    memoized on (d, keys).  The deletions run as a loop, from the longest
+    memoized suffix to the front; only restrictions recurse, so the depth
     is at most d - 2.  A run of equal keys restricts once.
     """
+    cutting = bisect_right(keys, (0,) * d + (1,))
+    z = bisect_right(keys, (0,) * (d + 1), 0, cutting)
+    keys, m = keys[cutting:], cutting - z
     if d <= 2:
         table = memo.get((d, keys))
         if table is None:
             table = memo[(d, keys)] = _closed_table(keys, d, w, powers)
-        return table
-    start = len(keys)
-    table = {d: 1}
-    for i in range(len(keys)):
-        known = memo.get((d, keys[i:]))
-        if known is not None:
-            start, table = i, known
-            break
-    contains = (0,) * (d + 1)
-    misses = (0,) * d + (1,)
-    below = None
-    for i in range(start - 1, -1, -1):
-        h, rest = keys[i], keys[i + 1:]
-        if h == contains:
-            table = {dim: poly + (poly << w) for dim, poly in table.items()}
-        elif h == misses:
-            table = dict(table)
-            table[None] = table.get(None, 0) + (powers[len(rest)] << w)
-        else:
+    else:
+        start = len(keys)
+        table = {d: 1}
+        for i in range(len(keys)):
+            known = memo.get((d, keys[i:]))
+            if known is not None:
+                start, table = i, known
+                break
+        below = None
+        for i in range(start - 1, -1, -1):
+            h, rest = keys[i], keys[i + 1:]
             if below is not None and h == rest[0]:
                 # The cut of the step before plus h's own zero key: one more factor 1 + x.
                 below = {dim: poly + (poly << w) for dim, poly in below.items()}
@@ -248,7 +243,12 @@ def _subset_table(d: int, keys: tuple, memo: dict, w: int, powers: list) -> dict
             table = dict(table)
             for dim, poly in below.items():
                 table[dim] = table.get(dim, 0) + (poly if dim is not None else poly << w)
-        memo[(d, keys[i:])] = table
+            memo[(d, keys[i:])] = table
+    if m:
+        table = dict(table)
+        table[None] = table.get(None, 0) + powers[len(keys) + m] - powers[len(keys)]
+    if z:
+        table = {dim: poly * powers[z] for dim, poly in table.items()}
     return table
 
 

@@ -44,8 +44,10 @@ by a fold of its own, not by its bars, which `verify_convergence` checks.
 A `DoubleComplex` assembles Tot and D = d_h + d_v once, at construction,
 and the `Complex` constructor checks D^2 = 0, the only d o d check.  D^2
 maps (p, q) to (p+2, q) by d_h^2, to (p+1, q+1) by d_h d_v + d_v d_h and to
-(p, q+2) by d_v^2, so D^2 = 0 is exactly those three identities.
-`total_complex` and the page engine reuse the complex built there.
+(p, q+2) by d_v^2, so D^2 = 0 is exactly those three identities.  It
+keeps that complex and the cell of each coordinate of Tot^n, the one
+layout of Tot: `total_complex` returns the complex, and the D^2 error and
+the page engine's bars read their cells off the same list.
 
 Conventions: `vertical` filters by column (first index); its first page is
 the columnwise cohomology H^q(C^{p,*}).  `horizontal` filters by row (second
@@ -119,13 +121,16 @@ class DoubleComplex:
     maps.  Construction assembles the total complex and checks D^2 = 0 on
     it, which is d_h^2 = d_v^2 = d_h d_v + d_v d_h = 0 (module docstring).  A
     failure names the identity and the source cell of the first nonzero
-    entry of D^2 by degree.
+    entry of D^2 by degree.  Derived fields, out of equality and repr:
+    `_total` is the checked Tot, and `_cells[n][k]` the cell (p, q) that
+    holds coordinate k of Tot^n, whose cells come in order of p.
     """
 
     dims: dict
     d_horiz: dict
     d_vert: dict
-    _layout: _Layout = field(init=False, repr=False, compare=False)
+    _total: Complex = field(init=False, repr=False, compare=False)
+    _cells: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "dims", _clean_dims(self.dims))
@@ -142,7 +147,43 @@ class DoubleComplex:
                 if src and tgt and not m.is_zero():
                     kept[(p, q)] = m
             object.__setattr__(self, name, kept)
-        object.__setattr__(self, "_layout", _Layout(self))
+        cells, offsets = {}, {}
+        for cell in sorted(self.dims):
+            n = sum(cell)
+            offsets[cell] = len(cells.setdefault(n, []))
+            cells[n] += [cell] * self.dims[cell]
+        object.__setattr__(self, "_cells", cells)
+        total = {n: len(at) for n, at in cells.items()}
+        # Numerators of D(n): Tot^n -> Tot^{n+1}, row-major, block by block, over
+        # den[n], the lcm of the denominators of the blocks starting in degree n.
+        # Stored blocks are nonzero, so D(n) is zero exactly when no block starts there.
+        den = {}
+        for maps in (self.d_horiz, self.d_vert):
+            for (p, q), block in maps.items():
+                den[p + q] = lcm(den.get(p + q, 1), block.den)
+        flat = {}
+        for maps, (dp, dq) in ((self.d_horiz, (1, 0)), (self.d_vert, (0, 1))):
+            for (p, q), block in maps.items():
+                n, src, base = p + q, offsets[(p, q)], offsets[(p + dp, q + dq)]
+                width = total[n]
+                if n not in flat:
+                    flat[n] = [0] * (width * total[n + 1])
+                k = den[n] // block.den
+                for i, row in enumerate(block.integer_rows()):
+                    at = (base + i) * width + src
+                    flat[n][at : at + block.cols] = row if k == 1 else [k * x for x in row]
+        diff = {
+            n: QMatrix.from_integers(total[n + 1], total[n], flat[n], den[n]) for n in sorted(flat)
+        }
+        try:
+            object.__setattr__(self, "_total", Complex(total, diff))
+        except ValidationError as err:
+            # Column j lies in the source cell (p, q), row i in (p + k, q + 2 - k),
+            # and that block of D^2 is the identity _DEFECTS[k].
+            n, i, j = err.entry
+            p = cells[n][j][0]
+            k = cells[n + 2][i][0] - p
+            raise ValidationError(f"{_DEFECTS[k]} at ({p},{n - p})") from None
 
     def dim(self, p: int, q: int) -> int:
         return self.dims.get((p, q), 0)
@@ -167,71 +208,12 @@ class DoubleComplex:
 _DEFECTS = ("d_vert o d_vert != 0", "differentials do not anticommute", "d_horiz o d_horiz != 0")
 
 
-class _Layout:
-    """The total complex of a double complex, each degree's cells sorted by first index.
-
-    `cell(n, offset)` names the cell of Tot^n that holds a coordinate; the
-    page engine maps its pivots back to cells through it, and so does the
-    D^2 error below.
-    """
-
-    def __init__(self, dc: DoubleComplex):
-        total = {}
-        # Per degree: the cells in order, and their offsets.
-        self._cells = {}
-        self._starts = {}
-        offsets = {}
-        for n in sorted({p + q for p, q in dc.dims}):
-            cells = sorted((p, q) for (p, q) in dc.dims if p + q == n)
-            pos = 0
-            for cell in cells:
-                offsets[cell] = pos
-                pos += dc.dims[cell]
-            total[n] = pos
-            self._cells[n] = cells
-            self._starts[n] = [offsets[cell] for cell in cells]
-        # Numerators of D(n): Tot^n -> Tot^{n+1}, row-major, block by block, over
-        # den[n], the lcm of the denominators of the blocks starting in degree n.
-        # Stored blocks are nonzero, so D(n) is zero exactly when no block starts there.
-        den = {}
-        for maps in (dc.d_horiz, dc.d_vert):
-            for (p, q), block in maps.items():
-                den[p + q] = lcm(den.get(p + q, 1), block.den)
-        flat = {}
-        for maps, (dp, dq) in ((dc.d_horiz, (1, 0)), (dc.d_vert, (0, 1))):
-            for (p, q), block in maps.items():
-                n, src, base = p + q, offsets[(p, q)], offsets[(p + dp, q + dq)]
-                width = total[n]
-                if n not in flat:
-                    flat[n] = [0] * (width * total[n + 1])
-                k = den[n] // block.den
-                for i, row in enumerate(block.integer_rows()):
-                    at = (base + i) * width + src
-                    flat[n][at : at + block.cols] = row if k == 1 else [k * x for x in row]
-        diff = {
-            n: QMatrix.from_integers(total[n + 1], total[n], flat[n], den[n]) for n in sorted(flat)
-        }
-        try:
-            self.complex = Complex(total, diff)
-        except ValidationError as err:
-            # Column j lies in the source cell (p, q), row i in (p + k, q + 2 - k),
-            # and that block of D^2 is the identity _DEFECTS[k].
-            n, i, j = err.entry
-            p = self.cell(n, j)[0]
-            k = self.cell(n + 2, i)[0] - p
-            raise ValidationError(f"{_DEFECTS[k]} at ({p},{n - p})") from None
-
-    def cell(self, n: int, offset: int) -> tuple:
-        """The cell (p, q) of Tot^n whose coordinates include `offset`."""
-        return self._cells[n][bisect_right(self._starts[n], offset) - 1]
-
-
 def total_complex(dc: DoubleComplex) -> Complex:
     """Tot^n = sum of C^{p,q} with p+q = n, differential d_horiz + d_vert.
 
     Returns the complex that `dc` assembled and checked at construction.
     """
-    return dc._layout.complex
+    return dc._total
 
 
 def cohomology_dims(c: Complex) -> dict:
@@ -286,27 +268,25 @@ def _filtration_bars(dc: DoubleComplex, filtration: str) -> dict:
     """{(p, q): sorted death pages} of `filtration`, from the bars of each D(n).
 
     The rows of D(n) are folded once, vertical top-down with each row
-    reversed, horizontal bottom-up (module docstring).  A pivot (i, j) is
-    mapped back to its coordinates and cells; its bar of length L takes one
-    dimension from both cells from page L + 1 on.
+    reversed, horizontal bottom-up (module docstring); the source or target
+    cells are reversed with them, so row i's pivot j joins source cell j to
+    target cell i.  A bar of length L takes one dimension from both cells
+    from page L + 1 on.
     """
-    layout = dc._layout
-    vertical = filtration == VERTICAL
-    axis = 0 if vertical else 1
+    axis = 0 if filtration == VERTICAL else 1
     bars: dict = {}
-    for n, d in layout.complex.diff.items():
-        ints = d.integer_rows()
-        ints = [row[::-1] for row in ints] if vertical else ints[::-1]
-        for i, j in enumerate(pivot_profile(ints)):
-            if j is None:
-                continue
-            if vertical:
-                src, tgt = layout.cell(n, d.cols - 1 - j), layout.cell(n + 1, i)
-            else:
-                src, tgt = layout.cell(n, j), layout.cell(n + 1, d.rows - 1 - i)
-            r = tgt[axis] - src[axis] + 1
-            bars.setdefault(src, []).append(r)
-            bars.setdefault(tgt, []).append(r)
+    for n, d in dc._total.diff.items():
+        rows, sources, targets = d.integer_rows(), dc._cells[n], dc._cells[n + 1]
+        if axis == 0:
+            rows, sources = [row[::-1] for row in rows], sources[::-1]
+        else:
+            rows, targets = rows[::-1], targets[::-1]
+        for tgt, j in zip(targets, pivot_profile(rows)):
+            if j is not None:
+                src = sources[j]
+                r = tgt[axis] - src[axis] + 1
+                bars.setdefault(src, []).append(r)
+                bars.setdefault(tgt, []).append(r)
     return {cell: sorted(rs) for cell, rs in bars.items()}
 
 
@@ -342,10 +322,10 @@ def tensor_double_complex(a: Complex, b: Complex) -> DoubleComplex:
     d_horiz = {}
     d_vert = {}
     for (p, q) in dims:
-        if a.diff.get(p) is not None:
-            d_horiz[(p, q)] = kron(a.d(p), QMatrix.identity(b.dim(q)))
-        if b.diff.get(q) is not None:
-            m = kron(QMatrix.identity(a.dim(p)), b.d(q))
+        if p in a.diff:
+            d_horiz[(p, q)] = kron(a.diff[p], QMatrix.identity(b.dim(q)))
+        if q in b.diff:
+            m = kron(QMatrix.identity(a.dim(p)), b.diff[q])
             d_vert[(p, q)] = m.scale(-1) if p % 2 else m
     return DoubleComplex(dims, d_horiz, d_vert)
 

@@ -428,6 +428,19 @@ def test_count_flats_wide_counts():
     empty = {s: sum(comb(2, a) * comb(98, s - a) for a in range(3) if s - a >= 2)
              for s in range(2, 101)}
     assert count_flats(parse_arrangement(slabs), cap=100) == FlatCounts(counts, empty, 3, 100)
+    # Above planes, packed tables are multiplied by (1 + x)^z for the keys
+    # that contain a flat.  A pencil x_1 + c x_2 = 0 in 5-space: any two or
+    # more meet in the same 3-space, reached with z = 98 at d >= 3.
+    pencil = "affine 5\n" + "".join(f"1 {c} 0 0 0 0\n" for c in range(100))
+    counts = {(1, 4): 100} | {(s, 3): comb(100, s) for s in range(2, 101)}
+    assert count_flats(parse_arrangement(pencil), cap=100) == FlatCounts(counts, {}, 5, 100)
+    # The keys that miss a flat add (1 + x)^(S + m) - (1 + x)^S at None: x_2 = 0
+    # and 99 slabs x_1 = c reach m = 98.
+    slabs = "affine 5\n0 1 0 0 0 0\n" + "".join(f"1 0 0 0 0 {c}\n" for c in range(99))
+    empty = {s: sum(comb(1, a) * comb(99, s - a) for a in range(2) if s - a >= 2)
+             for s in range(2, 101)}
+    table = FlatCounts({(1, 4): 100, (2, 3): 99}, empty, 5, 100)
+    assert count_flats(parse_arrangement(slabs), cap=100) == table
 
 
 DEEP_DELETION = """
