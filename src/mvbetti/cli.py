@@ -173,7 +173,7 @@ def _run_arrangement(args) -> int:
         # Sorted by codimension, then by the rational echelon entries.
         flats = sorted(
             (n - f.dimension, rref_entries(f.rows, f.pivots), f.dimension, mu)
-            for f, _, mu in build_intersection_poset(arr, args.cap).sweep
+            for f, mu in build_intersection_poset(arr, args.cap).sweep
         )
         if args.json:
             flats = [

@@ -23,10 +23,10 @@ counted.  On top of flats this module builds
   powers of (1 + x).  The table carries no spectral grading
   (`betti.first_page` places each bucket); general position is read off it,
 * the intersection poset: the one sweep over the hyperplanes (by
-  `_extend`) that finds the nonempty flats, each with the mask of the
-  hyperplanes containing it and its Moebius value, summed during that sweep
-  (Weisner: mu(Y) = -sum of mu(X) over the flats X ≠ Y with X ∩ H_i = Y, at
-  the last H_i containing Y); it is kept in the order found, and
+  `_extend`) that finds the nonempty flats, each with its Moebius value,
+  summed during that sweep (Weisner: mu(Y) = -sum of mu(X) over the flats
+  X ≠ Y with X ∩ H_i = Y, at the last H_i containing Y); it is kept in the
+  order found, and
 * two combinatorial Betti oracles read off that poset to cross-check the
   pipeline: the Moebius sum of |mu(X)| and Whitney's signed sum of mu(X)
   by codimension, which agree exactly when every mu(X) has the sign
@@ -296,12 +296,10 @@ def count_flats(arr: Arrangement, cap: int = DEFAULT_CAP) -> FlatCounts:
 class IntersectionPoset:
     """Nonempty flats closed under intersection, ordered by reverse inclusion.
 
-    `sweep` holds (flat, mask, mu) in the order the sweep found the flats:
-    bit i of mask is set iff hyperplane i contains the flat, so Y contains X
-    iff mask(Y) is a subset of mask(X), and mu is its Moebius value, with
-    mu = 1 on the ambient space and mu[x] = -sum(mu[y] for y strictly
-    containing x).  No order is imposed on the flats; a caller that prints
-    them sorts them itself.
+    `sweep` holds (flat, mu) in the order the sweep found the flats: mu is
+    the flat's Moebius value, with mu = 1 on the ambient space and
+    mu[x] = -sum(mu[y] for y strictly containing x).  No order is imposed on
+    the flats; a caller that prints them sorts them itself.
     """
 
     ambient_dim: int
@@ -311,39 +309,33 @@ class IntersectionPoset:
 def build_intersection_poset(arr: Arrangement, cap: int = DEFAULT_CAP) -> IntersectionPoset:
     """Every nonempty flat with its Moebius value, by one sweep over the hyperplanes in input order.
 
-    Each flat X is keyed by the bitmask H_X of the hyperplanes containing it:
-    Y contains X iff H_Y is a subset of H_X.  After hyperplanes 0..i-1 the
-    dict holds every nonempty intersection of them; step i extends a snapshot
-    of it by H_i, so the flats made at step i are not cut by H_i again.  The
-    mask of Y = X ∩ H_i is complete: the flat X' cut out by the earlier
-    hyperplanes containing Y is in the snapshot and X' ∩ H_i = Y, so every
-    earlier bit of Y arrives through X', and every later bit arrives when Y
-    meets a hyperplane that contains it.
+    After hyperplanes 0..i-1 the dict holds every nonempty intersection of
+    them.  Step i collects the cuts of those flats by H_i in a dict of its
+    own and merges it in afterwards, so the flats made at step i are not cut
+    by H_i again.
 
     Moebius values follow Weisner's theorem (Stanley, EC1, Cor. 3.9.3) on the
     lattice of flats containing Y, with the atom H_i ⊇ Y: mu(Y) = -sum of
     mu(X) over the flats X ≠ Y with X ∩ H_i = Y.  Step i sums mu(f) over the
-    snapshot flats f with f ∩ H_i = Y ≠ f and sets mu(Y) to minus the sum.
-    The last step that reaches Y is i = max(H_Y), and then each such X has
-    H_X ⊊ H_Y without i, so X is cut out by hyperplanes before i: it is in
-    the snapshot, and its own last step is past, so mu(X) is final.
+    flats f found before it with f ∩ H_i = Y ≠ f and sets mu(Y) to minus the
+    sum.  With H_X the set of hyperplanes containing X, the last step that
+    reaches Y is i = max(H_Y), and then each such X has H_X ⊊ H_Y without i,
+    so X is cut out by hyperplanes before i: it was found before step i, and
+    its own last step is past, so mu(X) is final.
     """
     rows = _walk_rows(arr, cap)
     n = arr.ambient_dim
     ambient = ambient_flat(n)
-    found = {ambient.rows: [ambient, 0, 1]}
-    for i, row in enumerate(rows):
-        bit, sums = 1 << i, {}
-        for f, mask, mu in list(found.values()):
+    found = {ambient.rows: (ambient, 1)}
+    for row in rows:
+        step = {}
+        for f, mu in found.values():
             g = _extend(f, row)
-            if g is f:
-                found[f.rows][1] |= bit
-            elif not g.is_empty:
-                found.setdefault(g.rows, [g, 0, 0])[1] |= mask | bit
-                sums[g.rows] = sums.get(g.rows, 0) + mu
-        for key, total in sums.items():
-            found[key][2] = -total
-    return IntersectionPoset(n, tuple(map(tuple, found.values())))
+            if g is not f and not g.is_empty:
+                g, total = step.get(g.rows, (g, 0))
+                step[g.rows] = (g, total - mu)
+        found.update(step)
+    return IntersectionPoset(n, tuple(found.values()))
 
 
 def mobius_betti(poset: IntersectionPoset) -> tuple:
@@ -355,7 +347,7 @@ def mobius_betti(poset: IntersectionPoset) -> tuple:
     """
     n = poset.ambient_dim
     betti = [0] * (n + 1)
-    for flat, _, mu in poset.sweep:
+    for flat, mu in poset.sweep:
         betti[n - flat.dimension] += abs(mu)
     return tuple(betti)
 
@@ -371,7 +363,7 @@ def whitney_betti(poset: IntersectionPoset) -> tuple:
     """
     n = poset.ambient_dim
     acc = [0] * (n + 1)
-    for flat, _, mu in poset.sweep:
+    for flat, mu in poset.sweep:
         acc[n - flat.dimension] += mu
     return tuple(-a if k % 2 else a for k, a in enumerate(acc))
 

@@ -13,8 +13,9 @@ Hyperplanes, flats and the elimination all live on integer rows.  A row is
 canonical when it is `primitive`: divided by the gcd of its entries and
 signed so that its first nonzero entry is positive.  `restrict_rows` writes
 a list of rows in the coordinates of another row's hyperplane by integer
-cross-multiplication, one pivot for the whole list; deconing and the flat
-count both restrict through it.
+cross-multiplication, one pivot for the whole list, and makes each one
+canonical through `primitive`; deconing and the flat count both restrict
+through it.
 The one row reduction, `_reduce`, clears the pivot columns of echelon rows
 from a row by the same cross-multiplication and makes it primitive.
 `pivot_profile` folds it forward only and records the pivot column each
@@ -28,6 +29,7 @@ fold a matrix's `integer_rows` those two ways; `rref_entries` and
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -41,18 +43,23 @@ def _lowest(nums: tuple, den: int) -> tuple[tuple, int]:
     return nums, den
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class QMatrix:
     """Immutable dense matrix of rationals: integer numerators over one denominator.
 
     `nums` is the row-major tuple of `int` numerators and `den` the positive
     `int` denominator, in lowest terms: gcd(den, *nums) == 1, so a zero
     matrix has den == 1.  That form is unique, so equal matrices have equal
-    fields.  `entries`, `row` and `at` build `Fraction`s on demand;
-    `integer_rows` gives the rows of den times the matrix, which is what the
-    elimination folds.
+    fields, and the frozen dataclass compares and hashes them by value.
+    `entries`, `row` and `at` build `Fraction`s on demand; `integer_rows`
+    gives the rows of den times the matrix, which is what the elimination
+    folds.
     """
 
-    __slots__ = ("rows", "cols", "nums", "den")
+    rows: int
+    cols: int
+    nums: tuple
+    den: int
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
         """The matrix with the given row-major entries, each an `int` or a `Fraction`."""
@@ -81,9 +88,6 @@ class QMatrix:
         m = cls.__new__(cls)
         m._set(rows, cols, nums, den)
         return m
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QMatrix is immutable")
 
     @classmethod
     def from_integers(cls, rows: int, cols: int, nums: Iterable, den: int = 1) -> "QMatrix":
@@ -127,18 +131,6 @@ class QMatrix:
         """The rows of den times the matrix, as tuples of `int`s."""
         nums, cols = self.nums, self.cols
         return [nums[i * cols : (i + 1) * cols] for i in range(self.rows)]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.den == other.den
-            and self.nums == other.nums
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.nums, self.den))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
@@ -243,16 +235,7 @@ def restrict_rows(rows: Iterable, h, pivot: int) -> list:
             continue
         v = [a * x - b * y for x, y in zip(row, h)]
         del v[pivot]
-        g = gcd(*v)
-        if g:
-            for x in v:
-                if x:
-                    if x < 0:
-                        g = -g
-                    break
-            if g != 1:
-                v = [x // g for x in v]
-        out.append(tuple(v))
+        out.append(primitive(v))
     return out
 
 

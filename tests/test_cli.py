@@ -434,8 +434,8 @@ def test_check_catalan_and_shi_with_oracles(tmp_path, capsys, m, constants, root
 def poset_with_one_sign_flipped(arr, cap=DEFAULT_CAP):
     """The intersection poset with the first Moebius value after the ambient one negated."""
     poset = build_intersection_poset(arr, cap)
-    ambient, (flat, mask, mu), *rest = poset.sweep
-    return IntersectionPoset(poset.ambient_dim, (ambient, (flat, mask, -mu), *rest))
+    ambient, (flat, mu), *rest = poset.sweep
+    return IntersectionPoset(poset.ambient_dim, (ambient, (flat, -mu), *rest))
 
 
 def test_oracles_catch_a_mobius_sign_defect(boolean3_file, capsys, monkeypatch):

@@ -105,12 +105,12 @@ def test_counts_cap():
 
 def _mobius_of(poset) -> dict:
     """{flat: mu} of the poset's sweep, which has no order of its own."""
-    return {flat: mu for flat, _, mu in poset.sweep}
+    return {flat: mu for flat, mu in poset.sweep}
 
 
 def _codim_mobius(poset) -> list:
     """The sorted (codimension, mu) pairs of the poset's flats."""
-    return sorted((poset.ambient_dim - flat.dimension, mu) for flat, _, mu in poset.sweep)
+    return sorted((poset.ambient_dim - flat.dimension, mu) for flat, mu in poset.sweep)
 
 
 def test_poset_boolean(boolean2):
@@ -195,11 +195,11 @@ def test_oracles_agree_and_mobius_signs(seed):
         assert mu * (-1) ** codim > 0
     # containment by hyperplane masks agrees with elimination on the rational rref
     n = arr.ambient_dim
-    systems = [
-        QMatrix(len(f.rows), n + 1, rref_entries(f.rows, f.pivots)) for f, _, _ in poset.sweep
-    ]
-    for (x, mx, _), a in zip(poset.sweep, systems):
-        for (y, my, _), b in zip(poset.sweep, systems):
+    flats = [f for f, _ in poset.sweep]
+    masks = _containing_masks(arr, flats)
+    systems = [QMatrix(len(f.rows), n + 1, rref_entries(f.rows, f.pivots)) for f in flats]
+    for x, mx, a in zip(flats, masks, systems):
+        for y, my, b in zip(flats, masks, systems):
             stacked = QMatrix(a.rows + b.rows, a.cols, a.entries + b.entries)
             contains = stacked.rank() == a.rows
             assert (x != y and my & mx == my) == (x != y and contains)
@@ -221,18 +221,21 @@ def test_oracles_agree_and_mobius_signs(seed):
     assert whitney_betti(poset) == tuple((-1) ** k * w for k, w in enumerate(signed))
 
 
+def _containing_masks(arr: Arrangement, flats) -> list:
+    """For each flat, the bitmask of the hyperplanes containing it, one `_extend` per pair."""
+    rows = [h.equation_row() for h in arr.hyperplanes]
+    return [sum(1 << i for i, row in enumerate(rows) if _extend(f, row) is f) for f in flats]
+
+
 def _textbook_mobius(arr: Arrangement, poset) -> dict:
     """{flat: mu} by mu(X) = -sum of mu(Y) over the flats Y strictly containing X.
 
     Containment is read from hyperplane masks computed here, one
-    elimination per (flat, hyperplane), which must equal the sweep's masks;
-    the flats are visited by the number of hyperplanes containing them, so
-    every Y above X comes first.
+    elimination per (flat, hyperplane); the flats are visited by the number
+    of hyperplanes containing them, so every Y above X comes first.
     """
-    rows = [h.equation_row() for h in arr.hyperplanes]
-    flats = [f for f, _, _ in poset.sweep]
-    masks = [sum(1 << i for i, row in enumerate(rows) if _extend(f, row) is f) for f in flats]
-    assert masks == [mask for _, mask, _ in poset.sweep]
+    flats = [f for f, _ in poset.sweep]
+    masks = _containing_masks(arr, flats)
     mu = {}
     for x in sorted(range(len(masks)), key=lambda i: bin(masks[i]).count("1")):
         m = masks[x]

@@ -6,7 +6,7 @@ from math import gcd, lcm
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvbetti import QMatrix
@@ -106,6 +106,12 @@ def test_integer_form_is_canonical(m, k):
         assert same == m and hash(same) == hash(m)
     zero = QMatrix.zeros(m.rows, m.cols)
     assert m.scale(0) == zero and hash(m.scale(0)) == hash(zero) and zero.den == 1
+    # A value: immutable, slotted, equal only to another QMatrix.
+    with pytest.raises(AttributeError):
+        m.nums = ()
+    assert not hasattr(m, "__dict__")
+    assert m != (m.rows, m.cols, m.nums, m.den)
+    assert len({m, same}) == 1
 
 
 def test_rref_identity():
@@ -315,6 +321,8 @@ def restriction_cases(draw):
 
 
 @given(restriction_cases())
+# Rows that contain h, miss it, vanish at the pivot and flip sign.
+@example(([(1, 2, 0, 3), (1, 2, 0, 5), (0, 1, 1, 0), (2, -1, 1, 1)], (1, 2, 0, 3), 0))
 @settings(max_examples=300, deadline=None)
 def test_restrict_rows_matches_fraction_restriction(case):
     # Read each row on the kernel basis e_f - (h[f] / h[p]) e_p (f != p) of h.
