@@ -159,12 +159,6 @@ class Arrangement:
     def r(self) -> int:
         return len(self.hyperplanes)
 
-    def rank(self) -> int:
-        """Dimension of the span of the normal vectors (affine arrangements)."""
-        if self.kind != AFFINE:
-            raise ValidationError("rank is defined for affine arrangements; decone first")
-        return len(_normal_pivots(self))
-
 
 def _normal_pivots(arr: Arrangement) -> list:
     """Pivot columns of the echelon form of the normals: a basis of their column space."""

@@ -47,8 +47,6 @@ def punctured_space_cohomology(m: int) -> dict:
 
 def kunneth_shift(graded: dict, shift: int) -> dict:
     """Tensoring with the cohomology of affine `shift`-space moves degree i to i-shift."""
-    if shift == 0:
-        return dict(graded)
     return {i - shift: d for i, d in graded.items()}
 
 
@@ -74,9 +72,6 @@ class MVPage:
     page: int
     n: int
     r: int
-
-    def row(self, q: int) -> dict:
-        return {p: d for (p, qq), d in self.dims.items() if qq == q}
 
 
 def first_page(counts: FlatCounts) -> MVPage:
@@ -129,9 +124,11 @@ def second_page(page1: MVPage) -> MVPage:
     if page1.page != 1:
         raise ValidationError("second_page consumes a first page")
     n = page1.n
+    rows: dict = {}
+    for (p, q), d in page1.dims.items():
+        rows.setdefault(q, {})[p] = d
     dims = {}
-    for q in sorted({q for _, q in page1.dims}):
-        row = page1.row(q)
+    for q, row in sorted(rows.items()):
         p_lo, p_hi = min(row), max(row)
         try:
             value = last_cohomology_dim([row.get(p, 0) for p in range(p_lo, p_hi + 1)])
@@ -201,11 +198,9 @@ class BettiReport:
     n: int
     r: int
     betti: tuple
-    poincare: tuple
     e1: MVPage | None
     e2: MVPage | None
     shift: int
-    essential_rank: int
     general_position: bool
     oracle_betti: tuple | None
     oracle_whitney: tuple | None
@@ -215,6 +210,16 @@ class BettiReport:
     def graded(self) -> dict:
         """Direct-image grading: dimension at degree i = b_{i+n}."""
         return {k - self.n: b for k, b in enumerate(self.betti) if b}
+
+    @property
+    def essential_rank(self) -> int:
+        """Ambient dimension of the essential part: n less the Kuenneth shift."""
+        return self.n - self.shift
+
+    @property
+    def poincare(self) -> tuple:
+        """Poincare polynomial coefficients: `betti` without trailing zeros, b_0 always kept."""
+        return self.betti[: max((k for k, b in enumerate(self.betti) if b), default=0) + 1]
 
 
 def compute_betti(
@@ -242,11 +247,9 @@ def compute_betti(
         betti = tuple([1] + [0] * n)
         e1 = e2 = None
         shift = n
-        essential_rank = 0
         general = True
     else:
         reduction = essentialize(affine)
-        essential_rank = reduction.essential.ambient_dim
         shift = reduction.shift
         counts = count_flats(reduction.essential, cap)
         e1 = first_page(counts)
@@ -270,20 +273,14 @@ def compute_betti(
         oracle_mobius, oracle_whitney = mobius_betti(poset), whitney_betti(poset)
         agreement = betti == oracle_mobius == oracle_whitney
 
-    poincare = list(betti)
-    while len(poincare) > 1 and poincare[-1] == 0:
-        poincare.pop()
-
     return BettiReport(
         kind=arr.kind,
         n=n,
         r=r,
         betti=betti,
-        poincare=tuple(poincare),
         e1=e1,
         e2=e2,
         shift=shift,
-        essential_rank=essential_rank,
         general_position=general,
         oracle_betti=oracle_mobius,
         oracle_whitney=oracle_whitney,

@@ -42,14 +42,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     arrangement_cmds = {
-        "betti": "Betti numbers and Poincare polynomial of the complement",
-        "e1": "first page of the Mayer-Vietoris spectral sequence",
-        "e2": "second (limit) page of the Mayer-Vietoris spectral sequence",
-        "poset": "intersection poset with codimensions and Moebius values",
-        "oracle": "both combinatorial Betti oracles",
-        "check": "full pipeline plus every cross-check; nonzero exit on failure",
+        "betti": ("Betti numbers and Poincare polynomial of the complement",
+                  {"--verbose", "--no-oracle"}),
+        "e1": ("first page of the Mayer-Vietoris spectral sequence", {"--no-oracle"}),
+        "e2": ("second (limit) page of the Mayer-Vietoris spectral sequence", {"--no-oracle"}),
+        "poset": ("intersection poset with codimensions and Moebius values", set()),
+        "oracle": ("both combinatorial Betti oracles", set()),
+        "check": ("full pipeline plus every cross-check; nonzero exit on failure",
+                  {"--verbose"}),
     }
-    for name, help_text in arrangement_cmds.items():
+    for name, (help_text, flags) in arrangement_cmds.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", help="arrangement file")
         p.add_argument("--infinity", type=int, default=None, metavar="K",
@@ -58,8 +60,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="most hyperplanes given to count_flats and the poset sweep "
                        f"(default {DEFAULT_CAP})")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--verbose", action="store_true")
-        p.add_argument("--no-oracle", action="store_true", help="skip the oracle cross-checks")
+        # Only the flags a subcommand reads: any other is a usage error, not ignored.
+        if "--verbose" in flags:
+            p.add_argument("--verbose", action="store_true")
+        if "--no-oracle" in flags:
+            p.add_argument("--no-oracle", action="store_true", help="skip the oracle cross-checks")
     p = sub.add_parser("ss", help="pages and convergence of a double-complex file")
     p.add_argument("input", help="double complex file")
     p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -211,7 +216,7 @@ def _run_arrangement(args) -> int:
         arr,
         infinity_index=args.infinity,
         cap=args.cap,
-        oracles=not args.no_oracle or args.subcommand == "check",
+        oracles=args.subcommand == "check" or not args.no_oracle,
     )
     _print_report(args, report)
     if report.agreement is False:

@@ -29,8 +29,6 @@ class CapExceededError(RuntimeError):
             f"arrangement has {r} hyperplanes, enumeration cap is {cap} "
             f"(raise the cap to enumerate 2^{r} subsets)"
         )
-        self.r = r
-        self.cap = cap
 
 
 class ConsistencyError(RuntimeError):

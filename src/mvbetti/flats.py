@@ -86,31 +86,16 @@ def _extend(flat: Flat, row) -> Flat:
     return Flat(rows, None if empty else flat.dimension - 1, pivots)
 
 
-def _require_affine(arr: Arrangement):
-    if arr.kind != AFFINE:
-        raise ValidationError("flats are computed for affine arrangements; decone first")
-
-
 def _walk_rows(arr: Arrangement, cap: int) -> list:
     """The hyperplanes' integer rows, after the checks every flat walk makes first.
 
     The arrangement must be affine, then have at most `cap` hyperplanes.
     """
-    _require_affine(arr)
+    if arr.kind != AFFINE:
+        raise ValidationError("flats are computed for affine arrangements; decone first")
     if arr.r > cap:
         raise CapExceededError(arr.r, cap)
     return [h.equation_row() for h in arr.hyperplanes]
-
-
-def flat_of_subset(arr: Arrangement, subset) -> Flat:
-    """Flat of the intersection of the selected hyperplanes (empty subset: ambient space)."""
-    _require_affine(arr)
-    flat = ambient_flat(arr.ambient_dim)
-    for i in subset:
-        if not 0 <= i < arr.r:
-            raise ValidationError(f"hyperplane index {i} out of range for r={arr.r}")
-        flat = _extend(flat, arr.hyperplanes[i].equation_row())
-    return flat
 
 
 @dataclass(frozen=True)

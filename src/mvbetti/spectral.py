@@ -238,7 +238,6 @@ class PageTable:
     (r_max + 1 when stability was not observed within r_max).
     """
 
-    filtration: str
     r_max: int
     dims: dict
     bars: dict
@@ -296,7 +295,7 @@ def pages(dc: DoubleComplex, filtration: str, r_max: int) -> PageTable:
         raise ValidationError("r_max must be at least 2")
     if filtration not in (HORIZONTAL, VERTICAL):
         raise ValidationError(f"unknown filtration {filtration!r}")
-    return PageTable(filtration, r_max, dc.dims, _filtration_bars(dc, filtration))
+    return PageTable(r_max, dc.dims, _filtration_bars(dc, filtration))
 
 
 def verify_convergence(pt: PageTable, h: dict) -> bool:

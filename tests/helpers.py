@@ -11,12 +11,16 @@ import ast
 from functools import cache
 from pathlib import Path
 
-from mvbetti import HORIZONTAL, DoubleComplex, QMatrix
+from mvbetti import HORIZONTAL, DoubleComplex, Flat, QMatrix
+from mvbetti.flats import _extend, ambient_flat
 
 
-def module_imports(name: str) -> tuple[set, set]:
-    """(modules, names) that `src/mvbetti/<name>.py` imports, read with `ast`."""
-    source = Path(__file__).parent.parent / "src" / "mvbetti" / f"{name}.py"
+PACKAGE = Path(__file__).parent.parent / "src" / "mvbetti"
+
+
+def module_imports(name: str, directory: Path = PACKAGE) -> tuple[set, set]:
+    """(modules, names) that `<directory>/<name>.py` imports, read with `ast`."""
+    source = directory / f"{name}.py"
     modules, names = set(), set()
     for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
@@ -25,6 +29,14 @@ def module_imports(name: str) -> tuple[set, set]:
             modules.add(node.module)
             names.update(alias.name for alias in node.names)
     return modules, names
+
+
+def flat_of(arr, subset) -> Flat:
+    """Flat of the selected hyperplanes (empty subset: ambient space), one `_extend` each."""
+    flat = ambient_flat(arr.ambient_dim)
+    for i in subset:
+        flat = _extend(flat, arr.hyperplanes[i].equation_row())
+    return flat
 
 
 def gauss_jordan_rank(m: QMatrix) -> int:

@@ -27,7 +27,7 @@ from mvbetti.betti import (
     punctured_space_cohomology,
     second_page,
 )
-from mvbetti.flats import flat_of_subset, is_general_position
+from mvbetti.flats import is_general_position
 from mvbetti.generate import (
     boolean_arrangement_text,
     difference_arrangement_text,
@@ -35,7 +35,7 @@ from mvbetti.generate import (
     random_projective_arrangement,
 )
 
-from helpers import BRAID_A3, PARALLEL_A2, betti_of_roots
+from helpers import BRAID_A3, PARALLEL_A2, betti_of_roots, flat_of
 
 
 def _first_page_of(text):
@@ -67,7 +67,7 @@ def test_first_page_boolean():
 
 def test_first_page_braid():
     page = _first_page_of(BRAID_A3)
-    assert page.row(-2) == {-2: 1, -1: 3, 0: 3}
+    assert {p: d for (p, q), d in page.dims.items() if q == -2} == {-2: 1, -1: 3, 0: 3}
     assert page.dims[(0, -1)] == 3
     assert page.dims[(-1, 1)] == 3
     assert page.dims[(-2, 1)] == 1
@@ -95,7 +95,7 @@ def test_first_page_is_sum_of_localized_cohomology(seed):
     expected = {}
     for size in range(1, arr.r + 1):
         for subset in combinations(range(arr.r), size):
-            flat = flat_of_subset(arr, subset)
+            flat = flat_of(arr, subset)
             for q, d in localized_flat_cohomology(n, flat.dimension).items():
                 expected[(1 - size, q)] = expected.get((1 - size, q), 0) + d
     assert first_page(count_flats(arr)).dims == expected
@@ -185,6 +185,28 @@ def test_compute_betti_named_examples():
         rep = compute_betti(parse_arrangement(boolean_arrangement_text(n)))
         assert rep.betti == tuple(comb(n, k) for k in range(n + 1))
         assert rep.agreement
+
+
+@pytest.mark.parametrize(
+    "text, poincare, essential_rank, shift",
+    [
+        ("affine 2\n", (1,), 0, 2),
+        ("affine 3\n1 0 0 0\n0 1 0 0\n1 1 0 1\n", (1, 3, 3), 2, 1),
+        (BRAID_A3, (1, 3, 2), 2, 1),
+    ],
+    ids=["empty", "nonessential_planes_a_3", "braid_a_3"],
+)
+def test_report_derives_poincare_and_essential_rank(text, poincare, essential_rank, shift):
+    rep = compute_betti(parse_arrangement(text))
+    assert (rep.poincare, rep.essential_rank, rep.shift) == (poincare, essential_rank, shift)
+
+
+def test_second_page_of_rows_out_of_order():
+    # Boolean n=2's first page with its rows listed q = 1, -1, -2.
+    dims = {(-1, 1): 1, (0, -1): 2, (0, -2): 2, (-1, -2): 1}
+    page2 = second_page(MVPage(dims, 1, 2, 2))
+    assert page2.dims == {(0, -2): 1, (0, -1): 2, (-1, 1): 1}
+    assert page2.dims == second_page(_first_page_of(boolean_arrangement_text(2))).dims
 
 
 # (n, arrangement text, roots) of families with chi(q) = prod (q - a) over the

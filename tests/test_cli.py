@@ -257,6 +257,37 @@ def test_no_oracle_flag(boolean3_file, capsys):
     assert "oracle" not in out
 
 
+ARRANGEMENT_SUBCOMMANDS = ("betti", "e1", "e2", "poset", "oracle", "check")
+ARRANGEMENT_OPTIONS = (["--infinity", "0"], ["--cap", "5"], ["--json"], ["--verbose"], ["--no-oracle"])
+# The (subcommand, flag) pairs a subcommand would ignore, so it does not take them.
+DROPPED_FLAGS = {
+    ("check", "--no-oracle"),
+    ("e1", "--verbose"),
+    ("e2", "--verbose"),
+    ("poset", "--verbose"),
+    ("poset", "--no-oracle"),
+    ("oracle", "--verbose"),
+    ("oracle", "--no-oracle"),
+}
+
+
+@pytest.mark.parametrize("subcommand", ARRANGEMENT_SUBCOMMANDS)
+@pytest.mark.parametrize("option", ARRANGEMENT_OPTIONS, ids=lambda option: option[0])
+def test_subcommand_takes_only_the_options_it_reads(subcommand, option, capsys):
+    argv = [subcommand, "in.arr", *option]
+    if (subcommand, option[0]) in DROPPED_FLAGS:
+        code, _, err = run_to_exit(capsys, argv)
+        assert code == 2 and f"unrecognized arguments: {option[0]}" in err
+    else:
+        args = mvbetti.cli._build_parser().parse_args(argv)
+        assert (args.subcommand, args.input) == (subcommand, "in.arr")
+
+
+def test_check_runs_the_oracles_without_a_flag(boolean3_file, capsys):
+    assert main(["check", boolean3_file]) == 0
+    assert "oracle agreement: yes" in capsys.readouterr().out
+
+
 def run(capsys, argv):
     """Exit code, stdout and stderr of one in-process `main` call."""
     code = main(argv)

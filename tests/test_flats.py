@@ -26,7 +26,7 @@ from mvbetti import (
     whitney_betti,
 )
 from mvbetti.arrangement import AFFINE, Arrangement, Hyperplane, essentialize
-from mvbetti.flats import FlatCounts, _extend, ambient_flat, flat_of_subset
+from mvbetti.flats import FlatCounts, _extend, ambient_flat
 from mvbetti.generate import (
     boolean_arrangement_text,
     difference_arrangement_text,
@@ -34,7 +34,8 @@ from mvbetti.generate import (
 )
 from mvbetti.linalg import rref_entries
 
-from helpers import BRAID_A3, PARALLEL_A2, betti_of_roots, module_imports
+from helpers import BRAID_A3, PARALLEL_A2, betti_of_roots, flat_of, module_imports
+from signed_graphs import family_counts
 
 
 @pytest.fixture
@@ -53,31 +54,26 @@ def parallel():
 
 
 def test_flat_of_full_boolean_subset(boolean2):
-    flat = flat_of_subset(boolean2, [0, 1])
+    flat = flat_of(boolean2, [0, 1])
     assert not flat.is_empty
     assert flat.dimension == 0
 
 
 def test_flat_of_empty_subset_is_ambient(boolean2):
-    flat = flat_of_subset(boolean2, [])
+    flat = flat_of(boolean2, [])
     assert flat.dimension == 2
     assert flat.rows == ()
 
 
 def test_flat_of_parallel_pair_is_empty(parallel):
-    assert flat_of_subset(parallel, [0, 1]).is_empty
+    assert flat_of(parallel, [0, 1]).is_empty
 
 
 def test_flat_of_braid_pairs():
     braid = parse_arrangement(BRAID_A3)
-    flats = {flat_of_subset(braid, pair) for pair in ([0, 1], [0, 2], [1, 2])}
+    flats = {flat_of(braid, pair) for pair in ([0, 1], [0, 2], [1, 2])}
     assert len(flats) == 1  # every pair cuts out the same diagonal line
     assert flats.pop().dimension == 1
-
-
-def test_flat_index_range(boolean2):
-    with pytest.raises(Exception):
-        flat_of_subset(boolean2, [5])
 
 
 def test_counts_boolean(boolean2):
@@ -117,13 +113,13 @@ def test_poset_boolean(boolean2):
     poset = build_intersection_poset(boolean2)
     assert _codim_mobius(poset) == [(0, 1), (1, -1), (1, -1), (2, 1)]
     subsets = {(): 1, (0,): -1, (1,): -1, (0, 1): 1}
-    assert _mobius_of(poset) == {flat_of_subset(boolean2, s): mu for s, mu in subsets.items()}
+    assert _mobius_of(poset) == {flat_of(boolean2, s): mu for s, mu in subsets.items()}
 
 
 def test_poset_single_hyperplane():
     arr = parse_arrangement("affine 2\n1 0 0\n")
     poset = build_intersection_poset(arr)
-    assert _mobius_of(poset) == {ambient_flat(2): 1, flat_of_subset(arr, [0]): -1}
+    assert _mobius_of(poset) == {ambient_flat(2): 1, flat_of(arr, [0]): -1}
 
 
 def test_poset_braid_essential(braid_essential):
@@ -212,7 +208,7 @@ def test_oracles_agree_and_mobius_signs(seed):
     signed = [0] * (n + 1)
     for size in range(0, arr.r + 1):
         for subset in combinations(range(arr.r), size):
-            flat = flat_of_subset(arr, subset)
+            flat = flat_of(arr, subset)
             if not flat.is_empty:
                 seen.add(flat)
                 signed[n - flat.dimension] += (-1) ** size
@@ -379,12 +375,38 @@ def _every_subset(arr: Arrangement) -> tuple:
     empty: dict = {}
     for size in range(1, arr.r + 1):
         for subset in combinations(range(arr.r), size):
-            flat = flat_of_subset(arr, subset)
+            flat = flat_of(arr, subset)
             if flat.is_empty:
                 empty[size] = empty.get(size, 0) + 1
             else:
                 counts[(size, flat.dimension)] = counts.get((size, flat.dimension), 0) + 1
     return counts, empty
+
+
+# family: (signs, coordinate hyperplanes) of `difference_arrangement_text`
+SIGNED_GRAPH_FAMILIES = {"braid": ((-1,), False), "D": ((-1, 1), False), "B": ((-1, 1), True)}
+
+
+@pytest.mark.parametrize(
+    "family, n",
+    [("braid", 5), ("braid", 8), ("braid", 12), ("D", 5), ("D", 7), ("D", 10),
+     ("B", 5), ("B", 7), ("B", 10)],
+    ids=lambda v: str(v),
+)
+def test_count_table_equals_signed_graph_formula(family, n):
+    # The whole table (the whole E1 page), up to r = 100, against a formula
+    # that shares no code with the package; Betti numbers alone would miss a
+    # count moved between sizes s and s + 2 of one dimension.
+    signs, coordinates = SIGNED_GRAPH_FAMILIES[family]
+    arr = parse_arrangement(difference_arrangement_text(n, signs, (0,), coordinates=coordinates))
+    table = count_flats(essentialize(arr).essential, cap=500)
+    assert table.counts == family_counts(family, n)
+    assert table.empty == {}
+
+
+def test_signed_graph_formula_imports_only_math():
+    modules, _ = module_imports("signed_graphs", Path(__file__).parent)
+    assert modules == {"math"}
 
 
 @given(st.integers(0, 10_000))
