@@ -26,8 +26,8 @@ class CapExceededError(RuntimeError):
 
     def __init__(self, r, cap):
         super().__init__(
-            f"arrangement has {r} hyperplanes, enumeration cap is {cap} "
-            f"(raise the cap to enumerate 2^{r} subsets)"
+            f"arrangement has {r} hyperplanes, more than the cap of {cap} on those "
+            "given to count_flats and the poset sweep"
         )
 
 
