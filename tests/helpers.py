@@ -4,7 +4,8 @@ These deliberately avoid the code paths they are checking: cohomology of
 rows/columns comes straight from ranks of the stored differentials, never
 from the page calculator, and those ranks come from `gauss_jordan_rank`
 here, not from `QMatrix.rank`, which is the fold the page engine reads its
-bars from.
+bars from.  `flat_of` is no oracle: it is the flat of one subset, by the
+package's own `_extend`, for the tests that walk every subset.
 """
 
 import ast
