@@ -1,10 +1,12 @@
 """Affine and projective hyperplane arrangements over the rationals.
 
-A hyperplane a_1*x_1 + ... + a_n*x_n = c is stored as the primitive integer
-row (a_1, ..., a_n, c) (`linalg.primitive`: coprime `int`s, the first
-nonzero normal coefficient positive), so two hyperplanes are equal iff their
-rows coincide.  Projective arrangements carry n+1 homogeneous coefficients
-and a zero constant.  `Fraction` is used only to read `p/q` input.
+The `Hyperplane` constructor takes the rational coefficients of
+a_1*x_1 + ... + a_n*x_n = c and stores the primitive integer row
+(a_1, ..., a_n, c) (`linalg.primitive`: coprime `int`s, the first nonzero
+normal coefficient positive), so every hyperplane is canonical and two are
+equal iff their rows coincide.  Projective arrangements carry n+1
+homogeneous coefficients and a zero constant.  `Fraction` is used only to
+read `p/q` input, and `equation_text` writes a row of rationals back out.
 
 The two reductions applied before any Betti computation also live here, and
 both are integer row operations: deconing (declaring one hyperplane of a
@@ -70,63 +72,49 @@ def parse_rational(field: str, line: int, column: int | None = None) -> Fraction
     raise ParseError(f"bad rational {field!r}", line=line, column=column)
 
 
+def equation_text(row) -> str:
+    """The equation `a_1*x1 + ... + a_n*xn = c` of a row (a_1, ..., a_n, c) of rationals.
+
+    Zero terms are left out and unit coefficients written as a bare sign.
+    """
+    text = ""
+    for i, a in enumerate(row[:-1], start=1):
+        if a:
+            term = f"x{i}" if abs(a) == 1 else f"{abs(a)}*x{i}"
+            if text:
+                text += f" {'-' if a < 0 else '+'} {term}"
+            else:
+                text = f"-{term}" if a < 0 else term
+    return f"{text} = {row[-1]}"
+
+
 @dataclass(frozen=True)
 class Hyperplane:
+    """The hyperplane a_1*x_1 + ... + a_n*x_n = c, canonical by construction.
+
+    The constructor takes rational (`int` or `Fraction`) coefficients and
+    stores the row scaled to integers and made `primitive`, so the scaled,
+    sign-flipped and fractional rows (2, -4 | 6), (-1, 2 | -3) and
+    (1/2, -1 | 3/2) all give `Hyperplane((1, -2), 3)`.  A zero normal raises
+    a ValidationError.
+    """
+
     normal: tuple
     constant: int
 
     def __post_init__(self):
-        # Integral values are stored as `int`s; any other value is kept, and
-        # `is_canonical` rejects it.
-        row = (*self.normal, self.constant)
-        if not all(type(x) is int for x in row):
-            row = [x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
-                   for x in row]
-            object.__setattr__(self, "normal", tuple(row[:-1]))
-            object.__setattr__(self, "constant", row[-1])
-
-    @staticmethod
-    def canonical(normal, constant=0) -> "Hyperplane":
-        """Canonical form of the hyperplane sum(a_i x_i) = c, for rational a_i and c.
-
-        The row (a_1, ..., a_n, c) is scaled to integers and made primitive.
-        """
-        row = primitive(integer_row((*normal, constant)))
+        row = primitive(integer_row((*self.normal, self.constant)))
         if not any(row[:-1]):
             raise ValidationError("hyperplane has zero normal vector")
-        return Hyperplane(row[:-1], row[-1])
-
-    def is_canonical(self) -> bool:
-        """Whether `canonical` leaves the hyperplane as it is.
-
-        That is: a nonzero normal, every coefficient an `int`, and the row
-        primitive.
-        """
-        row = self.equation_row()
-        return any(self.normal) and all(type(x) is int for x in row) and primitive(row) == row
+        object.__setattr__(self, "normal", row[:-1])
+        object.__setattr__(self, "constant", row[-1])
 
     def equation_row(self) -> tuple:
         """Augmented row (a_1, ..., a_n, c)."""
         return (*self.normal, self.constant)
 
     def __str__(self):
-        terms = []
-        for i, a in enumerate(self.normal):
-            if not a:
-                continue
-            name = f"x{i + 1}"
-            if a == 1:
-                term = name
-            elif a == -1:
-                term = f"-{name}"
-            else:
-                term = f"{a}*{name}"
-            if terms and not term.startswith("-"):
-                term = "+ " + term
-            elif term.startswith("-") and terms:
-                term = "- " + term[1:]
-            terms.append(term)
-        return f"{' '.join(terms)} = {self.constant}"
+        return equation_text(self.equation_row())
 
 
 @dataclass(frozen=True)
@@ -149,8 +137,6 @@ class Arrangement:
                 )
             if self.kind == PROJECTIVE and h.constant != 0:
                 raise ValidationError(f"hyperplane {idx} has nonzero constant in projective input")
-            if not h.is_canonical():
-                raise ValidationError(f"hyperplane {idx} is not in canonical form")
             if h in seen:
                 raise ValidationError(f"duplicate hyperplane: {idx} repeats {seen[h]} ({h})")
             seen[h] = idx
@@ -217,10 +203,7 @@ def parse_arrangement(text: str) -> Arrangement:
             )
         coeffs = [parse_rational(f, lineno, col) for col, f in enumerate(fields, start=1)]
         try:
-            if kind == AFFINE:
-                h = Hyperplane.canonical(coeffs[:-1], coeffs[-1])
-            else:
-                h = Hyperplane.canonical(coeffs, 0)
+            h = Hyperplane(coeffs[:-1], coeffs[-1]) if kind == AFFINE else Hyperplane(coeffs, 0)
         except ValidationError as exc:
             raise ParseError(str(exc), line=lineno) from None
         if h in first_line:
@@ -246,7 +229,8 @@ def decone(arr: Arrangement, infinity_index: int) -> Arrangement:
     The eliminated homogeneous coordinate j is the largest-index one with a
     nonzero coefficient in a, which makes the construction deterministic;
     downstream Betti numbers do not depend on the choice.  A restricted
-    normal is zero only if b is a multiple of a, so the result is canonical.
+    normal is zero only if b is a multiple of a, which two distinct
+    hyperplanes are not.
     """
     if arr.kind != PROJECTIVE:
         raise ValidationError("decone applies to projective arrangements")
@@ -279,8 +263,8 @@ def essentialize(arr: Arrangement) -> EssentialReduction:
     One `linalg.pivot_profile` fold of the integer normals gives the rank s
     of the normal matrix N and its pivot columns J.  Those columns are a
     basis of the column space of N, so every hyperplane's row restricted to
-    them and the constant (made primitive) defines the essential arrangement
-    in affine s-space; see `EssentialReduction`.  A restricted
+    them and the constant defines the essential arrangement in affine
+    s-space; see `EssentialReduction`.  A restricted
     normal is never zero, since N_i = (N_J)_i T, and two restricted
     hyperplanes coincide only if the inputs did.  An essential arrangement
     keeps every column and is returned as it is.
@@ -293,6 +277,5 @@ def essentialize(arr: Arrangement) -> EssentialReduction:
         raise ValidationError("cannot essentialize an arrangement with no hyperplanes (rank 0)")
     if s == arr.ambient_dim:
         return EssentialReduction(arr, 0)
-    rows = (primitive([h.normal[j] for j in pivots] + [h.constant]) for h in arr.hyperplanes)
-    hyperplanes = tuple(Hyperplane(row[:-1], row[-1]) for row in rows)
-    return EssentialReduction(Arrangement(s, hyperplanes, AFFINE), arr.ambient_dim - s)
+    out = tuple(Hyperplane([h.normal[j] for j in pivots], h.constant) for h in arr.hyperplanes)
+    return EssentialReduction(Arrangement(s, out, AFFINE), arr.ambient_dim - s)

@@ -15,7 +15,7 @@ import functools
 import json
 import sys
 
-from .arrangement import PROJECTIVE, Hyperplane, _affine_chart, parse_arrangement
+from .arrangement import PROJECTIVE, _affine_chart, equation_text, parse_arrangement
 from .betti import BettiReport, compute_betti
 from .errors import CapExceededError, ConsistencyError, ParseError, ValidationError
 from .flats import DEFAULT_CAP, build_intersection_poset, mobius_betti, whitney_betti
@@ -175,23 +175,23 @@ def _run_arrangement(args) -> int:
 
     if args.subcommand == "poset":
         n = arr.ambient_dim
-        # Sorted by codimension, then by the rational echelon entries.
-        flats = sorted(
-            (n - f.dimension, rref_entries(f.rows, f.pivots), f.dimension, mu)
-            for f, mu in build_intersection_poset(arr, args.cap).sweep
-        )
+        # Sorted by codimension, then by the rational echelon entries; every
+        # equation is written before anything is printed.
+        flats = [
+            {"dim": dim, "codim": codim, "mobius": mu, "equations": _flat_equations(entries, n)}
+            for codim, entries, dim, mu in sorted(
+                (n - f.dimension, rref_entries(f.rows, f.pivots), f.dimension, mu)
+                for f, mu in build_intersection_poset(arr, args.cap).sweep
+            )
+        ]
         if args.json:
-            flats = [
-                {"dim": dim, "codim": codim, "mobius": mu, "equations": _flat_equations(entries, n)}
-                for codim, entries, dim, mu in flats
-            ]
             doc = {"kind": arr.kind, "n": n, "r": arr.r, "flats": flats}
             print(json.dumps(doc, sort_keys=True))
         else:
             print(f"{len(flats)} flats:")
-            for codim, entries, dim, mu in flats:
-                eqs = "; ".join(_flat_equations(entries, n)) or "(ambient space)"
-                print(f"  dim={dim} codim={codim} mu={mu:+d}  {eqs}")
+            for f in flats:
+                eqs = "; ".join(f["equations"]) or "(ambient space)"
+                print(f"  dim={f['dim']} codim={f['codim']} mu={f['mobius']:+d}  {eqs}")
         return 0
 
     if args.subcommand == "oracle":
@@ -231,9 +231,14 @@ def _run_arrangement(args) -> int:
 
 def _flat_equations(entries: list, n: int) -> list:
     # `entries` are a flat's rational echelon rows [a_1 ... a_n | c], row-major.
-    # The poset holds only nonempty flats, so every row has a nonzero normal.
-    rows = (entries[i : i + n + 1] for i in range(0, len(entries), n + 1))
-    return [str(Hyperplane(tuple(row[:n]), row[n])) for row in rows]
+    try:
+        return [equation_text(entries[i : i + n + 1]) for i in range(0, len(entries), n + 1)]
+    except ValueError:  # `str` of an int with more digits than Python converts
+        raise ValidationError(
+            "a flat equation has an entry of more than "
+            f"{sys.get_int_max_str_digits()} digits, Python's limit for writing an "
+            "integer as text (PYTHONINTMAXSTRDIGITS raises it)"
+        ) from None
 
 
 def _run_ss(args) -> int:

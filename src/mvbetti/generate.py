@@ -23,6 +23,8 @@ from .spectral import Complex
 MAX_DEN = 3
 PROJECTIVE_BOUND = 4
 GENERAL_POSITION_BOUND = 30
+# Draws `random_general_position_arrangement` makes before it gives up.
+GENERAL_POSITION_TRIES = 100
 MATRIX_BOUND = 2
 START_RANGE = 2
 
@@ -83,11 +85,11 @@ def random_affine_arrangement(
     while len(hyperplanes) < r:
         if hyperplanes and rng.random() < parallel:
             base = rng.choice(hyperplanes)
-            h = Hyperplane.canonical(base.normal, random_fraction(rng, bound))
+            h = Hyperplane(base.normal, random_fraction(rng, bound))
         else:
             normal = _random_normal(rng, n, bound)
             constant = 0 if rng.random() < central else random_fraction(rng, bound)
-            h = Hyperplane.canonical(normal, constant)
+            h = Hyperplane(normal, constant)
         if h not in seen:
             seen.add(h)
             hyperplanes.append(h)
@@ -98,7 +100,7 @@ def random_projective_arrangement(rng: Random, n: int, r: int) -> Arrangement:
     hyperplanes: list = []
     seen = set()
     while len(hyperplanes) < r:
-        h = Hyperplane.canonical(_random_normal(rng, n + 1, PROJECTIVE_BOUND), 0)
+        h = Hyperplane(_random_normal(rng, n + 1, PROJECTIVE_BOUND), 0)
         if h not in seen:
             seen.add(h)
             hyperplanes.append(h)
@@ -106,13 +108,21 @@ def random_projective_arrangement(rng: Random, n: int, r: int) -> Arrangement:
 
 
 def random_general_position_arrangement(rng: Random, n: int, r: int) -> Arrangement:
-    """Random arrangement retried until verified to be in general position."""
-    while True:
+    """Random arrangement retried until verified to be in general position.
+
+    Almost every draw is in general position, so running out of tries means
+    that the check is at fault, and raises a RuntimeError.
+    """
+    for _ in range(GENERAL_POSITION_TRIES):
         arr = random_affine_arrangement(
             rng, n, r, parallel=0.0, central=0.0, bound=GENERAL_POSITION_BOUND
         )
         if is_general_position(arr):
             return arr
+    raise RuntimeError(
+        f"no arrangement of {r} hyperplanes in affine {n}-space passed "
+        f"is_general_position in {GENERAL_POSITION_TRIES} tries"
+    )
 
 
 def random_matrix(rng: Random, rows: int, cols: int) -> QMatrix:

@@ -1,4 +1,4 @@
-"""Parsing, canonical forms, deconing and essentialization."""
+"""Parsing, the canonical hyperplane constructor, deconing and essentialization."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -21,6 +21,7 @@ from mvbetti.arrangement import (
 from mvbetti.generate import (
     boolean_arrangement_text,
     random_affine_arrangement,
+    random_general_position_arrangement,
     random_projective_arrangement,
 )
 
@@ -99,33 +100,27 @@ def test_parse_projective():
 
 
 def test_projective_constant_rejected():
-    h = Hyperplane.canonical([1, 0, 0], 1)
+    h = Hyperplane((1, 0, 0), 1)
     with pytest.raises(ValidationError, match="nonzero constant"):
         Arrangement(2, (h,), PROJECTIVE)
 
 
-def test_arrangement_rejects_noncanonical_hyperplanes():
-    h = Hyperplane.canonical([1, -2], 3)
-    assert Arrangement(2, (h,), AFFINE).hyperplanes == (h,)
-    for bad in (
+def test_constructor_canonicalizes_every_form_of_a_hyperplane():
+    h = Hyperplane((1, -2), 3)
+    assert (h.normal, h.constant) == ((1, -2), 3)
+    for form in (
         Hyperplane((Fraction(2), Fraction(-4)), Fraction(6)),  # scaled
-        Hyperplane((Fraction(-1), Fraction(2)), Fraction(-3)),  # sign-flipped
+        Hyperplane((-1, 2), -3),  # sign-flipped
         Hyperplane((Fraction(1, 2), Fraction(-1)), Fraction(3, 2)),  # fractional
-        Hyperplane((Fraction(0), Fraction(0)), Fraction(1)),  # zero normal
     ):
-        with pytest.raises(ValidationError, match="hyperplane 1 is not in canonical form"):
-            Arrangement(2, (h, bad), AFFINE)
-
-
-@given(st.lists(rationals, min_size=1, max_size=4), rationals, rationals)
-@settings(max_examples=80, deadline=None)
-def test_is_canonical_exactly_when_canonical_is_identity(normal, constant, scale):
-    if all(x == 0 for x in normal):
-        normal[0] = Fraction(1)
-    scale = scale or Fraction(1)
-    h = Hyperplane(tuple(scale * x for x in normal), scale * constant)
-    assert h.is_canonical() == (h == Hyperplane.canonical(h.normal, h.constant))
-    assert Hyperplane.canonical(h.normal, h.constant).is_canonical()
+        assert form == h
+        assert hash(form) == hash(h)
+    assert Arrangement(2, (h,), AFFINE).hyperplanes == (h,)
+    with pytest.raises(ValidationError, match="duplicate hyperplane: 1 repeats 0"):
+        Arrangement(2, (h, Hyperplane((-2, 4), -6)), AFFINE)
+    for normal in ((0, 0), (Fraction(0), Fraction(0)), ()):
+        with pytest.raises(ValidationError, match="zero normal"):
+            Hyperplane(normal, 1)
 
 
 @given(st.lists(rationals, min_size=1, max_size=5), rationals, rationals)
@@ -133,15 +128,15 @@ def test_is_canonical_exactly_when_canonical_is_identity(normal, constant, scale
 def test_canonicalization_idempotent_and_scale_invariant(normal, constant, scale):
     if all(x == 0 for x in normal):
         normal[0] = Fraction(1)
-    h = Hyperplane.canonical(normal, constant)
-    assert Hyperplane.canonical(h.normal, h.constant) == h
-    if scale > 0:
-        scaled = Hyperplane.canonical([scale * x for x in normal], scale * constant)
-        assert scaled == h
-    denominators = [x.denominator for x in h.normal] + [h.constant.denominator]
-    assert set(denominators) == {1}
-    first = next(x for x in h.normal if x)
-    assert first > 0
+    h = Hyperplane(normal, constant)
+    assert Hyperplane(h.normal, h.constant) == h
+    if scale:
+        # Any nonzero multiple, of either sign, is the same hyperplane.
+        assert Hyperplane([scale * x for x in normal], scale * constant) == h
+    row = h.equation_row()
+    assert all(type(x) is int for x in row)
+    assert gcd(*row) == 1
+    assert next(x for x in h.normal if x) > 0
 
 
 def test_rank_examples():
@@ -229,25 +224,42 @@ def _all_int(arr) -> bool:
 
 
 def test_hyperplanes_hold_integers():
-    h = Hyperplane.canonical([Fraction(1, 2), Fraction(-1, 3)], Fraction(1))
+    h = Hyperplane([Fraction(1, 2), Fraction(-1, 3)], Fraction(1))
     assert (h.normal, h.constant) == ((3, -2), 6)
     assert all(type(x) is int for x in h.equation_row())
-    arr = parse_arrangement("affine 3\n1/2 -1/3 0 1\n1 1 0 0\n0 1 0 -2\n")
-    assert _all_int(arr)
-    assert _all_int(essentialize(arr).essential)
-    projective = parse_arrangement("projective 2\n1 0 0\n0 1 0\n2 3 5\n1 1 1\n")
-    assert _all_int(projective)
-    for k in range(projective.r):
-        assert _all_int(decone(projective, k))
+    assert str(h) == "3*x1 - 2*x2 = 6"
 
 
 def test_integral_fractions_are_stored_as_integers():
     h = Hyperplane((Fraction(2), Fraction(0)), Fraction(4))
     assert all(type(x) is int for x in h.equation_row())
-    assert h.equation_row() == (2, 0, 4)
-    assert not h.is_canonical()
-    with pytest.raises(ValidationError, match="hyperplane 0 is not in canonical form"):
-        Arrangement(2, (h,), AFFINE)
+    assert h.equation_row() == (1, 0, 2)
+    assert Arrangement(2, (h,), AFFINE).hyperplanes == (h,)
+
+
+def _canonical_arrangements():
+    """(path, arrangement) for every way the package builds an arrangement."""
+    rng = Random(7)
+    affine = parse_arrangement("affine 3\n1/2 -1/3 0 1\n1 1 0 0\n0 1 0 -2\n-2 -2 0 3\n")
+    projective = parse_arrangement("projective 2\n1 0 0\n0 1 0\n2 3 5\n1 1 1\n-1 0 1\n")
+    yield "parse affine", affine
+    yield "parse projective", projective
+    for k in range(projective.r):
+        yield f"decone {k}", decone(projective, k)
+    yield "essentialize", essentialize(affine).essential
+    yield "random_affine_arrangement", random_affine_arrangement(rng, 3, 6)
+    yield "random_projective_arrangement", random_projective_arrangement(rng, 2, 5)
+    yield "random_general_position_arrangement", random_general_position_arrangement(rng, 2, 4)
+
+
+def test_every_construction_path_stores_canonical_hyperplanes():
+    paths = dict(_canonical_arrangements())
+    assert paths["essentialize"].ambient_dim == 2  # a column was dropped
+    for path, arr in paths.items():
+        assert arr.r, path
+        assert _all_int(arr), path
+        for h in arr.hyperplanes:
+            assert Hyperplane(h.normal, h.constant) == h, (path, h)
 
 
 def _canonical_row(row) -> tuple:

@@ -413,6 +413,30 @@ def test_huge_coefficients_parallel_pair(tmp_path, capsys):
     assert [-1, 1, 2] in doc["e1"]
 
 
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="this Python writes integers of any length",
+)
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_poset_entries_past_the_int_digit_limit(tmp_path, capsys, mode):
+    # The point where two lines with d-digit coefficients meet has coordinates
+    # of about 2d digits, past the limit that `str` of an int enforces.
+    limit = sys.get_int_max_str_digits()
+    rng = Random(52)
+    digits = limit // 2 + 100
+    lines = [
+        " ".join(str(rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10**digits))
+                 for _ in range(3))
+        for _ in range(2)
+    ]
+    path = write(tmp_path, "long.arr", "affine 2\n" + "\n".join(lines) + "\n")
+    assert main(["poset", path, *mode]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"more than {limit} digits" in err
+
+
 def braid_file(tmp_path, m: int) -> str:
     """The braid arrangement x_i = x_j (i < j) on m coordinates, written to a file."""
     return write(tmp_path, f"braid{m}.arr", difference_arrangement_text(m, (-1,), (0,)))

@@ -315,7 +315,7 @@ def _degenerate_arrangement(rng: Random, kind: str) -> Arrangement:
                 continue
         through_p = sum(a * x for a, x in zip(normal, p))
         constant = through_p if rng.random() < 0.6 else rng.randint(-9, 9)
-        found.setdefault(Hyperplane.canonical(normal, constant))
+        found.setdefault(Hyperplane(normal, constant))
     return Arrangement(n, tuple(found), AFFINE)
 
 
@@ -331,7 +331,7 @@ def _pencils(rng: Random) -> Arrangement:
             constant = normal[0] * x + normal[1] * y
         else:
             constant = rng.randint(-4, 4)
-        found.setdefault(Hyperplane.canonical(normal, constant))
+        found.setdefault(Hyperplane(normal, constant))
     return Arrangement(2, tuple(found), AFFINE)
 
 
@@ -348,13 +348,13 @@ def _sheaf(rng: Random) -> Arrangement:
         s, t = rng.randint(-2, 2), rng.randint(-2, 2)
         if s or t:
             normal = [s * a + t * b for a, b in zip(*g)]
-            found.setdefault(Hyperplane.canonical(normal, s * through[0] + t * through[1]))
+            found.setdefault(Hyperplane(normal, s * through[0] + t * through[1]))
     for _ in range(rng.randint(1, 5)):
         normal = [rng.randint(-1, 1) for _ in range(n)]
         if any(normal):
             on_point = sum(a * x for a, x in zip(normal, point))
             constant = on_point if rng.random() < 0.5 else rng.randint(-2, 2)
-            found.setdefault(Hyperplane.canonical(normal, constant))
+            found.setdefault(Hyperplane(normal, constant))
     return Arrangement(n, tuple(found), AFFINE)
 
 
@@ -527,7 +527,7 @@ def _lift(rng: Random, arr: Arrangement, n: int) -> Arrangement:
     for h in arr.hyperplanes:
         a = list(h.normal) + [0] * (n - m)
         normal = [sum(a[i] * u[i][j] for i in range(n)) for j in cols]
-        hyperplanes.append(Hyperplane.canonical(normal, h.constant))
+        hyperplanes.append(Hyperplane(normal, h.constant))
     return Arrangement(n, tuple(hyperplanes), AFFINE)
 
 

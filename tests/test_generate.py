@@ -13,8 +13,10 @@ from random import Random
 
 import pytest
 
+import mvbetti.generate
 from mvbetti import parse_arrangement
 from mvbetti.generate import (
+    GENERAL_POSITION_TRIES,
     boolean_arrangement_text,
     difference_arrangement_text,
     random_affine_arrangement,
@@ -93,6 +95,16 @@ def _digest(name: str, seed: int) -> str:
 @pytest.mark.parametrize("name", sorted(GENERATORS))
 def test_seeded_generators_are_pinned(name):
     assert [_digest(name, seed) for seed in SEEDS] == DIGESTS[name]
+
+
+def test_general_position_generator_gives_up(monkeypatch):
+    # A check that never says yes fails the caller instead of hanging it.
+    calls = []
+    monkeypatch.setattr(mvbetti.generate, "is_general_position", calls.append)  # None: no
+    message = f"of 5 hyperplanes in affine 3-space .* in {GENERAL_POSITION_TRIES} tries"
+    with pytest.raises(RuntimeError, match=message):
+        random_general_position_arrangement(Random(0), 3, 5)
+    assert len(calls) == GENERAL_POSITION_TRIES
 
 
 FAMILIES = {

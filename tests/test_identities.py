@@ -59,15 +59,15 @@ def restriction(arr: Arrangement, h: Hyperplane) -> Arrangement:
         ratio = k.normal[p] / a[p]
         normal = [b - ratio * x for i, (b, x) in enumerate(zip(k.normal, a)) if i != p]
         if any(normal):
-            out.setdefault(Hyperplane.canonical(normal, k.constant - ratio * c))
+            out.setdefault(Hyperplane(normal, k.constant - ratio * c))
     return Arrangement(arr.ambient_dim - 1, tuple(out), AFFINE)
 
 
 def cone(arr: Arrangement) -> Arrangement:
     """cA in n + 1 coordinates: a.x = c becomes a.x - c x_0 = 0, plus x_0 = 0 (x_0 last)."""
     n = arr.ambient_dim
-    rows = [Hyperplane.canonical((*h.normal, -h.constant)) for h in arr.hyperplanes]
-    rows.append(Hyperplane.canonical((0,) * n + (1,)))
+    rows = [Hyperplane((*h.normal, -h.constant), 0) for h in arr.hyperplanes]
+    rows.append(Hyperplane((0,) * n + (1,), 0))
     return Arrangement(n + 1, tuple(rows), AFFINE)
 
 
