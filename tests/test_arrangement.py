@@ -123,6 +123,26 @@ def test_constructor_canonicalizes_every_form_of_a_hyperplane():
             Hyperplane(normal, 1)
 
 
+@given(st.lists(rationals, min_size=1, max_size=4), rationals, rationals)
+@settings(max_examples=80, deadline=None)
+def test_is_canonical_exactly_when_canonical_is_identity(normal, constant, scale):
+    if all(x == 0 for x in normal):
+        normal[0] = Fraction(1)
+    scale = scale or Fraction(1)
+    row = (*(scale * x for x in normal), scale * constant)
+    h = Hyperplane(row[:-1], row[-1])
+    # A row is canonical (integral, primitive, first nonzero normal entry
+    # positive) exactly when the constructor stores it unchanged.
+    is_canonical = (
+        all(x.denominator == 1 for x in row)
+        and gcd(*(int(x) for x in row)) == 1
+        and next(x for x in row[:-1] if x) > 0
+    )
+    assert is_canonical == (h.equation_row() == row)
+    # The stored row is canonical, so rebuilding from it is the identity.
+    assert Hyperplane(h.normal, h.constant).equation_row() == h.equation_row()
+
+
 @given(st.lists(rationals, min_size=1, max_size=5), rationals, rationals)
 @settings(max_examples=80, deadline=None)
 def test_canonicalization_idempotent_and_scale_invariant(normal, constant, scale):
