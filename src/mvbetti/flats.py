@@ -149,27 +149,30 @@ def _closed_table(keys, d: int, w: int, powers: list) -> dict:
 
     A line takes at least one key and a point two, so their polynomials are
     divisible by x and x^2, and are stored divided (see `_subset_table`).
+    Each point is summed once, from the first of its lines in key order:
+    that line is crossed (`_cross`) with every later one, so it meets every
+    other line through P, and the crossings group by P into m_P while the
+    terms of P's lines are taken off.  Points a later line meets are skipped
+    when an earlier line summed them.
     """
     tally: dict = {}
     for key in keys:
         tally[key] = tally.get(key, 0) + 1
-    points: dict = {}
-    if d == 2:
-        lines = list(tally)
-        for i, a in enumerate(lines):
-            for b in lines[i + 1:]:
-                p = _cross(a, b)
-                if p is not None:
-                    points.setdefault(p, set()).update((a, b))
-    extra = {line: powers[c] - 1 for line, c in tally.items()}
-    low = 0
-    for through in points.values():
-        m, known = 0, 1
-        for line in through:
-            m += tally[line]
-            known += extra[line]
-        low += powers[m] - known
-    cut = sum(extra.values())
+    lines = [(line, c, powers[c] - 1) for line, c in tally.items()]
+    low, done = 0, {}
+    for i, (a, c, extra) in enumerate(lines if d == 2 else ()):
+        through = {}
+        for b, cb, eb in lines[i + 1:]:
+            p = _cross(a, b)
+            if p is not None and p not in done:
+                through[p] = through.get(p, c) + cb
+                low -= eb
+        if through:
+            low -= len(through) * (1 + extra)
+            for m in through.values():
+                low += powers[m]
+            done.update(through)
+    cut = sum(extra for _, _, extra in lines)
     empty = powers[len(keys)] - 1 - cut - low
     return {d: 1, d - 1: cut >> w, d - 2: low >> 2 * w, None: empty}
 
@@ -222,7 +225,9 @@ def _subset_table(d: int, keys: tuple, memo: dict, w: int, powers: list) -> dict
                 # The cut of the step before plus h's own zero key: one more factor 1 + x.
                 below = {dim: poly + (poly << w) for dim, poly in below.items()}
             else:
-                pivot = next(j for j, x in enumerate(h) if x)
+                pivot = 0
+                while not h[pivot]:
+                    pivot += 1
                 cut = tuple(sorted(restrict_rows(rest, h, pivot)))
                 below = _subset_table(d - 1, cut, memo, w, powers)
             table = dict(table)
