@@ -20,6 +20,7 @@ of the normals.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,23 +53,45 @@ def content_lines(text: str):
             yield lineno, line
 
 
+def _past_the_digit_limit(field: str, line: int, column: int | None) -> ParseError:
+    """The error for a well-formed field with an integer longer than `int` reads from text.
+
+    It names the digit count and the limit, and echoes only the field's start.
+    """
+    digits = max(len(part.lstrip("+-")) for part in field.split("/"))
+    return ParseError(
+        f"field {field[:12]!r}... has an integer of {digits} digits, more than "
+        f"{sys.get_int_max_str_digits()}, Python's limit for reading an integer from "
+        "text (PYTHONINTMAXSTRDIGITS raises it)",
+        line=line,
+        column=column,
+    )
+
+
 def parse_integer(field: str, message: str, line: int, column: int | None = None) -> int:
-    """The integer a field spells in ASCII digits, or a ParseError with `message`."""
+    """The integer a field spells in ASCII digits, or a ParseError.
+
+    The error reads `message` for a malformed field, and names the digit
+    limit for a well-formed one too long to read.
+    """
     if _INTEGER.fullmatch(field):
         try:
             return int(field)
         except ValueError:  # more digits than `int` converts
-            pass
+            raise _past_the_digit_limit(field, line, column) from None
     raise ParseError(message, line=line, column=column)
 
 
 def parse_rational(field: str, line: int, column: int | None = None) -> Fraction:
-    """The rational a field spells, or a ParseError naming its line (and column)."""
+    """The rational a field spells, or a ParseError naming its line (and column).
+
+    A well-formed field too long to read gets the digit-limit error.
+    """
     if _RATIONAL.fullmatch(field):
         try:
             return Fraction(field)
         except ValueError:  # more digits than `int` converts
-            pass
+            raise _past_the_digit_limit(field, line, column) from None
     raise ParseError(f"bad rational {field!r}", line=line, column=column)
 
 

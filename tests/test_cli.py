@@ -437,6 +437,32 @@ def test_poset_entries_past_the_int_digit_limit(tmp_path, capsys, mode):
     assert f"more than {limit} digits" in err
 
 
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="this Python reads integers of any length",
+)
+@pytest.mark.parametrize(
+    "command, name, text",
+    [
+        ("betti", "constant.arr", "affine 1\n1 {}\n"),
+        ("betti", "dimension.arr", "affine {}\n"),
+        ("ss", "dims.dc", "dims\n0 0 {}\n"),
+    ],
+    ids=["constant", "dimension", "dims"],
+)
+def test_fields_past_the_int_digit_limit(tmp_path, capsys, command, name, text):
+    # A field the grammar accepts, with more digits than `int` reads from text.
+    limit = sys.get_int_max_str_digits()
+    digits = limit + 700
+    path = write(tmp_path, name, text.format("7" * digits))
+    assert main([command, path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 300
+    assert f"{digits} digits, more than {limit}" in err and "PYTHONINTMAXSTRDIGITS" in err
+
+
 def braid_file(tmp_path, m: int) -> str:
     """The braid arrangement x_i = x_j (i < j) on m coordinates, written to a file."""
     return write(tmp_path, f"braid{m}.arr", difference_arrangement_text(m, (-1,), (0,)))

@@ -369,6 +369,19 @@ def test_count_flats_matches_every_subset(seed, kind):
     assert (table.counts, table.empty) == _every_subset(arr)
 
 
+def test_count_flats_plane_with_a_point_on_four_line_classes():
+    # In (x, y, z): z = 0 sorts first, and on that plane x = 0 and x + z = 0
+    # give one line class of multiplicity 2, which y = 0, x - y = 0 and
+    # x + y = 0 meet at the origin, and x = 1 is parallel to it.  The origin
+    # is summed once, from the first of its four lines.
+    arr = parse_arrangement(
+        "affine 3\n0 0 1 0\n1 0 0 0\n1 0 1 0\n0 1 0 0\n1 -1 0 0\n1 1 0 0\n1 0 0 1\n"
+    )
+    assert min(h.equation_row() for h in arr.hyperplanes) == (0, 0, 1, 0)
+    table = count_flats(arr)
+    assert (table.counts, table.empty) == _every_subset(arr)
+
+
 def _every_subset(arr: Arrangement) -> tuple:
     """(counts, empty) of `count_flats`, from the flat of every nonempty subset."""
     counts: dict = {}
