@@ -60,7 +60,7 @@ def _past_the_digit_limit(field: str, line: int, column: int | None) -> ParseErr
     """
     digits = max(len(part.lstrip("+-")) for part in field.split("/"))
     return ParseError(
-        f"field {field[:12]!r}... has an integer of {digits} digits, more than "
+        f"{field[:12]!r}... has an integer of {digits} digits, more than "
         f"{sys.get_int_max_str_digits()}, Python's limit for reading an integer from "
         "text (PYTHONINTMAXSTRDIGITS raises it)",
         line=line,
