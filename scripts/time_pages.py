@@ -1,0 +1,71 @@
+#!/usr/bin/env python3
+"""Wall time of the page engine's layers on seeded tensor double complexes, and a digest.
+
+PAIRS pairs of complexes come from `generate.random_complex(max_terms=5,
+max_dim=4)` with a Random(SEED), as the `spectral_pages` benchmark draws
+them.  Over all their tensor double complexes it reports the best of REPEAT
+wall times of four passes:
+
+- `construct_s`: `tensor_double_complex`, which takes the Kronecker
+  products, assembles Tot and checks D^2 = 0;
+- `rank_fold_s`: `cohomology_dims` of the total complex, one
+  `pivot_profile` fold of each D(n) for its rank;
+- `vertical_fold_s`, `horizontal_fold_s`: `pages` under each filtration,
+  one `pivot_profile` fold of each D(n) for its bars.
+
+`sha256` digests `repr` of each pair's cohomology and the sorted bars of
+both filtrations (`PageTable.bars`), so two versions of the code can be
+checked to give the same pages.  Prints one JSON line:
+
+    PYTHONPATH=src python scripts/time_pages.py
+"""
+
+import hashlib
+import json
+from random import Random
+from time import perf_counter
+
+from mvbetti.generate import random_complex
+from mvbetti.spectral import (
+    HORIZONTAL,
+    VERTICAL,
+    cohomology_dims,
+    pages,
+    tensor_double_complex,
+    total_complex,
+)
+
+PAIRS = 256
+REPEAT = 5
+SEED = 0
+
+
+def best_of(f, items) -> tuple[float, list]:
+    """(best of REPEAT wall times of [f(x) for x in items], the results of the last pass)."""
+    times = []
+    for _ in range(REPEAT):
+        start = perf_counter()
+        out = [f(x) for x in items]
+        times.append(perf_counter() - start)
+    return min(times), out
+
+
+def main():
+    rng = Random(SEED)
+    complexes = [random_complex(rng, max_terms=5, max_dim=4) for _ in range(2 * PAIRS)]
+    pairs = list(zip(complexes[0::2], complexes[1::2]))
+    out = {"pairs": PAIRS}
+    out["construct_s"], dcs = best_of(lambda ab: tensor_double_complex(*ab), pairs)
+    out["rank_fold_s"], h = best_of(lambda dc: cohomology_dims(total_complex(dc)), dcs)
+    bars = {}
+    for name, filtration in (("vertical", VERTICAL), ("horizontal", HORIZONTAL)):
+        out[f"{name}_fold_s"], tables = best_of(lambda dc: pages(dc, filtration, 2), dcs)
+        bars[name] = [sorted(t.bars.items()) for t in tables]
+    text = repr([sorted(x.items()) for x in h]) + repr(bars["vertical"]) + repr(bars["horizontal"])
+    out = {k: round(v, 4) if isinstance(v, float) else v for k, v in out.items()}
+    out["sha256"] = hashlib.sha256(text.encode()).hexdigest()
+    print(json.dumps(out, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()

@@ -53,6 +53,11 @@ def content_lines(text: str):
             yield lineno, line
 
 
+def quoted(text: str) -> str:
+    """`text` quoted for an error message: whole up to 40 characters, else its start and length."""
+    return repr(text) if len(text) <= 40 else f"{text[:12]!r}... ({len(text)} characters)"
+
+
 def _past_the_digit_limit(field: str, line: int, column: int | None) -> ParseError:
     """The error for a well-formed field with an integer longer than `int` reads from text.
 
@@ -92,7 +97,7 @@ def parse_rational(field: str, line: int, column: int | None = None) -> Fraction
             return Fraction(field)
         except ValueError:  # more digits than `int` converts
             raise _past_the_digit_limit(field, line, column) from None
-    raise ParseError(f"bad rational {field!r}", line=line, column=column)
+    raise ParseError(f"bad rational {quoted(field)}", line=line, column=column)
 
 
 def equation_text(row) -> str:
@@ -212,7 +217,7 @@ def parse_arrangement(text: str) -> Arrangement:
             if len(fields) != 2 or fields[0] not in (AFFINE, PROJECTIVE):
                 raise ParseError("expected header `affine n` or `projective n`", line=lineno)
             kind = fields[0]
-            dim = parse_integer(fields[1], f"bad dimension {fields[1]!r}", lineno, 2)
+            dim = parse_integer(fields[1], f"bad dimension {quoted(fields[1])}", lineno, 2)
             if dim < 1:
                 raise ParseError("dimension must be positive", line=lineno, column=2)
             if dim > MAX_DIMENSION:

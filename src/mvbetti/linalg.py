@@ -16,15 +16,18 @@ a list of rows in the coordinates of another row's hyperplane by integer
 cross-multiplication, one pivot for the whole list, and makes each one
 canonical through `primitive`; deconing and the flat count both restrict
 through it.
-The one row reduction, `_reduce`, clears the pivot columns of echelon rows
-from a row by the same cross-multiplication and makes it primitive.
-`pivot_profile` folds it forward only and records the pivot column each
-row adds: the rank of every leading corner block at once.  `echelon_insert`
-adds back-substitution, keeping the primitive echelon rows of a row space
-(its rref rows scaled to coprime integers with positive pivots, a unique
-form) that flats and kernels need.  `QMatrix.rank` and `QMatrix.echelon`
-fold a matrix's `integer_rows` those two ways; `rref_entries` and
-`integer_kernel_basis` read the reduced rows and a kernel basis off the latter.
+Rows are reduced by the same cross-multiplication, two ways.
+`pivot_profile` folds rows forward only and records the pivot column each
+row adds: the rank of every leading corner block at once.  It keeps its
+pivot rows sparse, as (column, value) pairs, and scans each incoming row
+left to right, so clearing a column touches only the pivot row's nonzero
+entries.  `echelon_insert` clears the pivot columns of a row, makes it
+primitive and back-substitutes, keeping the primitive echelon rows of a row
+space (its rref rows scaled to coprime integers with positive pivots, a
+unique form) that flats and kernels need, as dense tuples.  `QMatrix.rank`
+and `QMatrix.echelon` fold a matrix's `integer_rows` those two ways;
+`rref_entries` and `integer_kernel_basis` read the reduced rows and a
+kernel basis off the latter.
 """
 
 from __future__ import annotations
@@ -239,12 +242,17 @@ def restrict_rows(rows: Iterable, h, pivot: int) -> list:
     return out
 
 
-def _reduce(rows, pivots, row) -> tuple[tuple, int] | None:
-    """The integer `row` reduced against echelon `rows`, made primitive, and its pivot column.
+def echelon_insert(rows: tuple, pivots: tuple, row) -> tuple[tuple, tuple, int] | None:
+    """Add the integer `row` to primitive echelon `rows` with pivot columns `pivots`.
 
-    Each of `rows` must be zero in the pivot columns of the rows before it,
-    so clearing the columns in that order refills none already cleared.
-    None if the row lies in their span.
+    The row's entries in the pivot columns are cleared by integer
+    cross-multiplication with the rows, and the rest is made primitive;
+    None if the row lies in their span.  Each row is zero in the other
+    rows' pivot columns, so no clearing refills a column already cleared.
+    Otherwise the row becomes a pivot row and its pivot column is cleared
+    from the other rows (back-substitution), which keeps the form
+    canonical.  Returns the new rows and pivot columns, in pivot order, and
+    the pivot column the row adds.
     """
     v = row
     for other, j in zip(rows, pivots):
@@ -254,23 +262,10 @@ def _reduce(rows, pivots, row) -> tuple[tuple, int] | None:
             v = [a * vi - x * oi for vi, oi in zip(v, other)]
     for q, x in enumerate(v):
         if x:
-            return _primitive(v, -1 if x < 0 else 1), q
-    return None
-
-
-def echelon_insert(rows: tuple, pivots: tuple, row) -> tuple[tuple, tuple, int] | None:
-    """Add the integer `row` to primitive echelon `rows` with pivot columns `pivots`.
-
-    The row is reduced (`_reduce`); None if it lies in their span.
-    Otherwise it becomes a pivot row and its pivot column is cleared from
-    the other rows (back-substitution), which keeps the form canonical.
-    Returns the new rows and pivot columns, in pivot order, and the pivot
-    column the row adds.
-    """
-    step = _reduce(rows, pivots, row)
-    if step is None:
+            break
+    else:
         return None
-    v, q = step
+    v = _primitive(v, -1 if x < 0 else 1)
     b = v[q]
     out = []
     at = 0
@@ -290,22 +285,39 @@ def pivot_profile(rows: Iterable) -> list:
     """For each integer row, the pivot column it adds to the rows before it, or None.
 
     Every echelon form of a row space has the same pivot columns, so the
-    fold keeps the rows as `_reduce` leaves them, with no back-substitution:
-    in pivot order they are an echelon form of the rows so far.  The rank
+    fold keeps a sparse echelon form, with no back-substitution: one pivot
+    row per pivot column q, the list of its nonzero (column, value) pairs,
+    zero left of q, so its first pair is (q, a) with a > 0.  A row is
+    scanned left to right as a dense list.  At a nonzero entry x in a
+    pivot column it is scaled by a (when a != 1) and x times the pivot
+    row's pairs are taken off, which clears the column, leaves the columns
+    left of it zero and subtracts only at the pairs.  The first nonzero column
+    with no pivot row is the pivot the row adds; the row is divided by its
+    gcd, signed so the pivot is positive, and stored as pairs.  The rank
     of every leading corner rows[:i] x columns[:j] is the number of rows
     before i whose pivot lies left of column j (the rank profile of Dumas,
     Pernet and Sultan, ISSAC 2015).
     """
-    echelon, pivots, added = [], [], []
+    echelon, added = {}, []
     for row in rows:
-        step = _reduce(echelon, pivots, row)
-        if step is None:
+        v = list(row)
+        # v changes in place, so the scan reads each entry as cleared so far.
+        for j, x in enumerate(v):
+            if not x:
+                continue
+            pairs = echelon.get(j)
+            if pairs is None:
+                g = gcd(*v[j:]) if x > 0 else -gcd(*v[j:])
+                echelon[j] = [(c, y // g) for c, y in enumerate(v[j:], j) if y]
+                added.append(j)
+                break
+            a = pairs[0][1]
+            if a != 1:
+                v[j:] = [a * y for y in v[j:]]
+            for c, y in pairs:
+                v[c] -= x * y
+        else:
             added.append(None)
-            continue
-        v, q = step
-        echelon.append(v)
-        pivots.append(q)
-        added.append(q)
     return added
 
 

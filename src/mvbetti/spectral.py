@@ -22,13 +22,16 @@ the first case, and the rows in the second, makes every block ranked by rho
 a leading corner.  `linalg.pivot_profile` folds the rows in that order
 (forward only) and records the pivot column each row adds; by the rank
 profile theorem it cites, a leading corner's rank is the number of pivots
-(row, column) inside it.  A pivot's column lies in a cell of filtration
-index s and its row in one of index s', so rho(n, a, b) counts the pivots
-of d(n) with s >= a and s' < b.  That is zero for b <= a, because d
-preserves the filtration, so s' >= s: the pivot is a bar of length
-L = s' - s, a persistence pair (Zomorodian and Carlsson, 2005).  The two
-differences of rho count the bars of d(n) leaving (p,q) and those of
-d(n-1) arriving there, each with L < r, so
+(row, column) inside it.  Its pivot rows are sparse and each row is
+scanned left to right, so clearing a column touches only the nonzero
+entries of a pivot row; the D(n) of a tensor double complex is mostly
+zeros, its blocks Kronecker products with identities.  A pivot's column
+lies in a cell of filtration index s and its row in one of index s', so
+rho(n, a, b) counts the pivots of d(n) with s >= a and s' < b.  That is
+zero for b <= a, because d preserves the filtration, so s' >= s: the
+pivot is a bar of length L = s' - s, a persistence pair (Zomorodian and
+Carlsson, 2005).  The two differences of rho count the bars of d(n)
+leaving (p,q) and those of d(n-1) arriving there, each with L < r, so
 
     dim E_r^{p,q} = dim C^{p,q} - #{bars at (p,q), either end, with L < r}:
 
@@ -60,7 +63,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import lcm
 
-from .arrangement import MAX_DIMENSION, content_lines, parse_integer, parse_rational
+from .arrangement import MAX_DIMENSION, content_lines, parse_integer, parse_rational, quoted
 from .errors import ParseError, ValidationError
 from .linalg import QMatrix, kron, pivot_profile
 
@@ -356,7 +359,7 @@ def parse_double_complex(text: str) -> DoubleComplex:
             break
         if len(fields) != 3:
             raise ParseError("expected `p q dim` triple", line=lineno)
-        p, q, d = (parse_integer(f, f"bad integer in {line!r}", lineno) for f in fields)
+        p, q, d = (parse_integer(f, f"bad integer in {quoted(line)}", lineno) for f in fields)
         if d < 0:
             raise ParseError("dimension must be nonnegative", line=lineno)
         if (p, q) in dims:
@@ -375,14 +378,14 @@ def parse_double_complex(text: str) -> DoubleComplex:
         fields = line.split()
         if len(fields) != 3 or fields[0] not in ("dh", "dv"):
             raise ParseError("expected `dh p q` or `dv p q` block header", line=lineno)
-        p, q = (parse_integer(f, f"bad position in {line!r}", lineno) for f in fields[1:])
+        p, q = (parse_integer(f, f"bad position in {quoted(line)}", lineno) for f in fields[1:])
         src = dims.get((p, q), 0)
         tgt = dims.get((p + 1, q) if fields[0] == "dh" else (p, q + 1), 0)
         idx += 1
         rows = []
         for _ in range(tgt if src else 0):
             if idx >= len(lines):
-                raise ParseError(f"matrix block for {line!r} is truncated", line=lineno)
+                raise ParseError(f"matrix block for {quoted(line)} is truncated", line=lineno)
             row_line, row_text = lines[idx]
             row_fields = row_text.split()
             if len(row_fields) != src:
@@ -392,6 +395,6 @@ def parse_double_complex(text: str) -> DoubleComplex:
         mat = QMatrix(tgt, src, [x for row in rows for x in row])
         target = d_horiz if fields[0] == "dh" else d_vert
         if (p, q) in target:
-            raise ParseError(f"duplicate block {line!r}", line=lineno)
+            raise ParseError(f"duplicate block {quoted(line)}", line=lineno)
         target[(p, q)] = mat
     return DoubleComplex(dims, d_horiz, d_vert)

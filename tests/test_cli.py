@@ -463,6 +463,37 @@ def test_fields_past_the_int_digit_limit(tmp_path, capsys, command, name, text):
     assert f"{digits} digits, more than {limit}" in err and "PYTHONINTMAXSTRDIGITS" in err
 
 
+@pytest.mark.parametrize(
+    "command, name, text",
+    [
+        ("betti", "coefficient.arr", "affine 1\n1 {}a\n"),
+        ("betti", "header.arr", "affine {}a\n"),
+        ("ss", "dims.dc", "dims\n0 0 {}x\n"),
+        ("ss", "position.dc", "dims\n0 0 1\ndh 0 {}x\n"),
+    ],
+    ids=["coefficient", "header", "dims", "position"],
+)
+def test_long_malformed_fields_are_echoed_short(tmp_path, capsys, command, name, text):
+    # A field the grammar refuses, long enough that echoing it whole would
+    # make a line of kilobytes.
+    path = write(tmp_path, name, text.format("7" * 5000))
+    code, out, err = run(capsys, [command, path])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.count("error:") == 1
+    assert len(err.encode()) < 300
+    assert "'... (" in err and " characters)" in err
+
+
+def test_malformed_fields_up_to_40_characters_are_echoed_whole(tmp_path, capsys):
+    field = "7" * 39 + "a"
+    path = write(tmp_path, "coefficient.arr", f"affine 1\n1 {field}\n")
+    message = f"error: line 2, field 2: bad rational '{field}'\n"
+    assert run(capsys, ["betti", path]) == (1, "", message)
+    line = "0 0 " + "7" * 35 + "x"
+    path = write(tmp_path, "dims.dc", f"dims\n{line}\n")
+    assert run(capsys, ["ss", path]) == (1, "", f"error: line 2: bad integer in '{line}'\n")
+
+
 def braid_file(tmp_path, m: int) -> str:
     """The braid arrangement x_i = x_j (i < j) on m coordinates, written to a file."""
     return write(tmp_path, f"braid{m}.arr", difference_arrangement_text(m, (-1,), (0,)))

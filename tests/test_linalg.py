@@ -1,8 +1,10 @@
 """Exact rational matrix arithmetic: echelon forms, rank, kernels, Kronecker products."""
 
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
+from random import Random
 
 import pytest
 import sympy
@@ -263,6 +265,67 @@ def test_pivot_profile_gives_every_leading_corner_rank(m, flip_rows, flip_cols):
         for j in range(m.cols + 1):
             ours = sum(1 for q in added[:i] if q is not None and q < j)
             assert ours == theirs[:i, :j].rank(), (i, j)
+
+
+@st.composite
+def sparse_matrices(draw, max_rows=16, max_cols=20):
+    """Matrices up to 16x20 with about 10-20% of their entries nonzero, most of them not units."""
+    rows, cols = draw(st.integers(0, max_rows)), draw(st.integers(0, max_cols))
+    size = rows * cols
+    nonzero = draw(
+        st.dictionaries(
+            st.integers(0, size - 1),
+            st.integers(-6, 6).filter(bool),
+            min_size=size // 10,
+            max_size=size // 5,
+        )
+        if size
+        else st.just({})
+    )
+    return QMatrix(rows, cols, [nonzero.get(k, 0) for k in range(size)])
+
+
+@st.composite
+def kronecker_matrices(draw):
+    """kron(A, I) or kron(I, B), up to 16x20: the block shapes of a tensor double complex."""
+    a = draw(sparse_matrices(max_rows=4, max_cols=5).filter(lambda m: m.rows and m.cols))
+    eye = QMatrix.identity(draw(st.integers(1, 4)))
+    return kron(a, eye) if draw(st.booleans()) else kron(eye, a)
+
+
+@given(st.one_of(sparse_matrices(), kronecker_matrices()), st.booleans(), st.booleans())
+# Row 2 is rescaled by the pivot 2 of row 0, which fills in its column 2;
+# clearing that takes a rescale by row 1's pivot 3, and column 3 is left.
+@example(QMatrix.from_rows([[2, 0, 1, 0], [0, 0, 3, 1], [1, 0, 0, -1]]), False, False)
+@settings(max_examples=100, deadline=None)
+def test_pivot_profile_on_sparse_and_kronecker_matrices(m, flip_rows, flip_cols):
+    ints = flipped_integer_rows(m, flip_rows, flip_cols)
+    added = pivot_profile(ints)
+    assert len(added) == m.rows
+    for i in range(m.rows + 1):
+        for j in range(m.cols + 1):
+            corner = QMatrix(i, j, [x for row in ints[:i] for x in row[:j]])
+            ours = sum(1 for q in added[:i] if q is not None and q < j)
+            assert ours == gauss_jordan_rank(corner), (i, j)
+
+
+def test_pivot_profile_keeps_its_pivot_rows_primitive():
+    # Pivot columns do not depend on the scale of a pivot row, but entry size
+    # does: without dividing each stored row by its gcd, cross-multiplication
+    # lengthens the entries row after row, and this dense 20x20 fold takes
+    # megabytes and seconds instead of kilobytes and milliseconds.
+    rng = Random(3)
+    rows = [[rng.randint(-9, 9) for _ in range(20)] for _ in range(20)]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        added = pivot_profile(rows)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert sum(1 for q in added if q is not None) == gauss_jordan_rank(QMatrix.from_rows(rows))
+    assert peak < 200_000
 
 
 def near_2_200(x: int) -> int:
