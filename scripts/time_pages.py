@@ -3,8 +3,9 @@
 
 PAIRS pairs of complexes come from `generate.random_complex(max_terms=5,
 max_dim=4)` with a Random(SEED), as the `spectral_pages` benchmark draws
-them.  Over all their tensor double complexes it reports the best of REPEAT
-wall times of four passes:
+them.  It reports the best of REPEAT wall times of drawing them,
+`generate_s` (the benchmark draws its pool with the same generator inside
+`setup_s`), and of four passes over all their tensor double complexes:
 
 - `construct_s`: `tensor_double_complex`, which takes the Kronecker
   products, assembles Tot and checks D^2 = 0;
@@ -50,11 +51,15 @@ def best_of(f, items) -> tuple[float, list]:
     return min(times), out
 
 
+def draw(seed: int) -> list:
+    rng = Random(seed)
+    return [random_complex(rng, max_terms=5, max_dim=4) for _ in range(2 * PAIRS)]
+
+
 def main():
-    rng = Random(SEED)
-    complexes = [random_complex(rng, max_terms=5, max_dim=4) for _ in range(2 * PAIRS)]
-    pairs = list(zip(complexes[0::2], complexes[1::2]))
     out = {"pairs": PAIRS}
+    out["generate_s"], (complexes,) = best_of(draw, [SEED])
+    pairs = list(zip(complexes[0::2], complexes[1::2]))
     out["construct_s"], dcs = best_of(lambda ab: tensor_double_complex(*ab), pairs)
     out["rank_fold_s"], h = best_of(lambda dc: cohomology_dims(total_complex(dc)), dcs)
     bars = {}

@@ -33,8 +33,8 @@ PROJECTIVE = "projective"
 # Largest ambient dimension `parse_arrangement` accepts, and the largest total
 # dimension `spectral.parse_double_complex` accepts.  Every Betti vector has
 # n + 1 entries (with no hyperplanes that vector is the whole answer), and a
-# double complex is held as dense rational matrices, so input far beyond any
-# real case would exhaust memory instead of failing fast.
+# double complex's blocks are written out in full, every entry of every row,
+# so input far beyond any real case would exhaust memory instead of failing fast.
 MAX_DIMENSION = 1000
 
 # The integer and rational fields of both input formats: optionally signed
@@ -174,11 +174,6 @@ class Arrangement:
         return len(self.hyperplanes)
 
 
-def _normal_pivots(arr: Arrangement) -> list:
-    """Pivot columns of the echelon form of the normals: a basis of their column space."""
-    return sorted(q for q in pivot_profile(h.normal for h in arr.hyperplanes) if q is not None)
-
-
 @dataclass(frozen=True)
 class EssentialReduction:
     """Essential arrangement of rank s and the dimension it drops.
@@ -299,7 +294,8 @@ def essentialize(arr: Arrangement) -> EssentialReduction:
     """
     if arr.kind != AFFINE:
         raise ValidationError("essentialize applies to affine arrangements")
-    pivots = _normal_pivots(arr)
+    normals = ([(j, x) for j, x in enumerate(h.normal) if x] for h in arr.hyperplanes)
+    pivots = sorted(q for q in pivot_profile(normals, arr.ambient_dim) if q is not None)
     s = len(pivots)
     if s == 0:
         raise ValidationError("cannot essentialize an arrangement with no hyperplanes (rank 0)")

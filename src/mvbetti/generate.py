@@ -4,9 +4,9 @@ The named families with closed forms (Orlik and Terao, 1992) come as
 arrangement text from `boolean_arrangement_text` and
 `difference_arrangement_text`: Boolean, braid, Shi, Catalan, Linial, D_n and
 B_n.  All random generators take an explicit `random.Random` so runs are
-reproducible.  Random bounded complexes are built so the squared
-differential vanishes by construction: each map factors through the left
-kernel of its predecessor.
+reproducible.  Random bounded complexes are built on integer rows so the
+squared differential vanishes by construction: each map factors through the
+left kernel of its predecessor.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from random import Random
 
 from .arrangement import AFFINE, PROJECTIVE, Arrangement, Hyperplane
 from .flats import is_general_position
-from .linalg import QMatrix, integer_kernel_basis
+from .linalg import QMatrix, echelon_insert, integer_kernel_basis
 from .spectral import Complex
 
 # Fixed ranges of the generated values; tests/test_generate.py pins them by digest.
@@ -125,14 +125,17 @@ def random_general_position_arrangement(rng: Random, n: int, r: int) -> Arrangem
     )
 
 
-def random_matrix(rng: Random, rows: int, cols: int) -> QMatrix:
-    return QMatrix(
-        rows, cols, [rng.randint(-MATRIX_BOUND, MATRIX_BOUND) for _ in range(rows * cols)]
-    )
+def _random_rows(rng: Random, rows: int, cols: int) -> list:
+    return [[rng.randint(-MATRIX_BOUND, MATRIX_BOUND) for _ in range(cols)] for _ in range(rows)]
 
 
 def random_complex(rng: Random, *, max_terms: int = 5, max_dim: int = 4) -> Complex:
-    """Bounded complex with d o d = 0: each map factors over the previous left kernel."""
+    """Bounded complex with d o d = 0: each map factors over the previous left kernel.
+
+    Each map is drawn as integer rows, and every later one is a draw times
+    an integer basis of the previous map's left kernel (`integer_kernel_basis`
+    of the `echelon_insert` rows of its columns), over that basis's scale.
+    """
     length = rng.randint(1, max_terms)
     start = rng.randint(-START_RANGE, START_RANGE)
     dims = [rng.randint(1, max_dim) for _ in range(length)]
@@ -141,14 +144,21 @@ def random_complex(rng: Random, *, max_terms: int = 5, max_dim: int = 4) -> Comp
     prev = None
     for k in range(length - 1):
         src, tgt = dims[k], dims[k + 1]
+        scale = 1
         if prev is None:
-            d = random_matrix(rng, tgt, src)
+            d = _random_rows(rng, tgt, src)
         else:
-            # rows of `left` span the left kernel of prev: left @ prev = 0
-            scale, basis = integer_kernel_basis(*prev.transpose().echelon(), prev.rows)
-            nums = [x for w in basis for x in w]
-            left = QMatrix.from_integers(len(basis), prev.rows, nums, scale)
-            d = random_matrix(rng, tgt, left.rows) @ left
-        diff[degrees[k]] = d
+            # The rows of `left` span the left kernel of prev: left @ prev = 0.
+            rows = pivots = ()
+            for column in zip(*prev):
+                step = echelon_insert(rows, pivots, column)
+                if step is not None:
+                    rows, pivots, _ = step
+            scale, left = integer_kernel_basis(rows, pivots, len(prev))
+            d = [
+                [sum([x * w[j] for x, w in zip(row, left)]) for j in range(src)]
+                for row in _random_rows(rng, tgt, len(left))
+            ]
+        diff[degrees[k]] = QMatrix.from_integers(tgt, src, [x for row in d for x in row], scale)
         prev = d
     return Complex(dict(zip(degrees, dims)), diff)

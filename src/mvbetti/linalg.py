@@ -1,13 +1,14 @@
-"""Exact dense linear algebra over the rationals, and the integer row steps.
+"""Exact linear algebra over the rationals, and the integer row steps.
 
 Every rank and kernel in this package is exact; there is no floating point
-anywhere.  A `QMatrix` is stored as integer numerators over one positive
+anywhere.  A `QMatrix` is stored as sparse integer rows over one positive
 denominator in lowest terms (the storage form of fraction-free elimination,
-Bareiss, Math. Comp. 22, 1968), takes only `int` and `Fraction` entries,
-and hands out `Fraction`s on demand.  Products, Kronecker products, scaling
-and transposition run on the integers and reduce the denominator once.
-Matrices are immutable and degenerate shapes (0xk, kx0) are legal, behaving
-as rank-0 maps.
+Bareiss, Math. Comp. 22, 1968): each row is the tuple of its nonzero
+(column, numerator) pairs, in column order.  It takes only `int` and
+`Fraction` entries and hands out `Fraction`s on demand.  Products,
+Kronecker products and scaling run on the pairs and reduce the denominator
+once.  Matrices are immutable and degenerate shapes (0xk, kx0) are legal,
+behaving as rank-0 maps.
 
 Hyperplanes, flats and the elimination all live on integer rows.  A row is
 canonical when it is `primitive`: divided by the gcd of its entries and
@@ -17,17 +18,16 @@ cross-multiplication, one pivot for the whole list, and makes each one
 canonical through `primitive`; deconing and the flat count both restrict
 through it.
 Rows are reduced by the same cross-multiplication, two ways.
-`pivot_profile` folds rows forward only and records the pivot column each
-row adds: the rank of every leading corner block at once.  It keeps its
-pivot rows sparse, as (column, value) pairs, and scans each incoming row
-left to right, so clearing a column touches only the pivot row's nonzero
-entries.  `echelon_insert` clears the pivot columns of a row, makes it
-primitive and back-substitutes, keeping the primitive echelon rows of a row
-space (its rref rows scaled to coprime integers with positive pivots, a
-unique form) that flats and kernels need, as dense tuples.  `QMatrix.rank`
-and `QMatrix.echelon` fold a matrix's `integer_rows` those two ways;
-`rref_entries` and `integer_kernel_basis` read the reduced rows and a
-kernel basis off the latter.
+`pivot_profile` folds (column, value) rows forward only and records the
+pivot column each row adds: the rank of every leading corner block at once.
+It keeps its pivot rows as pairs too, so clearing a column touches only the
+pivot row's nonzero entries; `QMatrix.rank` folds a matrix's stored rows.
+`echelon_insert` clears the pivot columns of a row of integers, one per
+column, makes it primitive and back-substitutes, keeping the primitive
+echelon rows of a row space (its rref rows scaled to coprime integers with
+positive pivots, a unique form) that flats and kernels need, as tuples with
+every column; `rref_entries` and `integer_kernel_basis` read the reduced
+rows and a kernel basis off them.
 """
 
 from __future__ import annotations
@@ -35,33 +35,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
-
-def _lowest(nums: tuple, den: int) -> tuple[tuple, int]:
-    """nums / den in lowest terms: both divided by gcd(den, *nums)."""
-    if den != 1:
-        g = gcd(den, *nums)
-        if g != 1:
-            return tuple([x // g for x in nums]), den // g
-    return nums, den
+from typing import Iterable
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class QMatrix:
-    """Immutable dense matrix of rationals: integer numerators over one denominator.
+    """Immutable matrix of rationals: sparse integer rows over one denominator.
 
-    `nums` is the row-major tuple of `int` numerators and `den` the positive
-    `int` denominator, in lowest terms: gcd(den, *nums) == 1, so a zero
+    `data[i]` is the tuple of row i's nonzero (column, numerator) pairs, in
+    column order, each numerator an `int`, and `den` the positive `int`
+    denominator, in lowest terms: gcd(den, *numerators) == 1, so a zero
     matrix has den == 1.  That form is unique, so equal matrices have equal
     fields, and the frozen dataclass compares and hashes them by value.
-    `entries`, `row` and `at` build `Fraction`s on demand; `integer_rows`
-    gives the rows of den times the matrix, which is what the elimination
-    folds.
+    `entries` and `row` build `Fraction`s on demand; the elimination folds
+    `data` itself, which has the pivots of the matrix.
     """
 
     rows: int
     cols: int
-    nums: tuple
+    data: tuple
     den: int
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
@@ -76,21 +68,31 @@ class QMatrix:
                 )
         # The lcm of reduced denominators leaves the numerators coprime to it.
         den = lcm(*(x.denominator for x in entries))
-        nums = tuple([x.numerator * (den // x.denominator) for x in entries])
-        self._set(rows, cols, nums, den)
+        nums = [x.numerator * (den // x.denominator) for x in entries]
+        self._set(rows, cols, _pairs(rows, cols, nums), den)
 
-    def _set(self, rows: int, cols: int, nums: tuple, den: int) -> None:
+    def _set(self, rows: int, cols: int, data: tuple, den: int) -> None:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "data", data)
         object.__setattr__(self, "den", den)
 
     @classmethod
-    def _of(cls, rows: int, cols: int, nums: tuple, den: int = 1) -> "QMatrix":
-        """The matrix nums / den, both already checked and in lowest terms."""
+    def _of(cls, rows: int, cols: int, data: tuple, den: int = 1) -> "QMatrix":
+        """The matrix data / den, both already checked and in lowest terms."""
         m = cls.__new__(cls)
-        m._set(rows, cols, nums, den)
+        m._set(rows, cols, data, den)
         return m
+
+    @classmethod
+    def _lowest(cls, rows: int, cols: int, data: tuple, den: int) -> "QMatrix":
+        """The matrix data / den, with both divided by gcd(den, *numerators)."""
+        if den != 1:
+            g = gcd(den, *(x for row in data for _, x in row))
+            if g != 1:
+                data = tuple([tuple([(j, x // g) for j, x in row]) for row in data])
+                den //= g
+        return cls._of(rows, cols, data, den)
 
     @classmethod
     def from_integers(cls, rows: int, cols: int, nums: Iterable, den: int = 1) -> "QMatrix":
@@ -99,92 +101,64 @@ class QMatrix:
         _check_shape(rows, cols, len(nums))
         if den < 1:
             raise ValueError(f"denominator {den} is not positive")
-        return cls._of(rows, cols, *_lowest(nums, den))
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "QMatrix":
-        nr = len(rows)
-        nc = len(rows[0]) if nr else 0
-        if any(len(row) != nc for row in rows):
-            raise ValueError("ragged rows")
-        return cls(nr, nc, [x for row in rows for x in row])
+        return cls._lowest(rows, cols, _pairs(rows, cols, nums), den)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "QMatrix":
-        return cls.from_integers(rows, cols, (0,) * (rows * cols))
+        return cls._of(rows, cols, ((),) * rows)
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls.from_integers(n, n, [int(i == j) for i in range(n) for j in range(n)])
+        return cls._of(n, n, tuple([((i, 1),) for i in range(n)]))
 
     @property
     def entries(self) -> tuple:
         """The entries as `Fraction`s, row-major."""
-        den = self.den
-        return tuple([Fraction(x, den) for x in self.nums])
-
-    def at(self, i: int, j: int) -> Fraction:
-        return Fraction(self.nums[i * self.cols + j], self.den)
+        return tuple([x for i in range(self.rows) for x in self.row(i)])
 
     def row(self, i: int) -> tuple:
-        den = self.den
-        return tuple([Fraction(x, den) for x in self.nums[i * self.cols : (i + 1) * self.cols]])
-
-    def integer_rows(self) -> list:
-        """The rows of den times the matrix, as tuples of `int`s."""
-        nums, cols = self.nums, self.cols
-        return [nums[i * cols : (i + 1) * cols] for i in range(self.rows)]
+        pairs = dict(self.data[i])
+        return tuple([Fraction(pairs.get(j, 0), self.den) for j in range(self.cols)])
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
         return f"QMatrix({self.rows}x{self.cols}: [{body}])"
 
     def is_zero(self) -> bool:
-        return not any(self.nums)
-
-    def transpose(self) -> "QMatrix":
-        nums, cols = self.nums, self.cols
-        return QMatrix._of(
-            cols, self.rows, tuple([x for j in range(cols) for x in nums[j::cols]]), self.den
-        )
+        return not any(self.data)
 
     def scale(self, k) -> "QMatrix":
         if not isinstance(k, (int, Fraction)):
             raise TypeError(f"scale factor is a {type(k).__name__}, not an int or Fraction")
-        a, b = k.numerator, k.denominator
-        nums = tuple([a * x for x in self.nums])
-        return QMatrix._of(self.rows, self.cols, *_lowest(nums, self.den * b))
+        if not k:
+            return QMatrix.zeros(self.rows, self.cols)
+        a = k.numerator
+        data = tuple([tuple([(j, a * x) for j, x in row]) for row in self.data])
+        return QMatrix._lowest(self.rows, self.cols, data, self.den * k.denominator)
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        n, m, p = self.rows, self.cols, other.cols
-        out = [0] * (n * p)
-        a, b = self.nums, other.nums
-        for i in range(n):
-            ia = i * m
-            io = i * p
-            for k in range(m):
-                x = a[ia + k]
-                if x:
-                    kb = k * p
-                    for j in range(p):
-                        y = b[kb + j]
-                        if y:
-                            out[io + j] += x * y
-        return QMatrix._of(n, p, *_lowest(tuple(out), self.den * other.den))
-
-    def echelon(self) -> tuple[tuple, tuple]:
-        """Primitive integer echelon rows of the row space and their pivot columns."""
-        rows = pivots = ()
-        for row in self.integer_rows():
-            step = echelon_insert(rows, pivots, row)
-            if step is not None:
-                rows, pivots, _ = step
-        return rows, pivots
+        b = other.data
+        data = []
+        for row in self.data:
+            out = {}
+            for k, x in row:
+                for j, y in b[k]:
+                    out[j] = out.get(j, 0) + x * y
+            data.append(tuple(sorted([(j, z) for j, z in out.items() if z])))
+        return QMatrix._lowest(self.rows, other.cols, tuple(data), self.den * other.den)
 
     def rank(self) -> int:
-        return sum(q is not None for q in pivot_profile(self.integer_rows()))
+        return sum(q is not None for q in pivot_profile(self.data, self.cols))
+
+
+def _pairs(rows: int, cols: int, nums) -> tuple:
+    """Row-major integers `nums` as one tuple of (column, value) pairs per row."""
+    return tuple(
+        [tuple([(j, x) for j, x in enumerate(nums[i * cols : i * cols + cols]) if x])
+         for i in range(rows)]
+    )
 
 
 def _check_shape(rows: int, cols: int, count: int) -> None:
@@ -281,26 +255,28 @@ def echelon_insert(rows: tuple, pivots: tuple, row) -> tuple[tuple, tuple, int] 
     return tuple(out), pivots[:at] + (q,) + pivots[at:], q
 
 
-def pivot_profile(rows: Iterable) -> list:
-    """For each integer row, the pivot column it adds to the rows before it, or None.
+def pivot_profile(rows: Iterable, width: int) -> list:
+    """The pivot column each (column, value) row adds to the rows before it, or None.
 
     Every echelon form of a row space has the same pivot columns, so the
-    fold keeps a sparse echelon form, with no back-substitution: one pivot
-    row per pivot column q, the list of its nonzero (column, value) pairs,
-    zero left of q, so its first pair is (q, a) with a > 0.  A row is
-    scanned left to right as a dense list.  At a nonzero entry x in a
-    pivot column it is scaled by a (when a != 1) and x times the pivot
-    row's pairs are taken off, which clears the column, leaves the columns
-    left of it zero and subtracts only at the pairs.  The first nonzero column
-    with no pivot row is the pivot the row adds; the row is divided by its
-    gcd, signed so the pivot is positive, and stored as pairs.  The rank
-    of every leading corner rows[:i] x columns[:j] is the number of rows
-    before i whose pivot lies left of column j (the rank profile of Dumas,
-    Pernet and Sultan, ISSAC 2015).
+    fold keeps an echelon form with no back-substitution: one pivot row per
+    pivot column q, the list of its nonzero (column, value) pairs, zero
+    left of q, so its first pair is (q, a) with a > 0.  A row is spread
+    into a list of `width` integers and scanned left to right.  At a
+    nonzero entry x in a pivot column it is scaled by a (when a != 1) and x
+    times the pivot row's pairs are taken off, which clears the column,
+    leaves the columns left of it zero and subtracts only at the pairs.
+    The first nonzero column with no pivot row is the pivot the row adds;
+    the row is divided by its gcd, signed so the pivot is positive, and
+    stored as pairs.  The rank of every leading corner rows[:i] x
+    columns[:j] is the number of rows before i whose pivot lies left of
+    column j (the rank profile of Dumas, Pernet and Sultan, ISSAC 2015).
     """
     echelon, added = {}, []
     for row in rows:
-        v = list(row)
+        v = [0] * width
+        for c, x in row:
+            v[c] = x
         # v changes in place, so the scan reads each entry as cleared so far.
         for j, x in enumerate(v):
             if not x:
@@ -353,14 +329,7 @@ def rref_entries(rows: tuple, pivots: tuple) -> list:
 
 def kron(a: QMatrix, b: QMatrix) -> QMatrix:
     """Kronecker product; basis vector e_i (x) f_k maps to index i*b.rows + k."""
-    rows, cols = a.rows * b.rows, a.cols * b.cols
-    out = [0] * (rows * cols)
-    b_rows = b.integer_rows()
-    for i, a_row in enumerate(a.integer_rows()):
-        for j, x in enumerate(a_row):
-            if not x:
-                continue
-            for k, b_row in enumerate(b_rows):
-                base = (i * b.rows + k) * cols + j * b.cols
-                out[base : base + b.cols] = [x * y for y in b_row]
-    return QMatrix._of(rows, cols, *_lowest(tuple(out), a.den * b.den))
+    w = b.cols
+    data = tuple([tuple([(j * w + s, x * y) for j, x in ra for s, y in rb])
+                  for ra in a.data for rb in b.data])
+    return QMatrix._lowest(a.rows * b.rows, a.cols * w, data, a.den * b.den)

@@ -39,10 +39,11 @@ a bar records a nonzero d_L, and both its cells lose one dimension from
 page L + 1 on.  A `PageTable` stores just E_0 and those death pages, and
 reads any page off them, so nothing is stored per r.  Only dimensions are
 exposed, not bases or induced differentials.  The rows folded are the
-integer rows d(n) stores (`QMatrix.integer_rows`, d(n) times its one
+(column, numerator) rows d(n) stores (`QMatrix.data`, d(n) times its one
 denominator), which have the same pivots, and the D^2 check is an integer
-product, so no `Fraction` is built on the way.  `cohomology_dims` ranks D(n)
-by a fold of its own, not by its bars, which `verify_convergence` checks.
+product of those rows, so no `Fraction` is built on the way.
+`cohomology_dims` ranks D(n) by a fold of its own, not by its bars, which
+`verify_convergence` checks.
 
 A `DoubleComplex` assembles Tot and D = d_h + d_v once, at construction,
 and the `Complex` constructor checks D^2 = 0, the only d o d check.  D^2
@@ -100,10 +101,9 @@ class Complex:
             nxt = diff.get(p + 1)
             if nxt is None:
                 continue
-            first = next((k for k, x in enumerate((nxt @ m).nums) if x), None)
-            if first is not None:
-                entry = (p, *divmod(first, m.cols))
-                raise ValidationError(f"d o d != 0 at degree {p}", entry=entry)
+            for i, row in enumerate((nxt @ m).data):
+                if row:
+                    raise ValidationError(f"d o d != 0 at degree {p}", entry=(p, i, row[0][0]))
 
     def dim(self, p: int) -> int:
         return self.dims.get(p, 0)
@@ -157,26 +157,31 @@ class DoubleComplex:
             cells[n] += [cell] * self.dims[cell]
         object.__setattr__(self, "_cells", cells)
         total = {n: len(at) for n, at in cells.items()}
-        # Numerators of D(n): Tot^n -> Tot^{n+1}, row-major, block by block, over
+        # D(n): Tot^n -> Tot^{n+1} as (column, numerator) rows, block by block, over
         # den[n], the lcm of the denominators of the blocks starting in degree n.
         # Stored blocks are nonzero, so D(n) is zero exactly when no block starts there.
+        # It is stored as built, so it must be canonical.  Lowest terms: a prime that
+        # divides den[n] exactly e times divides some block's denominator exactly e
+        # times, so it divides neither one of that block's numerators nor the factor
+        # den[n] // block.den.  Column order: a row in cell (p, q) of Tot^{n+1} takes
+        # d_horiz from (p - 1, q) and d_vert from (p, q - 1), and Tot^n lists cells by
+        # p, so adding every d_horiz block first keeps each row's columns increasing.
         den = {}
         for maps in (self.d_horiz, self.d_vert):
             for (p, q), block in maps.items():
                 den[p + q] = lcm(den.get(p + q, 1), block.den)
-        flat = {}
+        rows = {}
         for maps, (dp, dq) in ((self.d_horiz, (1, 0)), (self.d_vert, (0, 1))):
             for (p, q), block in maps.items():
                 n, src, base = p + q, offsets[(p, q)], offsets[(p + dp, q + dq)]
-                width = total[n]
-                if n not in flat:
-                    flat[n] = [0] * (width * total[n + 1])
+                if n not in rows:
+                    rows[n] = [[] for _ in range(total[n + 1])]
                 k = den[n] // block.den
-                for i, row in enumerate(block.integer_rows()):
-                    at = (base + i) * width + src
-                    flat[n][at : at + block.cols] = row if k == 1 else [k * x for x in row]
+                for i, pairs in enumerate(block.data, base):
+                    rows[n][i] += [(src + j, k * x) for j, x in pairs]
         diff = {
-            n: QMatrix.from_integers(total[n + 1], total[n], flat[n], den[n]) for n in sorted(flat)
+            n: QMatrix._of(total[n + 1], total[n], tuple(map(tuple, rows[n])), den[n])
+            for n in sorted(rows)
         }
         try:
             object.__setattr__(self, "_total", Complex(total, diff))
@@ -278,12 +283,14 @@ def _filtration_bars(dc: DoubleComplex, filtration: str) -> dict:
     axis = 0 if filtration == VERTICAL else 1
     bars: dict = {}
     for n, d in dc._total.diff.items():
-        rows, sources, targets = d.integer_rows(), dc._cells[n], dc._cells[n + 1]
+        rows, sources, targets = d.data, dc._cells[n], dc._cells[n + 1]
         if axis == 0:
-            rows, sources = [row[::-1] for row in rows], sources[::-1]
+            last = d.cols - 1
+            rows = [[(last - c, x) for c, x in reversed(row)] for row in rows]
+            sources = sources[::-1]
         else:
             rows, targets = rows[::-1], targets[::-1]
-        for tgt, j in zip(targets, pivot_profile(rows)):
+        for tgt, j in zip(targets, pivot_profile(rows, d.cols)):
             if j is not None:
                 src = sources[j]
                 r = tgt[axis] - src[axis] + 1

@@ -9,6 +9,7 @@ package's own `_extend`, for the tests that walk every subset.
 """
 
 import ast
+from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -38,6 +39,26 @@ def flat_of(arr, subset) -> Flat:
     for i in subset:
         flat = _extend(flat, arr.hyperplanes[i].equation_row())
     return flat
+
+
+def from_rows(rows) -> QMatrix:
+    """The matrix with the given rows of `int`s or `Fraction`s, all of one length."""
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    if any(len(row) != nc for row in rows):
+        raise ValueError("ragged rows")
+    return QMatrix(nr, nc, [x for row in rows for x in row])
+
+
+def at(m: QMatrix, i: int, j: int) -> Fraction:
+    """Entry (i, j) of m, read off its stored (column, numerator) pairs."""
+    return Fraction(dict(m.data[i]).get(j, 0), m.den)
+
+
+def assert_canonical(m: QMatrix) -> None:
+    """m equals, with an equal hash, the matrix its own entries build."""
+    again = QMatrix(m.rows, m.cols, m.entries)
+    assert m == again and hash(m) == hash(again)
 
 
 def gauss_jordan_rank(m: QMatrix) -> int:
@@ -165,7 +186,7 @@ def square_defects(dims: dict, d_horiz: dict, d_vert: dict) -> set:
             pairs = [(a, b, dims.get(mid, 0)) for a, mid, b in paths if a and b]
             for i in range(dims.get(target, 0)):
                 for j in range(n):
-                    if sum(a.at(i, k) * b.at(k, j) for a, b, m in pairs for k in range(m)):
+                    if sum(at(a, i, k) * at(b, k, j) for a, b, m in pairs for k in range(m)):
                         out.add(f"{message} at ({p},{q})")
     return out
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvbetti import ParseError, QMatrix, ValidationError, count_flats, parse_arrangement
+from mvbetti import ParseError, ValidationError, count_flats, parse_arrangement
 from mvbetti.arrangement import (
     AFFINE,
     MAX_DIMENSION,
@@ -25,7 +25,7 @@ from mvbetti.generate import (
     random_projective_arrangement,
 )
 
-from helpers import BRAID_A3
+from helpers import BRAID_A3, from_rows
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=8)
 
@@ -207,7 +207,7 @@ def test_decone_generic_lines_not_parallel():
     tri = parse_arrangement("projective 2\n1 0 0\n0 1 0\n1 1 1\n")
     affine = decone(tri, 2)
     assert affine.r == 2
-    normals = QMatrix.from_rows([list(h.normal) for h in affine.hyperplanes])
+    normals = from_rows([list(h.normal) for h in affine.hyperplanes])
     assert normals.rank() == 2
 
 

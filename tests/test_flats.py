@@ -34,7 +34,7 @@ from mvbetti.generate import (
 )
 from mvbetti.linalg import rref_entries
 
-from helpers import BRAID_A3, PARALLEL_A2, betti_of_roots, flat_of, module_imports
+from helpers import BRAID_A3, PARALLEL_A2, betti_of_roots, flat_of, from_rows, module_imports
 from signed_graphs import family_counts
 
 
@@ -339,7 +339,7 @@ def _sheaf(rng: Random) -> Arrangement:
     n = rng.randint(3, 4)
     while True:
         g = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(2)]
-        if QMatrix.from_rows(g).rank() == 2:
+        if from_rows(g).rank() == 2:
             break
     point = [rng.randint(-1, 1) for _ in range(n)]
     through = [sum(a * x for a, x in zip(row, point)) for row in g]

@@ -1,4 +1,4 @@
-"""Exact rational matrix arithmetic: echelon forms, rank, kernels, Kronecker products."""
+"""Exact rational matrices: stored form, echelon forms, rank, kernels, Kronecker products."""
 
 import tracemalloc
 from decimal import Decimal
@@ -22,7 +22,7 @@ from mvbetti.linalg import (
     rref_entries,
 )
 
-from helpers import gauss_jordan_rank
+from helpers import assert_canonical, at, from_rows, gauss_jordan_rank
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -35,16 +35,43 @@ def matrices(draw, max_rows=5, max_cols=5, min_rows=0, min_cols=0):
     return QMatrix(rows, cols, entries)
 
 
+def echelon(m: QMatrix) -> tuple[tuple, tuple]:
+    """Primitive integer echelon rows of m's row space and their pivot columns.
+
+    `echelon_insert` folded over m's rows, each scaled to integers.
+    """
+    rows = pivots = ()
+    for i in range(m.rows):
+        step = echelon_insert(rows, pivots, integer_row(m.row(i)))
+        if step is not None:
+            rows, pivots, _ = step
+    return rows, pivots
+
+
+def transpose(m: QMatrix) -> QMatrix:
+    rows = [m.row(i) for i in range(m.rows)]
+    return QMatrix(m.cols, m.rows, [row[j] for j in range(m.cols) for row in rows])
+
+
+def column(m: QMatrix, j: int) -> tuple:
+    return tuple(m.row(i)[j] for i in range(m.rows))
+
+
+def pairs(rows) -> list:
+    """Dense integer rows as rows of their nonzero (column, value) pairs."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+
+
 def rref(m: QMatrix) -> tuple:
     """(reduced row echelon form, rank, pivot columns) from `echelon` and `rref_entries`."""
-    rows, pivots = m.echelon()
+    rows, pivots = echelon(m)
     entries = rref_entries(rows, pivots) + [0] * ((m.rows - len(rows)) * m.cols)
     return QMatrix(m.rows, m.cols, entries), len(pivots), pivots
 
 
 def kernel_basis(m: QMatrix) -> QMatrix:
     """The right kernel basis of `integer_kernel_basis`, one column per free variable."""
-    scale, basis = integer_kernel_basis(*m.echelon(), m.cols)
+    scale, basis = integer_kernel_basis(*echelon(m), m.cols)
     entries = [Fraction(w[i], scale) for i in range(m.cols) for w in basis]
     return QMatrix(m.cols, len(basis), entries)
 
@@ -61,9 +88,22 @@ def test_rejects_non_rational_entries(bad):
 
 
 def stored_entries(m: QMatrix) -> tuple:
-    """m.entries, once its stored form is checked: ints over a positive den, in lowest terms."""
-    assert all(type(x) is int for x in m.nums) and type(m.den) is int
-    assert m.den > 0 and gcd(m.den, *m.nums) == 1
+    """m.entries, once its stored form is checked.
+
+    One tuple per row of its nonzero (column, numerator) pairs, `int`
+    numerators in strictly increasing columns below `cols`, over a positive
+    `int` den, in lowest terms.
+    """
+    assert type(m.data) is tuple and len(m.data) == m.rows
+    nums = []
+    for row in m.data:
+        assert type(row) is tuple and all(type(pair) is tuple and len(pair) == 2 for pair in row)
+        columns = [j for j, _ in row]
+        assert all(type(j) is int for j in columns)
+        assert all(a < b for a, b in zip([-1] + columns, columns + [m.cols]))
+        assert all(type(x) is int and x for _, x in row)
+        nums += [x for _, x in row]
+    assert type(m.den) is int and m.den > 0 and gcd(m.den, *nums) == 1
     return m.entries
 
 
@@ -76,9 +116,7 @@ def test_integer_form_matches_fraction_reference(data):
     assert stored_entries(a) == tuple(xs) and all(type(x) is Fraction for x in a.entries)
     for i in range(rows):
         assert a.row(i) == tuple(xs[i * cols : (i + 1) * cols])
-        assert all(a.at(i, j) == xs[i * cols + j] for j in range(cols))
-    transposed = tuple(xs[i * cols + j] for j in range(cols) for i in range(rows))
-    assert stored_entries(a.transpose()) == transposed
+        assert all(at(a, i, j) == xs[i * cols + j] for j in range(cols))
     k = data.draw(rationals)
     assert stored_entries(a.scale(k)) == tuple(k * x for x in xs)
     b = data.draw(matrices(min_rows=cols, max_rows=cols, max_cols=4))
@@ -101,6 +139,33 @@ def test_integer_form_matches_fraction_reference(data):
     assert stored_entries(kron(a, c)) == tuple(blocks)
 
 
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_every_constructor_gives_the_canonical_form(data):
+    # Equality and hashing compare the stored pairs, so each constructor must
+    # leave no zero pair, no column out of order and no common factor.
+    a = data.draw(matrices())
+    b = data.draw(matrices(min_rows=a.cols, max_rows=a.cols))
+    c = data.draw(matrices(max_rows=3, max_cols=3))
+    k = data.draw(st.one_of(st.just(0), rationals))
+    size = a.rows * a.cols
+    nums = data.draw(st.lists(st.integers(-6, 6), min_size=size, max_size=size))
+    den = data.draw(st.integers(1, 12))
+    built = (
+        a @ b,
+        kron(a, c),
+        kron(c, a),
+        a.scale(k),
+        a.scale(0),
+        QMatrix.from_integers(a.rows, a.cols, nums, den),
+        QMatrix.zeros(a.rows, a.cols),
+        QMatrix.identity(a.cols),
+    )
+    for m in built:
+        stored_entries(m)
+        assert_canonical(m)
+
+
 @given(matrices(), rationals.filter(bool))
 @settings(max_examples=60, deadline=None)
 def test_integer_form_is_canonical(m, k):
@@ -110,9 +175,9 @@ def test_integer_form_is_canonical(m, k):
     assert m.scale(0) == zero and hash(m.scale(0)) == hash(zero) and zero.den == 1
     # A value: immutable, slotted, equal only to another QMatrix.
     with pytest.raises(AttributeError):
-        m.nums = ()
+        m.data = ()
     assert not hasattr(m, "__dict__")
-    assert m != (m.rows, m.cols, m.nums, m.den)
+    assert m != (m.rows, m.cols, m.data, m.den)
     assert len({m, same}) == 1
 
 
@@ -125,9 +190,9 @@ def test_rref_identity():
 
 
 def test_rref_dependent_rows():
-    m = QMatrix.from_rows([[1, 2], [2, 4]])
+    m = from_rows([[1, 2], [2, 4]])
     reduced, rank, pivots = rref(m)
-    assert reduced == QMatrix.from_rows([[1, 2], [0, 0]])
+    assert reduced == from_rows([[1, 2], [0, 0]])
     assert rank == 1
     assert pivots == (0,)
 
@@ -135,7 +200,7 @@ def test_rref_dependent_rows():
 def test_rank_of_known_factor_product():
     # 5x7 built from full-rank 5x3 and 3x7 factors; blocks of the identity
     # make the factor ranks evident by construction.
-    left = QMatrix.from_rows(
+    left = from_rows(
         [
             [1, 0, 0],
             [0, 1, 0],
@@ -144,7 +209,7 @@ def test_rank_of_known_factor_product():
             [1, 1, 1],
         ]
     )
-    right = QMatrix.from_rows(
+    right = from_rows(
         [
             [1, 0, 0, 2, -1, 3, 0],
             [0, 1, 0, 1, 1, 0, 5],
@@ -164,10 +229,10 @@ def test_kernel_trivial_and_full():
 
 
 def test_kernel_explicit():
-    m = QMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
+    m = from_rows([[1, 1, 0], [0, 1, 1]])
     k = kernel_basis(m)
     assert k.cols == 1
-    assert k.transpose().row(0) == (Fraction(1), Fraction(-1), Fraction(1))
+    assert column(k, 0) == (Fraction(1), Fraction(-1), Fraction(1))
     assert (m @ k).is_zero()
 
 
@@ -185,7 +250,7 @@ def test_rank_nullity_and_transpose(m):
     rank = m.rank()
     assert rank <= min(m.rows, m.cols)
     assert rank + kernel_basis(m).cols == m.cols
-    assert rank == m.transpose().rank()
+    assert rank == transpose(m).rank()
 
 
 @given(matrices())
@@ -194,7 +259,7 @@ def test_rref_idempotent_and_kernel_exact(m):
     reduced, rank, pivots = rref(m)
     again, rank2, pivots2 = rref(reduced)
     assert (again, rank2, pivots2) == (reduced, rank, pivots)
-    assert reduced.echelon() == m.echelon()
+    assert echelon(reduced) == echelon(m)
     assert len(pivots) == rank
     k = kernel_basis(m)
     assert (m @ k).is_zero()
@@ -236,8 +301,8 @@ def test_rref_against_sympy(m):
     kernel = kernel_basis(m)
     their_kernel = theirs.nullspace()
     assert (kernel.rows, kernel.cols) == (m.cols, len(their_kernel))
-    for j, column in enumerate(their_kernel):
-        assert [sympy.Rational(x) for x in kernel.transpose().row(j)] == list(column)
+    for j, theirs_j in enumerate(their_kernel):
+        assert [sympy.Rational(x) for x in column(kernel, j)] == list(theirs_j)
 
 
 def flipped_integer_rows(m: QMatrix, flip_rows: bool, flip_cols: bool) -> list:
@@ -253,7 +318,7 @@ def flipped_integer_rows(m: QMatrix, flip_rows: bool, flip_cols: bool) -> list:
 def test_pivot_profile_gives_every_leading_corner_rank(m, flip_rows, flip_cols):
     # Reversing the rows, the columns or both turns the other three corners
     # of m into leading corners.
-    added = pivot_profile(flipped_integer_rows(m, flip_rows, flip_cols))
+    added = pivot_profile(pairs(flipped_integer_rows(m, flip_rows, flip_cols)), m.cols)
     assert len(added) == m.rows
     theirs = sympy.Matrix(m.rows, m.cols, [sympy.Rational(x) for x in m.entries])
     if flip_cols:
@@ -296,11 +361,11 @@ def kronecker_matrices(draw):
 @given(st.one_of(sparse_matrices(), kronecker_matrices()), st.booleans(), st.booleans())
 # Row 2 is rescaled by the pivot 2 of row 0, which fills in its column 2;
 # clearing that takes a rescale by row 1's pivot 3, and column 3 is left.
-@example(QMatrix.from_rows([[2, 0, 1, 0], [0, 0, 3, 1], [1, 0, 0, -1]]), False, False)
+@example(from_rows([[2, 0, 1, 0], [0, 0, 3, 1], [1, 0, 0, -1]]), False, False)
 @settings(max_examples=100, deadline=None)
 def test_pivot_profile_on_sparse_and_kronecker_matrices(m, flip_rows, flip_cols):
     ints = flipped_integer_rows(m, flip_rows, flip_cols)
-    added = pivot_profile(ints)
+    added = pivot_profile(pairs(ints), m.cols)
     assert len(added) == m.rows
     for i in range(m.rows + 1):
         for j in range(m.cols + 1):
@@ -320,11 +385,11 @@ def test_pivot_profile_keeps_its_pivot_rows_primitive():
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        added = pivot_profile(rows)
+        added = pivot_profile(pairs(rows), 20)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert sum(1 for q in added if q is not None) == gauss_jordan_rank(QMatrix.from_rows(rows))
+    assert sum(1 for q in added if q is not None) == gauss_jordan_rank(from_rows(rows))
     assert peak < 200_000
 
 
@@ -337,8 +402,8 @@ def near_2_200(x: int) -> int:
 @settings(max_examples=100, deadline=None)
 def test_pivot_profile_matches_the_canonical_fold(m, flip_rows, flip_cols, huge):
     # The forward-only fold adds the same pivot per row as folding the
-    # canonical (back-substituted) `echelon_insert`, and the canonical rows
-    # it ends with are those of `QMatrix.echelon`.
+    # canonical (back-substituted) `echelon_insert`, on dense rows as on
+    # the rows a `QMatrix` stores.
     ints = flipped_integer_rows(m, flip_rows, flip_cols)
     if huge:
         ints = [[near_2_200(x) for x in row] for row in ints]
@@ -351,9 +416,9 @@ def test_pivot_profile_matches_the_canonical_fold(m, flip_rows, flip_cols, huge)
             continue
         rows, pivots, q = step
         added.append(q)
-    assert pivot_profile(ints) == added
-    big = QMatrix.from_rows(ints)
-    assert big.echelon() == (rows, pivots)
+    assert pivot_profile(pairs(ints), m.cols) == added
+    big = from_rows(ints)
+    assert pivot_profile(big.data, big.cols) == added
     assert big.rank() == len(pivots)
 
 
