@@ -7,11 +7,14 @@ arrangement in 12 coordinates, the Catalan arrangement x_i - x_j in
 {-1, 0, 1} in 6 coordinates (r=45), both built by `mvbetti.generate`, and
 one seeded random mixed arrangement with n=5, r=16.
 None of them is a benchmark workload.  Each time is the best of REPEAT runs.
-Prints one JSON line:
+Per input, `sha256` digests `repr` of the sweep's rows and Moebius values,
+in sweep order, so two versions of the code can be checked to find the
+same flats in the same order.  Prints one JSON line:
 
     PYTHONPATH=src python scripts/time_oracles.py
 """
 
+import hashlib
 import json
 from random import Random
 from time import perf_counter
@@ -37,6 +40,11 @@ def best(fn):
     return round(min(times), 4), result
 
 
+def digest(poset) -> str:
+    text = repr([(flat.rows, mu) for flat, mu in poset.sweep])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def main():
     cases = {
         "boolean_n12": parse_arrangement(boolean_arrangement_text(12)),
@@ -56,6 +64,7 @@ def main():
             "whitney_s": whitney_s,
             "betti": list(mobius),
             "agree": mobius == whitney,
+            "sha256": digest(poset),
         }
     print(json.dumps(out, sort_keys=True))
 

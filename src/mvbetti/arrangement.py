@@ -5,8 +5,9 @@ a_1*x_1 + ... + a_n*x_n = c and stores the primitive integer row
 (a_1, ..., a_n, c) (`linalg.primitive`: coprime `int`s, the first nonzero
 normal coefficient positive), so every hyperplane is canonical and two are
 equal iff their rows coincide.  Projective arrangements carry n+1
-homogeneous coefficients and a zero constant.  `Fraction` is used only to
-read `p/q` input, and `equation_text` writes a row of rationals back out.
+homogeneous coefficients and a zero constant.  Input fields are read by
+`int`, and a `Fraction` is built only for a `p/q` field (`parse_rational`);
+`equation_text` writes a row of rationals back out.
 
 The two reductions applied before any Betti computation also live here, and
 both are integer row operations: deconing (declaring one hyperplane of a
@@ -38,9 +39,11 @@ PROJECTIVE = "projective"
 MAX_DIMENSION = 1000
 
 # The integer and rational fields of both input formats: optionally signed
-# ASCII digits, and that or `integer/positive integer`.  `int` alone also
-# takes underscores and non-ASCII digits; `Fraction` also takes decimals and
-# exponents, and expands an exponent such as 1e10000000 digit by digit.
+# ASCII digits, and that or `integer/positive integer`.  Only a field that
+# matches is read, by `int`, so neither what `int` alone also takes
+# (underscores, non-ASCII digits) nor what `Fraction`'s string parser takes
+# (decimals, and exponents, which it expands digit by digit: 1e10000000)
+# gets through.
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]*[1-9][0-9]*)?")
 
@@ -87,14 +90,17 @@ def parse_integer(field: str, message: str, line: int, column: int | None = None
     raise ParseError(message, line=line, column=column)
 
 
-def parse_rational(field: str, line: int, column: int | None = None) -> Fraction:
+def parse_rational(field: str, line: int, column: int | None = None) -> int | Fraction:
     """The rational a field spells, or a ParseError naming its line (and column).
 
-    A well-formed field too long to read gets the digit-limit error.
+    The field has matched `_RATIONAL`, so its parts are read by `int`: an
+    integer field gives an `int`, and `p/q` the `Fraction` p/q in lowest
+    terms.  A well-formed field too long to read gets the digit-limit error.
     """
     if _RATIONAL.fullmatch(field):
+        num, _, den = field.partition("/")
         try:
-            return Fraction(field)
+            return Fraction(int(num), int(den)) if den else int(num)
         except ValueError:  # more digits than `int` converts
             raise _past_the_digit_limit(field, line, column) from None
     raise ParseError(f"bad rational {quoted(field)}", line=line, column=column)

@@ -4,11 +4,13 @@ A flat is the intersection of a subset of the hyperplanes, stored as the
 primitive integer echelon rows of its augmented linear system (see
 `linalg`), a unique form, so two flats are equal exactly when their rows
 are identical.  Flats are built one hyperplane at a time from the
-hyperplanes' primitive integer rows (`Hyperplane.equation_row`) by
-`linalg.echelon_insert`, the canonical elimination step; hyperplanes are
-restricted to another by the same integer cross-multiplication
-(`linalg.restrict_rows`).  No rational arithmetic runs while subsets are
-counted.  On top of flats this module builds
+hyperplanes' primitive integer rows (`Hyperplane.equation_row`) by the
+two halves of `linalg.echelon_insert`, the canonical elimination step: a
+cut whose reduced row has its pivot in the constant column is empty, and
+skips the back-substitution.  Hyperplanes are restricted to another by the
+same integer cross-multiplication (`linalg.restrict_rows`).  No rational
+arithmetic runs while subsets are counted.  On top of flats this module
+builds
 
 * the count table: how many subsets of each size cut out a flat of each
   dimension, with empty intersections tallied separately, as one
@@ -41,7 +43,7 @@ from math import comb, gcd
 
 from .arrangement import AFFINE, Arrangement
 from .errors import CapExceededError, ValidationError
-from .linalg import echelon_insert, restrict_rows
+from .linalg import back_substitute, echelon_reduce, restrict_rows
 
 DEFAULT_CAP = 24
 
@@ -54,8 +56,9 @@ class Flat:
     [a_1 ... a_n | c]: the stripped reduced row echelon form, each row scaled
     to coprime integers with a positive pivot, in pivot order.  `pivots` are
     their pivot columns, derived from `rows` and left out of equality.
-    `dimension` is None exactly when the constant column n is a pivot (empty
-    flat).
+    `dimension` is None exactly when the flat is empty, which is `EMPTY`:
+    no rows, as its equations would have a pivot in the constant column n
+    and nothing reads the rest of them.
     """
 
     rows: tuple
@@ -71,19 +74,27 @@ def ambient_flat(n: int) -> Flat:
     return Flat((), n, ())
 
 
+EMPTY = Flat((), None, ())
+
+
 def _extend(flat: Flat, row) -> Flat:
     """Intersect `flat` with the hyperplane of the integer row [a_1 ... a_n | c].
 
     A row in the span of the flat's rows is a hyperplane containing the
-    flat, which is returned as is; a pivot in the constant column n makes
-    the intersection empty.
+    flat, which is returned as is.  A reduced row with its pivot in the
+    constant column n makes the intersection empty: that is `EMPTY`, with
+    no back-substitution, and so is every extension of it.
     """
-    step = echelon_insert(flat.rows, flat.pivots, row)
+    if flat.is_empty:
+        return flat
+    step = echelon_reduce(flat.rows, flat.pivots, row)
     if step is None:
         return flat
-    rows, pivots, _ = step
-    empty = pivots[-1] == len(row) - 1
-    return Flat(rows, None if empty else flat.dimension - 1, pivots)
+    v, q = step
+    if q == len(row) - 1:
+        return EMPTY
+    rows, pivots = back_substitute(flat.rows, flat.pivots, v, q)
+    return Flat(rows, flat.dimension - 1, pivots)
 
 
 def _walk_rows(arr: Arrangement, cap: int) -> list:

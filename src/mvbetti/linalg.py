@@ -22,12 +22,14 @@ Rows are reduced by the same cross-multiplication, two ways.
 pivot column each row adds: the rank of every leading corner block at once.
 It keeps its pivot rows as pairs too, so clearing a column touches only the
 pivot row's nonzero entries; `QMatrix.rank` folds a matrix's stored rows.
-`echelon_insert` clears the pivot columns of a row of integers, one per
-column, makes it primitive and back-substitutes, keeping the primitive
-echelon rows of a row space (its rref rows scaled to coprime integers with
-positive pivots, a unique form) that flats and kernels need, as tuples with
-every column; `rref_entries` and `integer_kernel_basis` read the reduced
-rows and a kernel basis off them.
+`echelon_insert` keeps the primitive echelon rows of a row space (its rref
+rows scaled to coprime integers with positive pivots, a unique form) that
+flats and kernels need, as tuples with every column.  It runs in two
+halves: `echelon_reduce` clears the pivot columns of a row of integers, one
+per column, and makes it primitive, and `back_substitute` clears the new
+pivot column from the other rows.  The flat sweep runs the second half
+only when the first finds a new nonempty flat.  `rref_entries` and
+`integer_kernel_basis` read the reduced rows and a kernel basis off them.
 """
 
 from __future__ import annotations
@@ -216,17 +218,16 @@ def restrict_rows(rows: Iterable, h, pivot: int) -> list:
     return out
 
 
-def echelon_insert(rows: tuple, pivots: tuple, row) -> tuple[tuple, tuple, int] | None:
-    """Add the integer `row` to primitive echelon `rows` with pivot columns `pivots`.
+def echelon_reduce(rows: tuple, pivots: tuple, row) -> tuple[tuple, int] | None:
+    """(v, q): the integer `row` reduced by primitive echelon `rows` with pivot columns `pivots`.
 
     The row's entries in the pivot columns are cleared by integer
-    cross-multiplication with the rows, and the rest is made primitive;
-    None if the row lies in their span.  Each row is zero in the other
-    rows' pivot columns, so no clearing refills a column already cleared.
-    Otherwise the row becomes a pivot row and its pivot column is cleared
-    from the other rows (back-substitution), which keeps the form
-    canonical.  Returns the new rows and pivot columns, in pivot order, and
-    the pivot column the row adds.
+    cross-multiplication with the rows, and the rest is made primitive,
+    with its first nonzero entry, in column q, positive; None if the row
+    lies in their span.  Each row is zero in the other rows' pivot
+    columns, so no clearing refills a column already cleared.  This is the
+    first half of `echelon_insert`; q tells the caller whether the second,
+    `back_substitute`, is needed at all.
     """
     v = row
     for other, j in zip(rows, pivots):
@@ -236,10 +237,17 @@ def echelon_insert(rows: tuple, pivots: tuple, row) -> tuple[tuple, tuple, int] 
             v = [a * vi - x * oi for vi, oi in zip(v, other)]
     for q, x in enumerate(v):
         if x:
-            break
-    else:
-        return None
-    v = _primitive(v, -1 if x < 0 else 1)
+            return _primitive(v, -1 if x < 0 else 1), q
+    return None
+
+
+def back_substitute(rows: tuple, pivots: tuple, v: tuple, q: int) -> tuple[tuple, tuple]:
+    """The primitive echelon rows and pivots of `rows` with the reduced row v, pivot q, added.
+
+    v comes from `echelon_reduce`.  Its pivot column q is cleared from the
+    other rows by integer cross-multiplication, which keeps the form
+    canonical, and v goes in at its place in pivot order.
+    """
     b = v[q]
     out = []
     at = 0
@@ -252,7 +260,18 @@ def echelon_insert(rows: tuple, pivots: tuple, row) -> tuple[tuple, tuple, int] 
                 other = _primitive([b * oi - y * vi for oi, vi in zip(other, v)], 1)
         out.append(other)
     out.insert(at, v)
-    return tuple(out), pivots[:at] + (q,) + pivots[at:], q
+    return tuple(out), pivots[:at] + (q,) + pivots[at:]
+
+
+def echelon_insert(rows: tuple, pivots: tuple, row) -> tuple[tuple, tuple, int] | None:
+    """Add the integer `row` to primitive echelon `rows` with pivot columns `pivots`.
+
+    `echelon_reduce`, then `back_substitute`: None if the row lies in the
+    rows' span, else the new rows and pivot columns, in pivot order, and
+    the pivot column the row adds.
+    """
+    step = echelon_reduce(rows, pivots, row)
+    return None if step is None else (*back_substitute(rows, pivots, *step), step[1])
 
 
 def pivot_profile(rows: Iterable, width: int) -> list:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from mvbetti import ParseError, ValidationError, count_flats, parse_arrangement
 from mvbetti.arrangement import (
+    _RATIONAL,
     AFFINE,
     MAX_DIMENSION,
     PROJECTIVE,
@@ -17,6 +18,7 @@ from mvbetti.arrangement import (
     Hyperplane,
     decone,
     essentialize,
+    parse_rational,
 )
 from mvbetti.generate import (
     boolean_arrangement_text,
@@ -85,6 +87,15 @@ def test_parse_rejects_exponents_and_decimals():
         with pytest.raises(ParseError, match="bad rational") as err:
             parse_arrangement(f"affine 2\n1 0 0\n1 {field} 2\n")
         assert (err.value.line, err.value.column) == (3, 2)
+
+
+@given(st.from_regex(_RATIONAL, fullmatch=True))
+def test_parse_rational_reads_every_field_the_grammar_accepts(field):
+    # The fields are read by `int`; `Fraction`'s own string parser agrees on
+    # every one, and an integer field stays an `int`.
+    value = parse_rational(field, 1)
+    assert value == Fraction(field)
+    assert type(value) is (Fraction if "/" in field else int)
 
 
 def test_parse_field_count():

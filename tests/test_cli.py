@@ -445,10 +445,15 @@ def test_poset_entries_past_the_int_digit_limit(tmp_path, capsys, mode):
     "command, name, text",
     [
         ("betti", "constant.arr", "affine 1\n1 {}\n"),
+        ("betti", "numerator.arr", "affine 1\n1 -{}/3\n"),
+        ("betti", "denominator.arr", "affine 1\n1 2/{}\n"),
         ("betti", "dimension.arr", "affine {}\n"),
         ("ss", "dims.dc", "dims\n0 0 {}\n"),
+        ("ss", "numerator.dc", "dims\n0 0 1\n1 0 1\ndh 0 0\n{}/3\n"),
+        ("ss", "denominator.dc", "dims\n0 0 1\n1 0 1\ndh 0 0\n-2/{}\n"),
     ],
-    ids=["constant", "dimension", "dims"],
+    ids=["constant", "numerator", "denominator", "dimension", "dims", "dc-numerator",
+         "dc-denominator"],
 )
 def test_fields_past_the_int_digit_limit(tmp_path, capsys, command, name, text):
     # A field the grammar accepts, with more digits than `int` reads from text.

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
@@ -14,6 +15,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mvbetti.flats
 from mvbetti import (
     CapExceededError,
     QMatrix,
@@ -26,13 +28,13 @@ from mvbetti import (
     whitney_betti,
 )
 from mvbetti.arrangement import AFFINE, Arrangement, Hyperplane, essentialize
-from mvbetti.flats import FlatCounts, _extend, ambient_flat
+from mvbetti.flats import EMPTY, Flat, FlatCounts, _extend, ambient_flat
 from mvbetti.generate import (
     boolean_arrangement_text,
     difference_arrangement_text,
     random_affine_arrangement,
 )
-from mvbetti.linalg import rref_entries
+from mvbetti.linalg import echelon_insert, rref_entries
 
 from helpers import BRAID_A3, PARALLEL_A2, betti_of_roots, flat_of, from_rows, module_imports
 from signed_graphs import family_counts
@@ -605,11 +607,70 @@ def test_integer_elimination_matches_rational_rref(system):
         ints = [int(x * lcm(*(y.denominator for y in row))) for x in row]
         expected.append(tuple(x // gcd(*ints) for x in ints))
     for order in (rows, rows[::-1]):
-        flat = ambient_flat(n)
+        # The whole `echelon_insert` keeps the rows of every system, empty
+        # ones too; `_extend` keeps them for the nonempty flats it builds.
+        flat, echelon, their_pivots = ambient_flat(n), (), ()
         for row in order:
             flat = _extend(flat, tuple(row))
-        assert flat.rows == tuple(expected)
-        assert flat.pivots == pivots
+            step = echelon_insert(echelon, their_pivots, tuple(row))
+            if step is not None:
+                echelon, their_pivots, _ = step
+        assert echelon == tuple(expected)
+        assert their_pivots == pivots
+        assert QMatrix(len(echelon), n + 1, rref_entries(echelon, their_pivots)) == reduced
         assert flat.is_empty == (n in pivots)
         assert flat.dimension == (None if n in pivots else n - rank)
-        assert QMatrix(len(flat.rows), n + 1, rref_entries(flat.rows, flat.pivots)) == reduced
+        if flat.is_empty:
+            assert flat == EMPTY and flat.pivots == ()
+        else:
+            assert (flat.rows, flat.pivots) == (echelon, pivots)
+
+
+def _extend_by_echelon_insert(flat: Flat, row) -> Flat:
+    """`_extend` by the whole `echelon_insert`, back-substituting into empty cuts too."""
+    step = echelon_insert(flat.rows, flat.pivots, row)
+    if step is None:
+        return flat
+    rows, pivots, _ = step
+    return Flat(rows, None if pivots[-1] == len(row) - 1 else flat.dimension - 1, pivots)
+
+
+def _sweep(poset) -> list:
+    return [(f.rows, f.pivots, f.dimension, mu) for f, mu in poset.sweep]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sweep_matches_the_echelon_insert_fold(seed, monkeypatch):
+    # Seeded mixed arrangements, two draws in five parallel to an earlier
+    # hyperplane, so many cuts are empty: the sweep that stops at
+    # them finds the same flats, pivots, Moebius values and order.
+    rng = Random(seed)
+    arr = random_affine_arrangement(rng, rng.randint(1, 5), rng.randint(1, 10), parallel=0.4)
+    ours = _sweep(build_intersection_poset(arr))
+    monkeypatch.setattr(mvbetti.flats, "_extend", _extend_by_echelon_insert)
+    assert ours == _sweep(build_intersection_poset(arr))
+
+
+def test_back_substitution_runs_once_per_new_flat(monkeypatch):
+    # The sweep back-substitutes only when a cut is a new nonempty flat:
+    # never for an empty cut nor for a flat the hyperplane contains.
+    calls, kinds = [], Counter()
+    back = mvbetti.flats.back_substitute
+    extend = mvbetti.flats._extend
+
+    def counted_extend(flat, row):
+        g = extend(flat, row)
+        kinds["contains" if g is flat else "empty" if g.is_empty else "new"] += 1
+        return g
+
+    monkeypatch.setattr(
+        mvbetti.flats, "back_substitute", lambda *args: calls.append(args) or back(*args)
+    )
+    monkeypatch.setattr(mvbetti.flats, "_extend", counted_extend)
+    texts = [PARALLEL_A2, BRAID_A3, difference_arrangement_text(4, (-1,), (-1, 0, 1))]
+    arrs = [parse_arrangement(text) for text in texts]
+    arrs += [random_affine_arrangement(Random(seed), 3, 8) for seed in range(10)]
+    for arr in arrs:
+        build_intersection_poset(arr)
+    assert kinds["empty"] and kinds["contains"] and kinds["new"]
+    assert len(calls) == kinds["new"]
