@@ -21,7 +21,10 @@ Rows are reduced by the same cross-multiplication, two ways.
 `pivot_profile` folds (column, value) rows forward only and records the
 pivot column each row adds: the rank of every leading corner block at once.
 It keeps its pivot rows as pairs too, so clearing a column touches only the
-pivot row's nonzero entries; `QMatrix.rank` folds a matrix's stored rows.
+pivot row's nonzero entries.  A row whose first column has no pivot row yet
+is stored straight from its pairs, made primitive; any other row is scanned
+from its first column, and scaled only at a pivot that does not divide its
+entry there.  `QMatrix.rank` folds a matrix's stored rows.
 `echelon_insert` keeps the primitive echelon rows of a row space (its rref
 rows scaled to coprime integers with positive pivots, a unique form) that
 flats and kernels need, as tuples with every column.  It runs in two
@@ -277,27 +280,45 @@ def echelon_insert(rows: tuple, pivots: tuple, row) -> tuple[tuple, tuple, int] 
 def pivot_profile(rows: Iterable, width: int) -> list:
     """The pivot column each (column, value) row adds to the rows before it, or None.
 
+    Each row is the sequence of its nonzero (column, value) pairs, in
+    strictly increasing column order, every column below `width`; so its
+    first pair holds its first nonzero column, and an empty row is zero.
     Every echelon form of a row space has the same pivot columns, so the
     fold keeps an echelon form with no back-substitution: one pivot row per
     pivot column q, the list of its nonzero (column, value) pairs, zero
-    left of q, so its first pair is (q, a) with a > 0.  A row is spread
-    into a list of `width` integers and scanned left to right.  At a
-    nonzero entry x in a pivot column it is scaled by a (when a != 1) and x
-    times the pivot row's pairs are taken off, which clears the column,
-    leaves the columns left of it zero and subtracts only at the pairs.
-    The first nonzero column with no pivot row is the pivot the row adds;
-    the row is divided by its gcd, signed so the pivot is positive, and
-    stored as pairs.  The rank of every leading corner rows[:i] x
-    columns[:j] is the number of rows before i whose pivot lies left of
-    column j (the rank profile of Dumas, Pernet and Sultan, ISSAC 2015).
+    left of q, so its first pair is (q, a) with a > 0.  A row whose first
+    column has no pivot row adds that column as it is: it is divided by its
+    gcd, signed so the pivot is positive, and stored.  Any other row is
+    spread into a list of `width` integers and scanned from its first
+    column on.  At a nonzero entry x in a pivot column, x / a times the
+    pivot row's pairs are taken off when a divides x; otherwise the row is
+    scaled by a and x times the pairs are taken off.  Either way the column
+    is cleared, the columns left of it stay zero, only the pairs are
+    subtracted, and the row is a positive multiple of what scaling at
+    every step would give, so the pivots and the stored rows do not depend
+    on which steps divide.  The first nonzero column with no pivot row is
+    the pivot the row adds, and the rest of the row is stored as above.
+    The rank of every leading corner rows[:i] x columns[:j] is the number
+    of rows before i whose pivot lies left of column j (the rank profile
+    of Dumas, Pernet and Sultan, ISSAC 2015).
     """
     echelon, added = {}, []
     for row in rows:
+        if not row:
+            added.append(None)
+            continue
+        first, x = row[0]
+        if first not in echelon:
+            g = gcd(*[y for _, y in row]) if x > 0 else -gcd(*[y for _, y in row])
+            echelon[first] = [(c, y // g) for c, y in row]
+            added.append(first)
+            continue
         v = [0] * width
         for c, x in row:
             v[c] = x
         # v changes in place, so the scan reads each entry as cleared so far.
-        for j, x in enumerate(v):
+        for j in range(first, width):
+            x = v[j]
             if not x:
                 continue
             pairs = echelon.get(j)
@@ -307,8 +328,10 @@ def pivot_profile(rows: Iterable, width: int) -> list:
                 added.append(j)
                 break
             a = pairs[0][1]
-            if a != 1:
+            if x % a:
                 v[j:] = [a * y for y in v[j:]]
+            else:
+                x //= a
             for c, y in pairs:
                 v[c] -= x * y
         else:

@@ -22,10 +22,11 @@ the first case, and the rows in the second, makes every block ranked by rho
 a leading corner.  `linalg.pivot_profile` folds the rows in that order
 (forward only) and records the pivot column each row adds; by the rank
 profile theorem it cites, a leading corner's rank is the number of pivots
-(row, column) inside it.  Its pivot rows are sparse and each row is
-scanned left to right, so clearing a column touches only the nonzero
-entries of a pivot row; the D(n) of a tensor double complex is mostly
-zeros, its blocks Kronecker products with identities.  A pivot's column
+(row, column) inside it.  Its pivot rows are sparse, so clearing a column
+touches only the nonzero entries of a pivot row, and a row that starts in
+a column with no pivot row yet is stored from its pairs, with no scan; the
+D(n) of a tensor double complex is mostly zeros, its blocks Kronecker
+products with identities.  A pivot's column
 lies in a cell of filtration index s and its row in one of index s', so
 rho(n, a, b) counts the pivots of d(n) with s >= a and s' < b.  That is
 zero for b <= a, because d preserves the filtration, so s' >= s: the

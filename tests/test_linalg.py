@@ -393,12 +393,51 @@ def test_pivot_profile_keeps_its_pivot_rows_primitive():
     assert peak < 200_000
 
 
+def test_pivot_profile_divides_the_free_rows_it_keeps():
+    # A row whose first column has no pivot row yet is stored without a
+    # scan, and must still be divided by its gcd.  Each staircase row here
+    # carries the prime factor 2^2203 - 1 and a pivot of either sign; the
+    # dense rows after them are cleared through all 30 pivots.  Kept whole,
+    # those pivots would scale a dense row by the factor at almost every
+    # step, its entries would grow to tens of thousands of bits, and the
+    # fold would take over 100 kB instead of a few kB.
+    n, big = 30, 2**2203 - 1
+    rng = Random(5)
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        row[i] = rng.choice((-1, 1)) * big * rng.randint(2, 9)
+        if i + 1 < n:
+            row[i + 1] = big * rng.randint(1, 9)
+        rows.append(row)
+    rows += [[rng.randint(1, 9) for _ in range(n)] for _ in range(3)]
+    rows = pairs(rows)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        added = pivot_profile(rows, n)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert added == list(range(n)) + [None] * 3
+    assert peak < 40_000
+
+
 def near_2_200(x: int) -> int:
     """A nonzero x moved out to about +-2^200, keeping its sign; 0 stays 0."""
     return x + 2**200 if x > 0 else x - 2**200 if x < 0 else 0
 
 
 @given(matrices_with_zero_lines(), st.booleans(), st.booleans(), st.booleans())
+# Rows 0 and 1 start in free columns: row 0 is stored divided by -2, as
+# (1, 2, 0, -3), and clears row 2 to zero.  Row 3 is cleared at column 1 by
+# 2 times row 1 (3 divides 6) and adds column 3; row 4 is scaled by 3 first
+# (3 does not divide 2) and adds column 2; row 5 is empty.  Scanned from one
+# column late, row 2 would add column 2.
+@example(
+    from_rows([[-2, -4, 0, 6], [0, 3, 1, 0], [1, 2, 0, -3], [0, 6, 2, 5], [0, 2, 0, 1], [0] * 4]),
+    False, False, False,
+)
 @settings(max_examples=100, deadline=None)
 def test_pivot_profile_matches_the_canonical_fold(m, flip_rows, flip_cols, huge):
     # The forward-only fold adds the same pivot per row as folding the
