@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import sys
+import textwrap
 
 from .arrangement import PROJECTIVE, _affine_chart, equation_text, parse_arrangement
 from .betti import BettiReport, compute_betti
@@ -282,16 +283,11 @@ def _run_ss(args) -> int:
             shown = (1, 2) if not args.verbose else tuple(range(r_max + 1))
             for r in shown:
                 print(f"  E_{r}:")
-                print(_indent(_format_page(pt.page(r)), 2))
+                print(textwrap.indent(_format_page(pt.page(r)), "  "))
             limit = pt.limit()
             print("  E_inf:")
-            print(_indent(_format_page(limit), 2))
+            print(textwrap.indent(_format_page(limit), "  "))
     return 0 if converged else 3
-
-
-def _indent(text: str, by: int) -> str:
-    pad = " " * by
-    return "\n".join(pad + line for line in text.splitlines())
 
 
 def main(argv=None) -> int:

@@ -30,10 +30,8 @@ START_RANGE = 2
 
 
 def boolean_arrangement_text(n: int) -> str:
-    lines = [f"affine {n}"]
-    for i in range(n):
-        lines.append(" ".join("1" if j == i else "0" for j in range(n)) + " 0")
-    return "\n".join(lines) + "\n"
+    """The coordinate hyperplanes x_i = 0: `difference_arrangement_text` with no differences."""
+    return difference_arrangement_text(n, (), (), coordinates=True)
 
 
 def difference_arrangement_text(n: int, signs, constants, coordinates: bool = False) -> str:
@@ -70,6 +68,14 @@ def _random_normal(rng: Random, n: int, bound: int) -> list:
             return normal
 
 
+def _distinct(r: int, draw) -> tuple:
+    """The first r distinct hyperplanes of repeated `draw(distinct ones so far)` calls."""
+    found = {}  # a dict keeps each key where it was first inserted
+    while len(found) < r:
+        found[draw(list(found))] = None
+    return tuple(found)
+
+
 def random_affine_arrangement(
     rng: Random,
     n: int,
@@ -80,31 +86,23 @@ def random_affine_arrangement(
     bound: int = 4,
 ) -> Arrangement:
     """Mix of parallel, central (through the origin) and generic hyperplanes."""
-    hyperplanes: list = []
-    seen = set()
-    while len(hyperplanes) < r:
+
+    def draw(hyperplanes):
         if hyperplanes and rng.random() < parallel:
             base = rng.choice(hyperplanes)
-            h = Hyperplane(base.normal, random_fraction(rng, bound))
-        else:
-            normal = _random_normal(rng, n, bound)
-            constant = 0 if rng.random() < central else random_fraction(rng, bound)
-            h = Hyperplane(normal, constant)
-        if h not in seen:
-            seen.add(h)
-            hyperplanes.append(h)
-    return Arrangement(n, tuple(hyperplanes), AFFINE)
+            return Hyperplane(base.normal, random_fraction(rng, bound))
+        normal = _random_normal(rng, n, bound)
+        constant = 0 if rng.random() < central else random_fraction(rng, bound)
+        return Hyperplane(normal, constant)
+
+    return Arrangement(n, _distinct(r, draw), AFFINE)
 
 
 def random_projective_arrangement(rng: Random, n: int, r: int) -> Arrangement:
-    hyperplanes: list = []
-    seen = set()
-    while len(hyperplanes) < r:
-        h = Hyperplane(_random_normal(rng, n + 1, PROJECTIVE_BOUND), 0)
-        if h not in seen:
-            seen.add(h)
-            hyperplanes.append(h)
-    return Arrangement(n, tuple(hyperplanes), PROJECTIVE)
+    def draw(_):
+        return Hyperplane(_random_normal(rng, n + 1, PROJECTIVE_BOUND), 0)
+
+    return Arrangement(n, _distinct(r, draw), PROJECTIVE)
 
 
 def random_general_position_arrangement(rng: Random, n: int, r: int) -> Arrangement:

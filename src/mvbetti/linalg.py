@@ -29,10 +29,12 @@ entry there.  `QMatrix.rank` folds a matrix's stored rows.
 rows scaled to coprime integers with positive pivots, a unique form) that
 flats and kernels need, as tuples with every column.  It runs in two
 halves: `echelon_reduce` clears the pivot columns of a row of integers, one
-per column, and makes it primitive, and `back_substitute` clears the new
-pivot column from the other rows.  The flat sweep runs the second half
-only when the first finds a new nonempty flat.  `rref_entries` and
-`integer_kernel_basis` read the reduced rows and a kernel basis off them.
+per column, and hands the raw reduced row on, and `back_substitute` makes
+it primitive, the one normalisation, and clears the new pivot column from
+the other rows.  The flat sweep runs the second half only when the first
+finds a new nonempty flat, so an empty cut is never normalised.
+`rref_entries` and `integer_kernel_basis` read the reduced rows and a
+kernel basis off them.
 """
 
 from __future__ import annotations
@@ -221,16 +223,16 @@ def restrict_rows(rows: Iterable, h, pivot: int) -> list:
     return out
 
 
-def echelon_reduce(rows: tuple, pivots: tuple, row) -> tuple[tuple, int] | None:
+def echelon_reduce(rows: tuple, pivots: tuple, row) -> tuple[list | tuple, int] | None:
     """(v, q): the integer `row` reduced by primitive echelon `rows` with pivot columns `pivots`.
 
     The row's entries in the pivot columns are cleared by integer
-    cross-multiplication with the rows, and the rest is made primitive,
-    with its first nonzero entry, in column q, positive; None if the row
-    lies in their span.  Each row is zero in the other rows' pivot
+    cross-multiplication with the rows, and v is what is left, as it is:
+    not yet primitive, its first nonzero entry in column q; None if the
+    row lies in their span.  Each row is zero in the other rows' pivot
     columns, so no clearing refills a column already cleared.  This is the
     first half of `echelon_insert`; q tells the caller whether the second,
-    `back_substitute`, is needed at all.
+    `back_substitute`, which makes v primitive, is needed at all.
     """
     v = row
     for other, j in zip(rows, pivots):
@@ -240,17 +242,19 @@ def echelon_reduce(rows: tuple, pivots: tuple, row) -> tuple[tuple, int] | None:
             v = [a * vi - x * oi for vi, oi in zip(v, other)]
     for q, x in enumerate(v):
         if x:
-            return _primitive(v, -1 if x < 0 else 1), q
+            return v, q
     return None
 
 
-def back_substitute(rows: tuple, pivots: tuple, v: tuple, q: int) -> tuple[tuple, tuple]:
+def back_substitute(rows: tuple, pivots: tuple, v, q: int) -> tuple[tuple, tuple]:
     """The primitive echelon rows and pivots of `rows` with the reduced row v, pivot q, added.
 
-    v comes from `echelon_reduce`.  Its pivot column q is cleared from the
-    other rows by integer cross-multiplication, which keeps the form
-    canonical, and v goes in at its place in pivot order.
+    v comes from `echelon_reduce`, and is made primitive here, with its
+    pivot positive.  Its pivot column q is cleared from the other rows by
+    integer cross-multiplication, which keeps the form canonical, and v
+    goes in at its place in pivot order.
     """
+    v = _primitive(v, -1 if v[q] < 0 else 1)
     b = v[q]
     out = []
     at = 0

@@ -138,18 +138,24 @@ class DoubleComplex:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", _clean_dims(self.dims))
-        for name in ("d_horiz", "d_vert"):
-            step = (1, 0) if name == "d_horiz" else (0, 1)
+        # One walk over the blocks checks each shape, keeps the nonzero blocks
+        # between nonzero cells as (source cell, target cell, block), every d_horiz
+        # block before the d_vert ones, and folds each kept block's denominator into
+        # den[n], the lcm over the blocks starting in degree n.
+        blocks, den = [], {}
+        for name, (dp, dq) in (("d_horiz", (1, 0)), ("d_vert", (0, 1))):
             kept = {}
             for (p, q), m in getattr(self, name).items():
                 src = self.dims.get((p, q), 0)
-                tgt = self.dims.get((p + step[0], q + step[1]), 0)
+                tgt = self.dims.get((p + dp, q + dq), 0)
                 if (m.rows, m.cols) != (tgt, src):
                     raise ValidationError(
                         f"{name} at ({p},{q}) has shape {m.rows}x{m.cols}, expected {tgt}x{src}"
                     )
                 if src and tgt and not m.is_zero():
                     kept[(p, q)] = m
+                    blocks.append(((p, q), (p + dp, q + dq), m))
+                    den[p + q] = lcm(den.get(p + q, 1), m.den)
             object.__setattr__(self, name, kept)
         cells, offsets = {}, {}
         for cell in sorted(self.dims):
@@ -159,27 +165,20 @@ class DoubleComplex:
         object.__setattr__(self, "_cells", cells)
         total = {n: len(at) for n, at in cells.items()}
         # D(n): Tot^n -> Tot^{n+1} as (column, numerator) rows, block by block, over
-        # den[n], the lcm of the denominators of the blocks starting in degree n.
-        # Stored blocks are nonzero, so D(n) is zero exactly when no block starts there.
-        # It is stored as built, so it must be canonical.  Lowest terms: a prime that
-        # divides den[n] exactly e times divides some block's denominator exactly e
-        # times, so it divides neither one of that block's numerators nor the factor
-        # den[n] // block.den.  Column order: a row in cell (p, q) of Tot^{n+1} takes
-        # d_horiz from (p - 1, q) and d_vert from (p, q - 1), and Tot^n lists cells by
-        # p, so adding every d_horiz block first keeps each row's columns increasing.
-        den = {}
-        for maps in (self.d_horiz, self.d_vert):
-            for (p, q), block in maps.items():
-                den[p + q] = lcm(den.get(p + q, 1), block.den)
-        rows = {}
-        for maps, (dp, dq) in ((self.d_horiz, (1, 0)), (self.d_vert, (0, 1))):
-            for (p, q), block in maps.items():
-                n, src, base = p + q, offsets[(p, q)], offsets[(p + dp, q + dq)]
-                if n not in rows:
-                    rows[n] = [[] for _ in range(total[n + 1])]
-                k = den[n] // block.den
-                for i, pairs in enumerate(block.data, base):
-                    rows[n][i] += [(src + j, k * x) for j, x in pairs]
+        # den[n].  Stored blocks are nonzero, so D(n) is zero exactly when no block
+        # starts there.  It is stored as built, so it must be canonical.  Lowest
+        # terms: a prime that divides den[n] exactly e times divides some block's
+        # denominator exactly e times, so it divides neither one of that block's
+        # numerators nor the factor den[n] // block.den.  Column order: a row in cell
+        # (p, q) of Tot^{n+1} takes d_horiz from (p - 1, q) and d_vert from (p, q - 1),
+        # and Tot^n lists cells by p, so placing the blocks in walk order, every
+        # d_horiz block first, keeps each row's columns increasing.
+        rows = {n: [[] for _ in range(total[n + 1])] for n in den}
+        for source, target, block in blocks:
+            n, src, base = sum(source), offsets[source], offsets[target]
+            k = den[n] // block.den
+            for i, pairs in enumerate(block.data, base):
+                rows[n][i] += [(src + j, k * x) for j, x in pairs]
         diff = {
             n: QMatrix._of(total[n + 1], total[n], tuple(map(tuple, rows[n])), den[n])
             for n in sorted(rows)
@@ -326,17 +325,16 @@ def tensor_double_complex(a: Complex, b: Complex) -> DoubleComplex:
     d_vert = (-1)^p id (x) d_b, which anticommutes by construction.
     """
     dims = {}
+    d_horiz = {}
+    d_vert = {}
     for p, da in a.dims.items():
         for q, db in b.dims.items():
             dims[(p, q)] = da * db
-    d_horiz = {}
-    d_vert = {}
-    for (p, q) in dims:
-        if p in a.diff:
-            d_horiz[(p, q)] = kron(a.diff[p], QMatrix.identity(b.dim(q)))
-        if q in b.diff:
-            m = kron(QMatrix.identity(a.dim(p)), b.diff[q])
-            d_vert[(p, q)] = m.scale(-1) if p % 2 else m
+            if p in a.diff:
+                d_horiz[(p, q)] = kron(a.diff[p], QMatrix.identity(db))
+            if q in b.diff:
+                sign = QMatrix.identity(da).scale(-1 if p % 2 else 1)
+                d_vert[(p, q)] = kron(sign, b.diff[q])
     return DoubleComplex(dims, d_horiz, d_vert)
 
 

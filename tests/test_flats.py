@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvbetti.flats
+import mvbetti.linalg
 from mvbetti import (
     CapExceededError,
     QMatrix,
@@ -653,20 +654,31 @@ def test_sweep_matches_the_echelon_insert_fold(seed, monkeypatch):
 
 def test_back_substitution_runs_once_per_new_flat(monkeypatch):
     # The sweep back-substitutes only when a cut is a new nonempty flat:
-    # never for an empty cut nor for a flat the hyperplane contains.
-    calls, kinds = [], Counter()
+    # never for an empty cut nor for a flat the hyperplane contains.  The
+    # reduced row is made primitive only in back-substitution, so an empty
+    # cut normalises no row either.
+    calls, kinds, normalised = [], Counter(), Counter()
     back = mvbetti.flats.back_substitute
     extend = mvbetti.flats._extend
+    primitive = mvbetti.linalg._primitive
 
     def counted_extend(flat, row):
+        before = normalised["all"]
         g = extend(flat, row)
-        kinds["contains" if g is flat else "empty" if g.is_empty else "new"] += 1
+        kind = "contains" if g is flat else "empty" if g.is_empty else "new"
+        kinds[kind] += 1
+        normalised[kind] += normalised["all"] - before
         return g
+
+    def counted_primitive(*args):
+        normalised["all"] += 1
+        return primitive(*args)
 
     monkeypatch.setattr(
         mvbetti.flats, "back_substitute", lambda *args: calls.append(args) or back(*args)
     )
     monkeypatch.setattr(mvbetti.flats, "_extend", counted_extend)
+    monkeypatch.setattr(mvbetti.linalg, "_primitive", counted_primitive)
     texts = [PARALLEL_A2, BRAID_A3, difference_arrangement_text(4, (-1,), (-1, 0, 1))]
     arrs = [parse_arrangement(text) for text in texts]
     arrs += [random_affine_arrangement(Random(seed), 3, 8) for seed in range(10)]
@@ -674,3 +686,5 @@ def test_back_substitution_runs_once_per_new_flat(monkeypatch):
         build_intersection_poset(arr)
     assert kinds["empty"] and kinds["contains"] and kinds["new"]
     assert len(calls) == kinds["new"]
+    assert normalised["new"] >= kinds["new"]
+    assert normalised["empty"] == normalised["contains"] == 0

@@ -164,6 +164,27 @@ def test_double_complex_invariants_enforced():
     assert err.value.entry == (0, 0, 0)
 
 
+def test_double_complex_names_a_misshapen_block():
+    # The one walk over the blocks pairs each field with its own step,
+    # d_horiz (p, q) -> (p + 1, q) and d_vert (p, q) -> (p, q + 1); here the
+    # two steps lead to cells of different dimensions, so a swapped pair
+    # would expect another shape.  The error names the field, the source
+    # cell, the block's shape and the expected one, d_horiz before d_vert.
+    dims = {(0, 1): 1, (0, 2): 2, (1, 1): 3}
+    good_h, good_v = from_rows([[1], [0], [0]]), from_rows([[1], [0]])
+    for d_horiz, d_vert, message in (
+        ({(0, 1): ONE_ONE}, {(0, 1): good_v}, "d_horiz at (0,1) has shape 1x2, expected 3x1"),
+        ({(0, 1): good_h}, {(0, 1): ONE_ONE}, "d_vert at (0,1) has shape 1x2, expected 2x1"),
+        ({(0, 1): ONE}, {(0, 1): ONE}, "d_horiz at (0,1) has shape 1x1, expected 3x1"),
+    ):
+        with pytest.raises(ValidationError) as err:
+            DoubleComplex(dims, d_horiz, d_vert)
+        assert str(err.value) == message
+    # The well-shaped blocks pass; they are zero on each other's cells, so
+    # D^2 = 0 holds.
+    assert DoubleComplex(dims, {(0, 1): good_h}, {(0, 1): good_v}).dims == dims
+
+
 def test_engine_folds_forward_only(monkeypatch):
     # Ranks and bars come from `pivot_profile`'s forward-only fold; the
     # back-substituting `echelon_insert` is for canonical forms only.
