@@ -3,8 +3,13 @@
 
 Prints Boolean arrangements, braid arrangements (differences x_i = x_j),
 generic arrangements and a few degenerate configurations, each with the
-essential rank, the shift and the oracle verdict.
+essential rank, the shift and the oracle verdict.  Exits 1 when an
+arrangement's verdict is `ORACLE MISMATCH`:
+
+    PYTHONPATH=src python scripts/betti_examples.py
 """
+
+import sys
 
 from mvbetti import compute_betti, parse_arrangement
 from mvbetti.generate import boolean_arrangement_text, difference_arrangement_text
@@ -24,6 +29,7 @@ GALLERY = {
 
 def main():
     width = max(len(name) for name in GALLERY)
+    status = 0
     for name, text in GALLERY.items():
         rep = compute_betti(parse_arrangement(text))
         betti = " ".join(str(b) for b in rep.betti)
@@ -33,9 +39,12 @@ def main():
         if rep.shift:
             flags.append(f"shift {rep.shift}")
         verdict = "ok" if rep.agreement else "ORACLE MISMATCH"
+        if not rep.agreement:
+            status = 1
         extra = f"  ({', '.join(flags)})" if flags else ""
         print(f"{name:<{width}}  betti {betti:<16} rank {rep.essential_rank}  {verdict}{extra}")
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

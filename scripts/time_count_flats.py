@@ -10,16 +10,15 @@ essential part, as `compute_betti` counts it.  Per input it reports the
 best of REPEAT wall times (`s`), the tracemalloc peak of one more call
 (`peak_mb`), and the sha256 of the table, `repr` of its sorted counts and
 sorted empty counts (`sha256`), so two versions of the code can be checked
-to give the same tables.  Prints one JSON line:
+to give the same tables.  Prints one JSON line, and exits 1 when a digest
+differs from its pin in `digests.json` (`timing.report`):
 
     PYTHONPATH=src python scripts/time_count_flats.py
 """
 
-import hashlib
-import json
+import sys
 import tracemalloc
 from random import Random
-from time import perf_counter
 
 from mvbetti import count_flats, parse_arrangement
 from mvbetti.arrangement import essentialize
@@ -29,6 +28,7 @@ from mvbetti.generate import (
     random_affine_arrangement,
     random_general_position_arrangement,
 )
+from timing import best_of, report, sha256
 
 CAP = 64
 REPEAT = 3
@@ -36,8 +36,7 @@ SEED = 0
 
 
 def digest(table) -> str:
-    text = repr((sorted(table.counts.items()), sorted(table.empty.items())))
-    return hashlib.sha256(text.encode()).hexdigest()
+    return sha256(repr((sorted(table.counts.items()), sorted(table.empty.items()))))
 
 
 def main():
@@ -54,23 +53,19 @@ def main():
     out = {}
     for name, arr in cases.items():
         essential = essentialize(arr).essential
-        times = []
-        for _ in range(REPEAT):
-            start = perf_counter()
-            table = count_flats(essential, CAP)
-            times.append(perf_counter() - start)
+        seconds, table = best_of(REPEAT, lambda: count_flats(essential, CAP))
         tracemalloc.start()
         count_flats(essential, CAP)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         out[name] = {
             "r": arr.r,
-            "s": round(min(times), 4),
+            "s": round(seconds, 4),
             "peak_mb": round(peak / 1e6, 2),
             "sha256": digest(table),
         }
-    print(json.dumps(out, sort_keys=True))
+    return report("time_count_flats.py", out)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

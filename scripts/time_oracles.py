@@ -9,15 +9,15 @@ one seeded random mixed arrangement with n=5, r=16.
 None of them is a benchmark workload.  Each time is the best of REPEAT runs.
 Per input, `sha256` digests `repr` of the sweep's rows and Moebius values,
 in sweep order, so two versions of the code can be checked to find the
-same flats in the same order.  Prints one JSON line:
+same flats in the same order.  Prints one JSON line, and exits 1 when a
+digest differs from its pin in `digests.json` (`timing.report`) or when
+the Moebius and Whitney Betti numbers of an input disagree:
 
     PYTHONPATH=src python scripts/time_oracles.py
 """
 
-import hashlib
-import json
+import sys
 from random import Random
-from time import perf_counter
 
 from mvbetti import build_intersection_poset, mobius_betti, parse_arrangement, whitney_betti
 from mvbetti.generate import (
@@ -25,6 +25,7 @@ from mvbetti.generate import (
     difference_arrangement_text,
     random_affine_arrangement,
 )
+from timing import best_of, report, sha256
 
 CAP = 64
 REPEAT = 3
@@ -32,17 +33,12 @@ SEED = 0
 
 
 def best(fn):
-    times, result = [], None
-    for _ in range(REPEAT):
-        start = perf_counter()
-        result = fn()
-        times.append(perf_counter() - start)
-    return round(min(times), 4), result
+    seconds, result = best_of(REPEAT, fn)
+    return round(seconds, 4), result
 
 
 def digest(poset) -> str:
-    text = repr([(flat.rows, mu) for flat, mu in poset.sweep])
-    return hashlib.sha256(text.encode()).hexdigest()
+    return sha256(repr([(flat.rows, mu) for flat, mu in poset.sweep]))
 
 
 def main():
@@ -66,8 +62,12 @@ def main():
             "agree": mobius == whitney,
             "sha256": digest(poset),
         }
-    print(json.dumps(out, sort_keys=True))
+    status = report("time_oracles.py", out)
+    for name in sorted(name for name, case in out.items() if not case["agree"]):
+        print(f"time_oracles.py {name}: mobius and whitney disagree", file=sys.stderr)
+        status = 1
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

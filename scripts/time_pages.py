@@ -16,15 +16,14 @@ them.  It reports the best of REPEAT wall times of drawing them,
 
 `sha256` digests `repr` of each pair's cohomology and the sorted bars of
 both filtrations (`PageTable.bars`), so two versions of the code can be
-checked to give the same pages.  Prints one JSON line:
+checked to give the same pages.  Prints one JSON line, and exits 1 when
+the digest differs from its pin in `digests.json` (`timing.report`):
 
     PYTHONPATH=src python scripts/time_pages.py
 """
 
-import hashlib
-import json
+import sys
 from random import Random
-from time import perf_counter
 
 from mvbetti.generate import random_complex
 from mvbetti.spectral import (
@@ -35,20 +34,16 @@ from mvbetti.spectral import (
     tensor_double_complex,
     total_complex,
 )
+from timing import best_of, report, sha256
 
 PAIRS = 256
 REPEAT = 5
 SEED = 0
 
 
-def best_of(f, items) -> tuple[float, list]:
+def best_pass(f, items) -> tuple[float, list]:
     """(best of REPEAT wall times of [f(x) for x in items], the results of the last pass)."""
-    times = []
-    for _ in range(REPEAT):
-        start = perf_counter()
-        out = [f(x) for x in items]
-        times.append(perf_counter() - start)
-    return min(times), out
+    return best_of(REPEAT, lambda: [f(x) for x in items])
 
 
 def draw(seed: int) -> list:
@@ -58,19 +53,19 @@ def draw(seed: int) -> list:
 
 def main():
     out = {"pairs": PAIRS}
-    out["generate_s"], (complexes,) = best_of(draw, [SEED])
+    out["generate_s"], (complexes,) = best_pass(draw, [SEED])
     pairs = list(zip(complexes[0::2], complexes[1::2]))
-    out["construct_s"], dcs = best_of(lambda ab: tensor_double_complex(*ab), pairs)
-    out["rank_fold_s"], h = best_of(lambda dc: cohomology_dims(total_complex(dc)), dcs)
+    out["construct_s"], dcs = best_pass(lambda ab: tensor_double_complex(*ab), pairs)
+    out["rank_fold_s"], h = best_pass(lambda dc: cohomology_dims(total_complex(dc)), dcs)
     bars = {}
     for name, filtration in (("vertical", VERTICAL), ("horizontal", HORIZONTAL)):
-        out[f"{name}_fold_s"], tables = best_of(lambda dc: pages(dc, filtration, 2), dcs)
+        out[f"{name}_fold_s"], tables = best_pass(lambda dc: pages(dc, filtration, 2), dcs)
         bars[name] = [sorted(t.bars.items()) for t in tables]
     text = repr([sorted(x.items()) for x in h]) + repr(bars["vertical"]) + repr(bars["horizontal"])
     out = {k: round(v, 4) if isinstance(v, float) else v for k, v in out.items()}
-    out["sha256"] = hashlib.sha256(text.encode()).hexdigest()
-    print(json.dumps(out, sort_keys=True))
+    out["sha256"] = sha256(text)
+    return report("time_pages.py", out)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -208,24 +208,26 @@ def parse_arrangement(text: str) -> Arrangement:
     (`parse_integer`: optionally signed ASCII digits) must lie between 1 and
     `MAX_DIMENSION`.
     """
-    kind = None
-    dim = 0
+    lines = content_lines(text)
+    header = next(lines, None)
+    if header is None:
+        raise ParseError("empty input: no header line found", line=1)
+    lineno, line = header
+    fields = line.split()
+    if len(fields) != 2 or fields[0] not in (AFFINE, PROJECTIVE):
+        raise ParseError("expected header `affine n` or `projective n`", line=lineno)
+    kind = fields[0]
+    dim = parse_integer(fields[1], f"bad dimension {quoted(fields[1])}", lineno, 2)
+    if dim < 1:
+        raise ParseError("dimension must be positive", line=lineno, column=2)
+    if dim > MAX_DIMENSION:
+        raise ParseError(
+            f"dimension {dim} exceeds the limit {MAX_DIMENSION}", line=lineno, column=2
+        )
     hyperplanes = []
     first_line = {}
-    for lineno, line in content_lines(text):
+    for lineno, line in lines:
         fields = line.split()
-        if kind is None:
-            if len(fields) != 2 or fields[0] not in (AFFINE, PROJECTIVE):
-                raise ParseError("expected header `affine n` or `projective n`", line=lineno)
-            kind = fields[0]
-            dim = parse_integer(fields[1], f"bad dimension {quoted(fields[1])}", lineno, 2)
-            if dim < 1:
-                raise ParseError("dimension must be positive", line=lineno, column=2)
-            if dim > MAX_DIMENSION:
-                raise ParseError(
-                    f"dimension {dim} exceeds the limit {MAX_DIMENSION}", line=lineno, column=2
-                )
-            continue
         if len(fields) != dim + 1:
             raise ParseError(
                 f"expected {dim + 1} coefficients, got {len(fields)}", line=lineno
@@ -242,8 +244,6 @@ def parse_arrangement(text: str) -> Arrangement:
             )
         first_line[h] = lineno
         hyperplanes.append(h)
-    if kind is None:
-        raise ParseError("empty input: no header line found", line=1)
     return Arrangement(dim, tuple(hyperplanes), kind)
 
 

@@ -8,9 +8,11 @@ in degrees -n and n-2d-1 for a flat of dimension d in affine n-space (just
 -n for an empty intersection), so the first page is a fold of
 `localized_flat_cohomology` over the subset count table of `count_flats`.
 Each fixed-q row of that page is exact except at its last position, which
-makes the second page computable by alternating sums; the sequence
-degenerates there for position-parity reasons and the graded limit reads
-off the Betti numbers.
+makes the second page computable by alternating sums.  Each row's surviving
+entry sits at the one position 2p = 1 - q - n, where no later differential
+reaches another entry, so the sequence degenerates at E2 and the graded
+limit reads off the Betti numbers; `graded_from_second_page` checks that
+rule and holds the proof.
 
 Grading convention: the direct image to a point concentrates global de Rham
 cohomology in degrees -n..0; the topological Betti number b_k is the
@@ -141,38 +143,28 @@ def second_page(page1: MVPage) -> MVPage:
     return MVPage(dims, 2, n, page1.r)
 
 
-def degeneration_check(page2: MVPage) -> bool:
-    """No differential of any later page can connect two nonzero entries.
-
-    d_r moves (p, q) to (p+r, q-r+1), i.e. raises total degree by one while
-    moving at least two columns right; any such pair of entries defeats
-    degeneration.
-    """
-    entries = sorted(page2.dims)
-    for p1, q1 in entries:
-        for p2, q2 in entries:
-            if p2 - p1 >= 2 and p2 + q2 == p1 + q1 + 1:
-                return False
-    return True
-
-
 def graded_from_second_page(page2: MVPage) -> dict:
-    """Graded limit once the sequence degenerates: degrees -n..0.
+    """Graded limit of the sequence: degrees -n..0.
 
-    Verifies the structural facts the readout relies on: the surviving entry
-    of a row sits at p = (1-q-n)/2 (essentiality of the arrangement), each
-    total degree receives at most one row, and degree -n carries exactly the
-    single entry at (0, -n).
+    Checks one position rule, and degeneration and one row per degree follow
+    from it.  The bottom row holds the single entry 1 at (0, -n); any other
+    entry (p, q) sits at 2p = 1 - q - n (essentiality of the arrangement) and
+    lands in degree i = p + q = 1 - n - p, inside (-n, 0].  So p fixes both
+    q and i: distinct rows land in distinct degrees.  A d_r from (p, q) to
+    (p + r, q - r + 1) raises the degree by one, but between two such
+    entries it lowers it by r, which would need -r = 1.  The bottom entry has
+    no partner either: that would need an entry at p >= 2 or in degree
+    -n - 1.  No d_r with r >= 2 is nonzero, and E2 is the limit.  Each entry
+    off the rule is a `ConsistencyError` naming its row q.
     """
     n = page2.n
     if page2.page != 2:
         raise ValidationError("graded_from_second_page consumes a second page")
     out = {}
-    source_row = {}
     for (p, q), d in sorted(page2.dims.items()):
         if q == -n:
             if p != 0 or d != 1:
-                raise ConsistencyError(f"bottom row entry at ({p},{q}) with dimension {d}")
+                raise ConsistencyError(f"bottom row q={q}: entry {d} at p={p}, expected 1 at p=0")
             continue
         expected = 1 - q - n
         if expected % 2 or p != expected // 2:
@@ -180,11 +172,8 @@ def graded_from_second_page(page2: MVPage) -> dict:
                 f"surviving entry of row q={q} at p={p}, expected p={expected}/2"
             )
         i = p + q
-        if i in source_row:
-            raise ConsistencyError(f"rows q={source_row[i]} and q={q} both land in degree {i}")
         if not -n < i <= 0:
-            raise ConsistencyError(f"entry at ({p},{q}) lands outside degrees -n..0")
-        source_row[i] = q
+            raise ConsistencyError(f"entry of row q={q} lands in degree {i}, outside {1 - n}..0")
         out[i] = d
     out[-n] = 1
     return out
@@ -233,12 +222,13 @@ def compute_betti(
 
     Projective input is deconed first (default infinity hyperplane: the last
     one listed).  The affine arrangement is essentialized, the count table of
-    its flats feeds the two spectral pages, degeneration is checked, and the
-    graded limit is shifted back to the original ambient dimension.  With
-    `oracles` one poset sweep of the affine arrangement itself, not of its
-    essential part, gives the Moebius and Whitney Betti numbers to compare
-    with.  When the count table shows general position the
-    binomial formula b_k = C(r, k) is verified against the result.
+    its flats feeds the two spectral pages, the E2 readout checks the
+    position rule that makes E2 the limit, and the graded limit is shifted
+    back to the original ambient dimension.  With `oracles` one poset sweep
+    of the affine arrangement itself, not of its essential part, gives the
+    Moebius and Whitney Betti numbers to compare with.  When the count table
+    shows general position the binomial formula b_k = C(r, k) is verified
+    against the result.
     """
     affine = _affine_chart(arr, infinity_index)
     n, r = affine.ambient_dim, affine.r
@@ -254,8 +244,6 @@ def compute_betti(
         counts = count_flats(reduction.essential, cap)
         e1 = first_page(counts)
         e2 = second_page(e1)
-        if not degeneration_check(e2):
-            raise ConsistencyError("second page does not degenerate")
         graded = kunneth_shift(graded_from_second_page(e2), shift)
         betti = tuple(graded.get(k - n, 0) for k in range(n + 1))
         general = _general_position(counts, n)

@@ -5,7 +5,7 @@ Subcommands on arrangement files: `betti`, `e1`, `e2`, `poset`, `oracle`,
 validation error, 2 more hyperplanes than the cap on those given to
 `count_flats` and the poset sweep, or a usage error (argparse raises
 SystemExit(2)), 3 consistency failure (oracle mismatch, negative alternating
-sum, non-unique degree, degeneration or convergence failure).
+sum, an E2 entry off its position or degree range, or convergence failure).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import functools
 import json
 import sys
 import textwrap
+from itertools import chain
 
 from .arrangement import PROJECTIVE, _affine_chart, equation_text, parse_arrangement
 from .betti import BettiReport, compute_betti
@@ -277,16 +278,13 @@ def _run_ss(args) -> int:
         htext = " ".join(f"H^{k}={v}" for k, v in sorted(h.items())) or "0"
         print(f"total cohomology: {htext}")
         for name, (pt, ok) in results.items():
-            stable = pt.stable_at if pt.stable_at <= r_max else f">{r_max}"
-            print(f"filtration {name}: stable at r={stable}, "
+            # Every bar dies by page spread + 1 < r_max, so stable_at < r_max.
+            print(f"filtration {name}: stable at r={pt.stable_at}, "
                   f"converges: {'yes' if ok else 'NO'}")
-            shown = (1, 2) if not args.verbose else tuple(range(r_max + 1))
-            for r in shown:
-                print(f"  E_{r}:")
-                print(textwrap.indent(_format_page(pt.page(r)), "  "))
-            limit = pt.limit()
-            print("  E_inf:")
-            print(textwrap.indent(_format_page(limit), "  "))
+            shown = ((r, pt.page(r)) for r in (range(r_max + 1) if args.verbose else (1, 2)))
+            for label, dims in chain(shown, [("inf", pt.limit())]):
+                print(f"  E_{label}:")
+                print(textwrap.indent(_format_page(dims), "  "))
     return 0 if converged else 3
 
 

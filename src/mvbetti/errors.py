@@ -34,7 +34,8 @@ class CapExceededError(RuntimeError):
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed.
 
-    This means an assumption the pipeline relies on (row exactness, position
-    of the surviving entry, degeneration, oracle agreement) was violated for
-    the given input; it is always reported loudly, never swallowed.
+    This means an assumption the pipeline relies on (row exactness, the
+    position of each surviving entry, which implies degeneration, oracle
+    agreement) was violated for the given input; it is always reported
+    loudly, never swallowed.
     """

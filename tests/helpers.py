@@ -6,6 +6,8 @@ from the page calculator, and those ranks come from `gauss_jordan_rank`
 here, not from `QMatrix.rank`, which is the fold the page engine reads its
 bars from.  `flat_of` is no oracle: it is the flat of one subset, by the
 package's own `_extend`, for the tests that walk every subset.
+`degenerates` is the definition of degeneration from E2 on, which the E2
+readout no longer evaluates: it checks a position rule that implies it.
 """
 
 import ast
@@ -197,6 +199,17 @@ def kunneth_product(ha: dict, hb: dict) -> dict:
         for q, y in hb.items():
             out[p + q] = out.get(p + q, 0) + x * y
     return {k: v for k, v in out.items() if v}
+
+
+def degenerates(dims: dict) -> bool:
+    """No d_r with r >= 2 can join two entries of the page `dims`.
+
+    d_r moves (p, q) to (p + r, q - r + 1): it raises the total degree by one
+    while moving at least two columns right.
+    """
+    return not any(
+        p2 - p1 >= 2 and p2 + q2 == p1 + q1 + 1 for p1, q1 in dims for p2, q2 in dims
+    )
 
 
 def betti_of_roots(roots) -> list:

@@ -1,6 +1,6 @@
 """The Mayer-Vietoris pipeline: pages, degeneration, Betti readout."""
 
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from random import Random
 
@@ -18,7 +18,6 @@ from mvbetti import (
 from mvbetti.arrangement import _affine_chart, essentialize
 from mvbetti.betti import (
     MVPage,
-    degeneration_check,
     first_page,
     graded_from_second_page,
     kunneth_shift,
@@ -35,7 +34,7 @@ from mvbetti.generate import (
     random_projective_arrangement,
 )
 
-from helpers import BRAID_A3, PARALLEL_A2, betti_of_roots, flat_of
+from helpers import BRAID_A3, PARALLEL_A2, betti_of_roots, degenerates, flat_of
 
 
 def _first_page_of(text):
@@ -143,9 +142,60 @@ def test_second_page_examples():
 
 def test_degeneration_examples():
     for text in (boolean_arrangement_text(2), BRAID_A3):
-        assert degeneration_check(second_page(_first_page_of(text)))
+        assert degenerates(second_page(_first_page_of(text)).dims)
     synthetic = MVPage({(0, 0): 1, (2, -1): 1}, 2, 2, 2)
-    assert not degeneration_check(synthetic)
+    assert not degenerates(synthetic.dims)
+    with pytest.raises(ConsistencyError, match=r"surviving entry of row q=0 at p=0"):
+        graded_from_second_page(synthetic)
+
+
+def _second_pages():
+    """Every page-2 table with n <= 3 and at most three entries in a window
+    around the readout's positions: of dimension 1 or 2 when there are at
+    most two, of dimension 1 when there are three."""
+    for n in range(1, 4):
+        cells = [(p, q) for p in range(-n - 1, 3) for q in range(-n - 1, n + 2)]
+        for k in range(4):
+            for chosen in combinations(cells, k):
+                for ds in product((1, 2), repeat=k) if k < 3 else [(1, 1, 1)]:
+                    yield MVPage(dict(zip(chosen, ds)), 2, n, 1)
+
+
+def test_readout_accepts_only_degenerate_pages():
+    # The readout checks the position rule alone.  Each page it accepts
+    # degenerates and has one row per degree, so adding those two checks,
+    # as the readout once did, would reject no further page; each page that
+    # does not degenerate is rejected.
+    accepted = rejected = 0
+    for page in _second_pages():
+        if not degenerates(page.dims):
+            with pytest.raises(ConsistencyError, match=r"row q=-?\d+\b"):
+                graded_from_second_page(page)
+            rejected += 1
+            continue
+        try:
+            graded = graded_from_second_page(page)
+        except ConsistencyError:
+            continue
+        # The bottom row owns degree -n; every other row lands alone in -n+1..0.
+        rows = [(p + q, d) for (p, q), d in page.dims.items() if q != -page.n]
+        assert all(-page.n < i <= 0 for i, _ in rows)
+        assert graded == {-page.n: 1, **dict(rows)} and len(graded) == len(rows) + 1
+        accepted += 1
+    assert accepted > 40 and rejected > 5000, (accepted, rejected)
+
+
+@pytest.mark.parametrize(
+    "dims, message",
+    [
+        ({(0, -2): 2}, r"bottom row q=-2: entry 2 at p=0, expected 1 at p=0"),
+        ({(-2, 3): 1}, r"entry of row q=3 lands in degree 1, outside -1\.\.0"),
+        ({(0, -2): 1, (-1, -1): 1}, r"surviving entry of row q=-1 at p=-1, expected p=0/2"),
+    ],
+)
+def test_readout_names_the_failing_row(dims, message):
+    with pytest.raises(ConsistencyError, match=message):
+        graded_from_second_page(MVPage(dims, 2, 2, 2))
 
 
 def test_graded_readout():
@@ -316,7 +366,7 @@ def test_pipeline_equals_oracles(seed):
     assert rep.agreement
     assert rep.betti[0] == 1
     assert all(rep.betti[k] == 0 for k in range(rep.essential_rank + 1, rep.n + 1))
-    assert degeneration_check(rep.e2)
+    assert degenerates(rep.e2.dims)
 
 
 @given(st.integers(0, 10_000))

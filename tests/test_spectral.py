@@ -1,5 +1,6 @@
 """Total complexes, page tables and convergence of the generic engine."""
 
+import json
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
@@ -24,6 +25,7 @@ from mvbetti import (
     total_complex,
     verify_convergence,
 )
+from mvbetti.cli import main
 from mvbetti.generate import random_complex
 
 from helpers import (
@@ -380,8 +382,44 @@ def zigzag_sum(rng: Random) -> DoubleComplex:
 
 
 def _r_max(dc: DoubleComplex) -> int:
+    # The r_max of `mvbetti ss`: the spread of the support plus 2.
     box = dc.support_box()
     return max(2, box[1] - box[0] + 2, box[3] - box[2] + 2)
+
+
+def _double_complex_text(dc: DoubleComplex) -> str:
+    lines = ["dims", *(f"{p} {q} {d}" for (p, q), d in dc.dims.items())]
+    for tag, maps in (("dh", dc.d_horiz), ("dv", dc.d_vert)):
+        for (p, q), m in maps.items():
+            lines += [f"{tag} {p} {q}", *(" ".join(map(str, m.row(i))) for i in range(m.rows))]
+    return "\n".join(lines) + "\n"
+
+
+def test_ss_pages_settle_before_r_max(tmp_path, capsys):
+    # A bar of length L <= spread dies at page L + 1 <= spread + 1 < r_max,
+    # so `ss` never meets a table that is still changing at r_max.
+    rng = Random(35)
+    dcs = [
+        tensor_double_complex(random_complex(rng, max_terms=5, max_dim=3),
+                              random_complex(rng, max_terms=5, max_dim=3))
+        for _ in range(200)
+    ] + [zigzag_sum(Random(seed)) for seed in range(200)]
+    path = tmp_path / "dc.txt"
+    for k, dc in enumerate(dcs):
+        box = dc.support_box()
+        spread, r_max = max(box[1] - box[0], box[3] - box[2]), _r_max(dc)
+        stable = {}
+        for filtration in (HORIZONTAL, VERTICAL):
+            pt = pages(dc, filtration, r_max)
+            assert all(r <= spread + 1 for rs in pt.bars.values() for r in rs)
+            assert pt.stable_at < r_max
+            stable[filtration] = pt.stable_at
+        if k % 40 == 0:
+            path.write_text(_double_complex_text(dc))
+            assert main(["ss", str(path), "--json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["r_max"] == r_max
+            assert {name: f["stable_at"] for name, f in doc["filtrations"].items()} == stable
 
 
 @given(st.integers(0, 10_000))
