@@ -76,34 +76,39 @@ def _past_the_digit_limit(field: str, line: int, column: int | None) -> ParseErr
     )
 
 
+def _read_field(pattern, field: str, message: str, line: int, column: int | None) -> int | Fraction:
+    """The value of a field that matches `pattern`, read part by part with `int`.
+
+    A field without `/` gives an `int`, and `p/q` the `Fraction` p/q in
+    lowest terms.  A field that does not match gets a ParseError reading
+    `message`; a matching one too long to read gets the digit-limit error.
+    """
+    if pattern.fullmatch(field):
+        num, _, den = field.partition("/")
+        try:
+            return Fraction(int(num), int(den)) if den else int(num)
+        except ValueError:  # more digits than `int` converts
+            raise _past_the_digit_limit(field, line, column) from None
+    raise ParseError(message, line=line, column=column)
+
+
 def parse_integer(field: str, message: str, line: int, column: int | None = None) -> int:
     """The integer a field spells in ASCII digits, or a ParseError.
 
     The error reads `message` for a malformed field, and names the digit
     limit for a well-formed one too long to read.
     """
-    if _INTEGER.fullmatch(field):
-        try:
-            return int(field)
-        except ValueError:  # more digits than `int` converts
-            raise _past_the_digit_limit(field, line, column) from None
-    raise ParseError(message, line=line, column=column)
+    return _read_field(_INTEGER, field, message, line, column)
 
 
 def parse_rational(field: str, line: int, column: int | None = None) -> int | Fraction:
     """The rational a field spells, or a ParseError naming its line (and column).
 
-    The field has matched `_RATIONAL`, so its parts are read by `int`: an
+    The field must match `_RATIONAL`, so its parts are read by `int`: an
     integer field gives an `int`, and `p/q` the `Fraction` p/q in lowest
     terms.  A well-formed field too long to read gets the digit-limit error.
     """
-    if _RATIONAL.fullmatch(field):
-        num, _, den = field.partition("/")
-        try:
-            return Fraction(int(num), int(den)) if den else int(num)
-        except ValueError:  # more digits than `int` converts
-            raise _past_the_digit_limit(field, line, column) from None
-    raise ParseError(f"bad rational {quoted(field)}", line=line, column=column)
+    return _read_field(_RATIONAL, field, f"bad rational {quoted(field)}", line, column)
 
 
 def equation_text(row) -> str:
@@ -224,7 +229,6 @@ def parse_arrangement(text: str) -> Arrangement:
         raise ParseError(
             f"dimension {dim} exceeds the limit {MAX_DIMENSION}", line=lineno, column=2
         )
-    hyperplanes = []
     first_line = {}
     for lineno, line in lines:
         fields = line.split()
@@ -243,8 +247,7 @@ def parse_arrangement(text: str) -> Arrangement:
                 line=lineno,
             )
         first_line[h] = lineno
-        hyperplanes.append(h)
-    return Arrangement(dim, tuple(hyperplanes), kind)
+    return Arrangement(dim, tuple(first_line), kind)
 
 
 def decone(arr: Arrangement, infinity_index: int) -> Arrangement:

@@ -250,12 +250,10 @@ def _run_ss(args) -> int:
     box = dc.support_box()
     r_max = 2 if box is None else max(2, max(box[1] - box[0], box[3] - box[2]) + 2)
     results = {}
-    converged = True
     for filtration in (HORIZONTAL, VERTICAL):
         pt = pages(dc, filtration, r_max)
-        ok = verify_convergence(pt, h)
-        converged = converged and ok
-        results[filtration] = (pt, ok)
+        results[filtration] = (pt, verify_convergence(pt, h))
+    converged = all(ok for _, ok in results.values())
     if args.json:
         doc = {
             "total_cohomology": {str(k): v for k, v in sorted(h.items())},

@@ -6,11 +6,11 @@ primitive integer echelon rows of its augmented linear system (see
 are identical.  Flats are built one hyperplane at a time from the
 hyperplanes' primitive integer rows (`Hyperplane.equation_row`) by the
 two halves of `linalg.echelon_insert`, the canonical elimination step: a
-cut whose reduced row has its pivot in the constant column is empty, and
-skips the back-substitution.  Hyperplanes are restricted to another by the
-same integer cross-multiplication (`linalg.restrict_rows`).  No rational
-arithmetic runs while subsets are counted.  On top of flats this module
-builds
+cut whose reduced row has its pivot in the constant column is empty, no
+flat, and skips the back-substitution.  Hyperplanes are restricted to
+another by the same integer cross-multiplication (`linalg.restrict_rows`).
+No rational arithmetic runs while subsets are counted.  On top of flats
+this module builds
 
 * the count table: how many subsets of each size cut out a flat of each
   dimension, with empty intersections tallied separately, as one
@@ -55,44 +55,34 @@ class Flat:
     `rows` are the primitive integer echelon rows of the augmented equations
     [a_1 ... a_n | c]: the stripped reduced row echelon form, each row scaled
     to coprime integers with a positive pivot, in pivot order.  `pivots` are
-    their pivot columns, derived from `rows` and left out of equality.
-    `dimension` is None exactly when the flat is empty, which is `EMPTY`:
-    no rows, as its equations would have a pivot in the constant column n
-    and nothing reads the rest of them.
+    their pivot columns, derived from `rows` and left out of equality.  A
+    flat is never empty: no pivot lies in the constant column n, and the
+    ambient space alone has no rows.
     """
 
     rows: tuple
-    dimension: int | None
+    dimension: int
     pivots: tuple = field(compare=False)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.dimension is None
 
 
 def ambient_flat(n: int) -> Flat:
     return Flat((), n, ())
 
 
-EMPTY = Flat((), None, ())
-
-
-def _extend(flat: Flat, row) -> Flat:
+def _extend(flat: Flat, row) -> Flat | None:
     """Intersect `flat` with the hyperplane of the integer row [a_1 ... a_n | c].
 
     A row in the span of the flat's rows is a hyperplane containing the
     flat, which is returned as is.  A reduced row with its pivot in the
-    constant column n makes the intersection empty: that is `EMPTY`, with
-    no back-substitution, and so is every extension of it.
+    constant column n makes the intersection empty: None, with no
+    back-substitution.
     """
-    if flat.is_empty:
-        return flat
     step = echelon_reduce(flat.rows, flat.pivots, row)
     if step is None:
         return flat
     v, q = step
     if q == len(row) - 1:
-        return EMPTY
+        return None
     rows, pivots = back_substitute(flat.rows, flat.pivots, v, q)
     return Flat(rows, flat.dimension - 1, pivots)
 
@@ -332,7 +322,7 @@ def build_intersection_poset(arr: Arrangement, cap: int = DEFAULT_CAP) -> Inters
         step = {}
         for f, mu in found.values():
             g = _extend(f, row)
-            if g is not f and not g.is_empty:
+            if g is not None and g is not f:
                 g, total = step.get(g.rows, (g, 0))
                 step[g.rows] = (g, total - mu)
         found.update(step)
@@ -382,6 +372,9 @@ def _general_position(counts: FlatCounts, n: int) -> bool:
     return r <= n or counts.empty.get(n + 1, 0) == comb(r, n + 1)
 
 
-def is_general_position(arr: Arrangement, cap: int = DEFAULT_CAP) -> bool:
-    """General position in the arrangement's own ambient space, read off `count_flats`."""
-    return _general_position(count_flats(arr, cap), arr.ambient_dim)
+def is_general_position(arr: Arrangement) -> bool:
+    """General position in the arrangement's own ambient space.
+
+    Read off `count_flats` of all r hyperplanes, with no cap.
+    """
+    return _general_position(count_flats(arr, arr.r), arr.ambient_dim)

@@ -268,7 +268,8 @@ class PageTable:
         return out
 
     def limit(self) -> dict:
-        return self.page(min(self.stable_at, self.r_max))
+        # Pages change only at death pages, so page r_max is the page at the last one <= r_max.
+        return self.page(self.r_max)
 
 
 def _filtration_bars(dc: DoubleComplex, filtration: str) -> dict:
@@ -310,12 +311,10 @@ def pages(dc: DoubleComplex, filtration: str, r_max: int) -> PageTable:
 
 def verify_convergence(pt: PageTable, h: dict) -> bool:
     """Do the limit-page dimensions sum to the total cohomology in each degree?"""
-    limit = pt.limit()
     sums = {}
-    for (p, q), d in limit.items():
+    for (p, q), d in pt.limit().items():
         sums[p + q] = sums.get(p + q, 0) + d
-    degrees = set(sums) | {n for n, d in h.items() if d}
-    return all(sums.get(n, 0) == h.get(n, 0) for n in degrees)
+    return sums == {n: d for n, d in h.items() if d}
 
 
 def tensor_double_complex(a: Complex, b: Complex) -> DoubleComplex:

@@ -5,7 +5,8 @@ rows/columns comes straight from ranks of the stored differentials, never
 from the page calculator, and those ranks come from `gauss_jordan_rank`
 here, not from `QMatrix.rank`, which is the fold the page engine reads its
 bars from.  `flat_of` is no oracle: it is the flat of one subset, by the
-package's own `_extend`, for the tests that walk every subset.
+package's own `_extend`, for the tests that walk every subset; it is None
+for a subset that does not meet.
 `degenerates` is the definition of degeneration from E2 on, which the E2
 readout no longer evaluates: it checks a position rule that implies it.
 """
@@ -35,11 +36,16 @@ def module_imports(name: str, directory: Path = PACKAGE) -> tuple[set, set]:
     return modules, names
 
 
-def flat_of(arr, subset) -> Flat:
-    """Flat of the selected hyperplanes (empty subset: ambient space), one `_extend` each."""
+def flat_of(arr, subset) -> Flat | None:
+    """Flat of the selected hyperplanes (empty subset: ambient space), one `_extend` each.
+
+    None when they do not meet: the walk stops at the first empty cut.
+    """
     flat = ambient_flat(arr.ambient_dim)
     for i in subset:
         flat = _extend(flat, arr.hyperplanes[i].equation_row())
+        if flat is None:
+            break
     return flat
 
 

@@ -95,7 +95,8 @@ def test_first_page_is_sum_of_localized_cohomology(seed):
     for size in range(1, arr.r + 1):
         for subset in combinations(range(arr.r), size):
             flat = flat_of(arr, subset)
-            for q, d in localized_flat_cohomology(n, flat.dimension).items():
+            dim = None if flat is None else flat.dimension
+            for q, d in localized_flat_cohomology(n, dim).items():
                 expected[(1 - size, q)] = expected.get((1 - size, q), 0) + d
     assert first_page(count_flats(arr)).dims == expected
 

@@ -29,7 +29,7 @@ from mvbetti import (
     whitney_betti,
 )
 from mvbetti.arrangement import AFFINE, Arrangement, Hyperplane, essentialize
-from mvbetti.flats import EMPTY, Flat, FlatCounts, _extend, ambient_flat
+from mvbetti.flats import Flat, FlatCounts, _extend, ambient_flat
 from mvbetti.generate import (
     boolean_arrangement_text,
     difference_arrangement_text,
@@ -58,7 +58,7 @@ def parallel():
 
 def test_flat_of_full_boolean_subset(boolean2):
     flat = flat_of(boolean2, [0, 1])
-    assert not flat.is_empty
+    assert flat is not None
     assert flat.dimension == 0
 
 
@@ -69,7 +69,7 @@ def test_flat_of_empty_subset_is_ambient(boolean2):
 
 
 def test_flat_of_parallel_pair_is_empty(parallel):
-    assert flat_of(parallel, [0, 1]).is_empty
+    assert flat_of(parallel, [0, 1]) is None
 
 
 def test_flat_of_braid_pairs():
@@ -212,7 +212,7 @@ def test_oracles_agree_and_mobius_signs(seed):
     for size in range(0, arr.r + 1):
         for subset in combinations(range(arr.r), size):
             flat = flat_of(arr, subset)
-            if not flat.is_empty:
+            if flat is not None:
                 seen.add(flat)
                 signed[n - flat.dimension] += (-1) ** size
     assert len(seen) == len(poset.sweep)
@@ -392,7 +392,7 @@ def _every_subset(arr: Arrangement) -> tuple:
     for size in range(1, arr.r + 1):
         for subset in combinations(range(arr.r), size):
             flat = flat_of(arr, subset)
-            if flat.is_empty:
+            if flat is None:
                 empty[size] = empty.get(size, 0) + 1
             else:
                 counts[(size, flat.dimension)] = counts.get((size, flat.dimension), 0) + 1
@@ -609,31 +609,31 @@ def test_integer_elimination_matches_rational_rref(system):
         expected.append(tuple(x // gcd(*ints) for x in ints))
     for order in (rows, rows[::-1]):
         # The whole `echelon_insert` keeps the rows of every system, empty
-        # ones too; `_extend` keeps them for the nonempty flats it builds.
+        # ones too; `_extend` keeps them for the nonempty flats it builds,
+        # and stops at the first empty cut.
         flat, echelon, their_pivots = ambient_flat(n), (), ()
         for row in order:
-            flat = _extend(flat, tuple(row))
+            if flat is not None:
+                flat = _extend(flat, tuple(row))
             step = echelon_insert(echelon, their_pivots, tuple(row))
             if step is not None:
                 echelon, their_pivots, _ = step
         assert echelon == tuple(expected)
         assert their_pivots == pivots
         assert QMatrix(len(echelon), n + 1, rref_entries(echelon, their_pivots)) == reduced
-        assert flat.is_empty == (n in pivots)
-        assert flat.dimension == (None if n in pivots else n - rank)
-        if flat.is_empty:
-            assert flat == EMPTY and flat.pivots == ()
-        else:
+        assert (flat is None) == (n in pivots)
+        if flat is not None:
+            assert flat.dimension == n - rank
             assert (flat.rows, flat.pivots) == (echelon, pivots)
 
 
-def _extend_by_echelon_insert(flat: Flat, row) -> Flat:
+def _extend_by_echelon_insert(flat: Flat, row) -> Flat | None:
     """`_extend` by the whole `echelon_insert`, back-substituting into empty cuts too."""
     step = echelon_insert(flat.rows, flat.pivots, row)
     if step is None:
         return flat
     rows, pivots, _ = step
-    return Flat(rows, None if pivots[-1] == len(row) - 1 else flat.dimension - 1, pivots)
+    return None if pivots[-1] == len(row) - 1 else Flat(rows, flat.dimension - 1, pivots)
 
 
 def _sweep(poset) -> list:
@@ -665,7 +665,7 @@ def test_back_substitution_runs_once_per_new_flat(monkeypatch):
     def counted_extend(flat, row):
         before = normalised["all"]
         g = extend(flat, row)
-        kind = "contains" if g is flat else "empty" if g.is_empty else "new"
+        kind = "contains" if g is flat else "empty" if g is None else "new"
         kinds[kind] += 1
         normalised[kind] += normalised["all"] - before
         return g
@@ -683,7 +683,11 @@ def test_back_substitution_runs_once_per_new_flat(monkeypatch):
     arrs = [parse_arrangement(text) for text in texts]
     arrs += [random_affine_arrangement(Random(seed), 3, 8) for seed in range(10)]
     for arr in arrs:
-        build_intersection_poset(arr)
+        # Catalan 4 (the third text) has more empty cuts than flats; no empty
+        # cut takes the ambient flat's place or enters the poset.
+        poset = build_intersection_poset(arr)
+        assert _mobius_of(poset)[ambient_flat(arr.ambient_dim)] == 1
+        assert all(type(f.dimension) is int for f, _ in poset.sweep)
     assert kinds["empty"] and kinds["contains"] and kinds["new"]
     assert len(calls) == kinds["new"]
     assert normalised["new"] >= kinds["new"]

@@ -14,7 +14,7 @@ from random import Random
 import pytest
 
 import mvbetti.generate
-from mvbetti import parse_arrangement
+from mvbetti import compute_betti, is_general_position, parse_arrangement
 from mvbetti.generate import (
     GENERAL_POSITION_TRIES,
     boolean_arrangement_text,
@@ -105,6 +105,15 @@ def test_general_position_generator_gives_up(monkeypatch):
     with pytest.raises(RuntimeError, match=message):
         random_general_position_arrangement(Random(0), 3, 5)
     assert len(calls) == GENERAL_POSITION_TRIES
+
+
+def test_general_position_generator_takes_more_hyperplanes_than_the_cap():
+    # The general-position check counts every hyperplane, past DEFAULT_CAP = 24.
+    arr = random_general_position_arrangement(Random(0), 3, 25)
+    assert arr.r == 25 and is_general_position(arr)
+    report = compute_betti(arr, cap=25, oracles=False)
+    assert report.general_position
+    assert report.betti == tuple(comb(25, k) for k in range(4))
 
 
 FAMILIES = {
