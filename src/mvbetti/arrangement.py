@@ -49,8 +49,15 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]*[1-9][0-9]*)?")
 
 
 def content_lines(text: str):
-    """(line number from 1, text) of each line with its `#` comment cut, stripped and not blank."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    """(line number from 1, text) of each line with its `#` comment cut, stripped and not blank.
+
+    A line ends at a line feed, a carriage return and line feed, or a
+    carriage return, as `open` reads text.  The other breaks of
+    `str.splitlines` (form feed, U+001C to U+001E, U+0085, U+2028, U+2029)
+    end no line; inside a line they are whitespace.
+    """
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line

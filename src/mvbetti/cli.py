@@ -157,13 +157,18 @@ def _print_report(args, report: BettiReport):
 
 
 def _read_input(path: str) -> str:
-    """An input file's text; bytes that are not UTF-8 are a ParseError on their line."""
+    """An input file's text; bytes that are not UTF-8 are a ParseError on their line.
+
+    Lines are counted as `arrangement.content_lines` counts them, so only
+    line feeds and carriage returns end one.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError("not UTF-8 text", line=data.count(b"\n", 0, exc.start) + 1) from None
+        head = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        raise ParseError("not UTF-8 text", line=head.count(b"\n") + 1) from None
 
 
 def _run_arrangement(args) -> int:

@@ -73,6 +73,19 @@ def test_parse_reports_line_numbers():
         assert (err.value.line, err.value.column) == (2, 2)
 
 
+def test_lines_end_only_at_line_feeds_and_carriage_returns():
+    # `str.splitlines` would also break at the form feed and at U+001C.
+    with pytest.raises(ParseError, match="line 3, field 2: bad rational 'x'"):
+        parse_arrangement("affine 2\n1 0 0\x0c\n1 x 0\n")
+    with pytest.raises(ParseError, match="line 2: expected 3 coefficients, got 6"):
+        parse_arrangement("affine 2\n1 0 0\x1c1 1 0\n")
+    lf = parse_arrangement("affine 2\n1 0 0\n0 1 0\n")
+    for newline in ("\r\n", "\r"):
+        assert parse_arrangement(f"affine 2{newline}1 0 0{newline}0 1 0{newline}") == lf
+        with pytest.raises(ParseError, match="line 3, field 1: bad rational 'x'"):
+            parse_arrangement(f"affine 2{newline}# comment{newline}x 0 0{newline}")
+
+
 def test_parse_comments_blanks_fractions():
     arr = parse_arrangement("# leading comment\n\naffine 2\n1/2 -1/3 1 # trailing\n")
     assert arr.r == 1

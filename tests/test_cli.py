@@ -107,6 +107,8 @@ def test_non_utf8_input_exit_code(tmp_path, capsys):
     for name, data, command in (
         ("bad.arr", b"affine 1\n1 0\n\xff\n", "betti"),
         ("bad.dc", b"dims\n0 0 1\n\xfe 0 1\n", "ss"),
+        # Lines are counted as the parser counts them: CRLF and CR end one, a form feed none.
+        ("breaks.arr", b"affine 1\r\n1 0\x0c1 1\r\xff\n", "betti"),
     ):
         path = tmp_path / name
         path.write_bytes(data)
@@ -569,6 +571,49 @@ def test_oracles_catch_a_mobius_sign_defect(boolean3_file, capsys, monkeypatch):
             "inconsistency: pipeline (1, 3, 3, 1) disagrees with oracles "
             "(mobius (1, 3, 3, 1), whitney (1, 1, 3, 1))\n"
         )
+
+
+def test_oracle_json(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "parallel.arr", PARALLEL_A2)
+    code, text, _ = run(capsys, ["oracle", path])
+    assert code == 0
+    mobius, whitney = ([int(b) for b in line.split(":")[1].split()] for line in text.splitlines())
+    code, out, err = run(capsys, ["oracle", path, "--json"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert set(doc) == {"kind", "n", "r", "oracle", "agreement"}
+    assert (doc["kind"], doc["n"], doc["r"], doc["agreement"]) == ("affine", 2, 2, True)
+    assert doc["oracle"] == {"mobius": mobius, "whitney": whitney}
+    monkeypatch.setattr(mvbetti.cli, "build_intersection_poset", poset_with_one_sign_flipped)
+    code, out, err = run(capsys, ["oracle", path, "--json"])
+    assert (code, err) == (3, "")
+    doc = json.loads(out)
+    assert doc["oracle"] == {"mobius": [1, 2, 0], "whitney": [1, 0, 0]}
+    assert doc["agreement"] is False
+
+
+def test_negative_alternating_sum_exits_3(boolean3_file, capsys, monkeypatch):
+    # Two more pairs meeting in a line make the q = -3 row of E1 (1, 5, 3),
+    # whose alternating sum is -1: no row that is exact except at its end.
+    def count_flats(arr, cap):
+        table = mvbetti.flats.count_flats(arr, cap)
+        counts = {**table.counts, (2, 1): table.counts[(2, 1)] + 2}
+        return mvbetti.flats.FlatCounts(counts, table.empty, table.n, table.r)
+
+    monkeypatch.setattr(mvbetti.betti, "count_flats", count_flats)
+    for command in ("betti", "e1", "e2", "check"):
+        code, out, err = run(capsys, [command, boolean3_file])
+        assert (code, out) == (3, "")
+        assert err == (
+            "inconsistency: row q=-3: alternating sum of row (1, 5, 3) is negative (-1); "
+            "the row cannot be exact except at its last position\n"
+        )
+
+
+def test_pages_of_an_arrangement_without_hyperplanes(tmp_path, capsys):
+    path = write(tmp_path, "empty.arr", "affine 2\n")
+    for command in ("e1", "e2"):
+        assert run(capsys, [command, path]) == (0, "(no hyperplanes: no spectral sequence)\n", "")
 
 
 def test_oracles_share_one_sweep(tmp_path, capsys, monkeypatch):

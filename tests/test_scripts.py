@@ -1,4 +1,4 @@
-"""The pin check that the timing scripts run on their own digests (`scripts/timing.py`)."""
+"""The stage-timing script `scripts/time_stages.py`: its pin check, its pins and its stages."""
 
 import importlib.util
 import json
@@ -7,39 +7,61 @@ from pathlib import Path
 SCRIPTS = Path(__file__).parent.parent / "scripts"
 
 
-def _timing():
-    spec = importlib.util.spec_from_file_location("timing", SCRIPTS / "timing.py")
+def _time_stages():
+    spec = importlib.util.spec_from_file_location("time_stages", SCRIPTS / "time_stages.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_pin_check_names_each_digest_off_its_pin(tmp_path, capsys):
-    timing = _timing()
+    script = _time_stages()
     pins = tmp_path / "digests.json"
-    pins.write_text(json.dumps({"time_x.py": {"changed": "a", "missing": "b", "kept": "c"}}))
-    result = {"changed": {"sha256": "z"}, "kept": {"sha256": "c"}, "unpinned": {"sha256": "d"}}
-    assert timing.report("time_x.py", result, pins) == 1
+    x = {"changed": "a", "missing": "b", "kept": "c"}
+    pins.write_text(json.dumps({"time_stages.py": {"x": x}}))
+    result = {
+        "x": {"parse_s": 0.5, "sha256": {"changed": "z", "kept": "c"}},
+        "y": {"sha256": {"unpinned": "d"}},
+    }
+    assert script.report(result, pins) == 1
     out, err = capsys.readouterr()
     assert json.loads(out) == result
     assert err.splitlines() == [
-        "time_x.py changed: sha256 z, pinned a",
-        "time_x.py missing: sha256 None, pinned b",
-        "time_x.py unpinned: sha256 d, pinned None",
+        "time_stages.py x changed: sha256 z, pinned a",
+        "time_stages.py x missing: sha256 None, pinned b",
+        "time_stages.py y unpinned: sha256 d, pinned None",
     ]
 
 
 def test_pin_check_passes_on_its_pins(tmp_path, capsys):
-    timing = _timing()
+    script = _time_stages()
     pins = tmp_path / "digests.json"
-    pins.write_text(json.dumps({"time_x.py": {"sha256": "a"}}))
-    # A whole-run digest sits at the top level of the line, beside the times.
-    assert timing.report("time_x.py", {"pairs": 2, "s": 0.5, "sha256": "a"}, pins) == 0
+    pins.write_text(json.dumps({"time_stages.py": {"page_engine": {"pages": "a"}}}))
+    result = {"page_engine": {"pairs": 2, "construct_s": 0.5, "sha256": {"pages": "a"}}}
+    assert script.report(result, pins) == 0
     assert capsys.readouterr().err == ""
 
 
 def test_every_timing_script_is_pinned():
+    # One timing script, with one count-table pin per input and one sweep pin per swept input.
     pinned = json.loads((SCRIPTS / "digests.json").read_text(encoding="utf-8"))
-    assert set(pinned) == {path.name for path in SCRIPTS.glob("time_*.py")}
-    for path in SCRIPTS.glob("time_*.py"):
-        assert f'report("{path.name}", ' in path.read_text(encoding="utf-8")
+    assert sorted(path.name for path in SCRIPTS.glob("tim*.py")) == ["time_stages.py"]
+    assert set(pinned) == {"time_stages.py"}
+    script = _time_stages()
+    want = {name: {"count_flats", "poset"} if name in script.SWEPT else {"count_flats"}
+            for name in script.INPUTS}
+    want["page_engine"] = {"pages"}
+    assert {name: set(case) for name, case in pinned["time_stages.py"].items()} == want
+
+
+def test_stages_of_the_projective_simplex():
+    # P^2 less its three coordinate lines is (C*)^2; deconing leaves two crossing lines.
+    case = _time_stages().stages("projective 2\n1 0 0\n0 1 0\n0 0 1\n", sweep=True)
+    stages = ("parse", "chart", "essentialize", "count_flats", "pages", "general_position",
+              "poset", "mobius", "whitney")
+    times = {key: value for key, value in case.items() if key.endswith("_s")}
+    assert set(times) == {f"{stage}_s" for stage in stages}
+    assert all(isinstance(t, float) and t >= 0 for t in times.values())
+    assert case["betti"] == case["mobius"] == case["whitney"] == [1, 2, 1]
+    assert (case["r"], case["flats"], case["general_position"]) == (3, 4, True)
+    assert set(case["sha256"]) == {"count_flats", "poset"}
