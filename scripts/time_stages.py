@@ -186,7 +186,7 @@ def report(result: dict, pinned: Path = PINNED) -> int:
     not pinned, and returns 1 if there is one, else 0.
     """
     print(json.dumps(result, sort_keys=True))
-    want = flatten(json.loads(pinned.read_text(encoding="utf-8"))["time_stages.py"])
+    want = flatten(json.loads(pinned.read_text(encoding="utf-8")))
     got = flatten({name: case["sha256"] for name, case in result.items()})
     bad = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
     for name in bad:

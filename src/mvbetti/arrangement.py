@@ -48,16 +48,23 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]*[1-9][0-9]*)?")
 
 
+def _lines(text: str) -> list:
+    """`text` split at each line feed, carriage return and line feed, or carriage return.
+
+    Lines end as `open` reads text: the other breaks of `str.splitlines`
+    (vertical tab, form feed, U+001C to U+001E, U+0085, U+2028, U+2029) end
+    no line.
+    """
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def content_lines(text: str):
     """(line number from 1, text) of each line with its `#` comment cut, stripped and not blank.
 
-    A line ends at a line feed, a carriage return and line feed, or a
-    carriage return, as `open` reads text.  The other breaks of
-    `str.splitlines` (form feed, U+001C to U+001E, U+0085, U+2028, U+2029)
-    end no line; inside a line they are whitespace.
+    Lines end as `_lines` ends them, so the other breaks of `str.splitlines`
+    are whitespace inside a line.
     """
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line

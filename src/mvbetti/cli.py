@@ -17,7 +17,7 @@ import sys
 import textwrap
 from itertools import chain
 
-from .arrangement import PROJECTIVE, _affine_chart, equation_text, parse_arrangement
+from .arrangement import PROJECTIVE, _affine_chart, _lines, equation_text, parse_arrangement
 from .betti import BettiReport, compute_betti
 from .errors import CapExceededError, ConsistencyError, ParseError, ValidationError
 from .flats import DEFAULT_CAP, build_intersection_poset, mobius_betti, whitney_betti
@@ -159,16 +159,16 @@ def _print_report(args, report: BettiReport):
 def _read_input(path: str) -> str:
     """An input file's text; bytes that are not UTF-8 are a ParseError on their line.
 
-    Lines are counted as `arrangement.content_lines` counts them, so only
-    line feeds and carriage returns end one.
+    Lines are counted by `arrangement._lines`, as the parser counts them;
+    the bytes before the first bad one are UTF-8.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        head = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        raise ParseError("not UTF-8 text", line=head.count(b"\n") + 1) from None
+        line = len(_lines(data[: exc.start].decode("utf-8")))
+        raise ParseError("not UTF-8 text", line=line) from None
 
 
 def _run_arrangement(args) -> int:

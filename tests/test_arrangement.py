@@ -74,9 +74,10 @@ def test_parse_reports_line_numbers():
 
 
 def test_lines_end_only_at_line_feeds_and_carriage_returns():
-    # `str.splitlines` would also break at the form feed and at U+001C.
-    with pytest.raises(ParseError, match="line 3, field 2: bad rational 'x'"):
-        parse_arrangement("affine 2\n1 0 0\x0c\n1 x 0\n")
+    # `str.splitlines` would also break at the vertical tab, the form feed and U+001C.
+    for space in ("\x0b", "\x0c"):
+        with pytest.raises(ParseError, match="line 3, field 2: bad rational 'x'"):
+            parse_arrangement(f"affine 2\n1 0 0{space}\n1 x 0\n")
     with pytest.raises(ParseError, match="line 2: expected 3 coefficients, got 6"):
         parse_arrangement("affine 2\n1 0 0\x1c1 1 0\n")
     lf = parse_arrangement("affine 2\n1 0 0\n0 1 0\n")

@@ -18,7 +18,7 @@ def test_pin_check_names_each_digest_off_its_pin(tmp_path, capsys):
     script = _time_stages()
     pins = tmp_path / "digests.json"
     x = {"changed": "a", "missing": "b", "kept": "c"}
-    pins.write_text(json.dumps({"time_stages.py": {"x": x}}))
+    pins.write_text(json.dumps({"x": x}))
     result = {
         "x": {"parse_s": 0.5, "sha256": {"changed": "z", "kept": "c"}},
         "y": {"sha256": {"unpinned": "d"}},
@@ -36,7 +36,7 @@ def test_pin_check_names_each_digest_off_its_pin(tmp_path, capsys):
 def test_pin_check_passes_on_its_pins(tmp_path, capsys):
     script = _time_stages()
     pins = tmp_path / "digests.json"
-    pins.write_text(json.dumps({"time_stages.py": {"page_engine": {"pages": "a"}}}))
+    pins.write_text(json.dumps({"page_engine": {"pages": "a"}}))
     result = {"page_engine": {"pairs": 2, "construct_s": 0.5, "sha256": {"pages": "a"}}}
     assert script.report(result, pins) == 0
     assert capsys.readouterr().err == ""
@@ -46,12 +46,35 @@ def test_every_timing_script_is_pinned():
     # One timing script, with one count-table pin per input and one sweep pin per swept input.
     pinned = json.loads((SCRIPTS / "digests.json").read_text(encoding="utf-8"))
     assert sorted(path.name for path in SCRIPTS.glob("tim*.py")) == ["time_stages.py"]
-    assert set(pinned) == {"time_stages.py"}
+    assert "report(out)" in (SCRIPTS / "time_stages.py").read_text(encoding="utf-8")
     script = _time_stages()
     want = {name: {"count_flats", "poset"} if name in script.SWEPT else {"count_flats"}
             for name in script.INPUTS}
     want["page_engine"] = {"pages"}
-    assert {name: set(case) for name, case in pinned["time_stages.py"].items()} == want
+    assert {name: set(case) for name, case in pinned.items()} == want
+
+
+def test_main_exits_1_on_a_digest_off_its_pin_or_a_disagreeing_oracle(monkeypatch, capsys):
+    # `main` with its stages stubbed to give the pinned digests, then one answer spoiled.
+    script = _time_stages()
+    pinned = json.loads((SCRIPTS / "digests.json").read_text(encoding="utf-8"))
+    cases = {name: {"betti": [1, 1], "mobius": [1, 1], "whitney": [1, 1], "sha256": dict(pins)}
+             for name, pins in pinned.items()}
+    names = {text: name for name, text in script.INPUTS.items()}
+    monkeypatch.setattr(script, "stages", lambda text, sweep: cases[names[text]])
+    monkeypatch.setattr(script, "page_engine", lambda: cases["page_engine"])
+    assert script.main() == 0
+    assert capsys.readouterr().err == ""
+
+    cases["d7"]["sha256"]["count_flats"] = "0" * 64
+    assert script.main() == 1
+    assert capsys.readouterr().err.startswith("time_stages.py d7 count_flats: sha256 000")
+
+    cases["d7"]["sha256"] = dict(pinned["d7"])
+    cases["catalan_n6"]["whitney"] = [1, 2]
+    assert script.main() == 1
+    err = capsys.readouterr().err
+    assert err == "time_stages.py catalan_n6: pipeline, mobius and whitney disagree\n"
 
 
 def test_stages_of_the_projective_simplex():
